@@ -10,7 +10,7 @@ from .netsim import (
     mm1_topology,
 )
 from .rl_env import RlEnv
-from .buffer import Experience, ReplayBuffer
+from .buffer import ReplayBuffer
 from .model import Adam, Mlp
 from .agent import AgentParams, DdpgAgent, TrainingTrace, load_agent, save_agent
 from .exploration import StartMode, StateTracker, choose_start_mode, train_with_blockage_exploration
@@ -19,7 +19,6 @@ __all__ = [
     "Adam",
     "AgentParams",
     "DdpgAgent",
-    "Experience",
     "JobRecord",
     "Mlp",
     "QueueNetwork",

@@ -14,14 +14,15 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Optional, get_type_hints
 
 import numpy as np
 
-from .buffer import Experience, ReplayBuffer
-from .errors import CheckpointError, DimensionMismatch, EmptyBuffer, InsufficientBuffer
+from .buffer import Batch, ReplayBuffer
+from .errors import CheckpointError, ConfigError, DimensionMismatch, EmptyBuffer, InsufficientBuffer
 from .model import Adam, Mlp
+from .netsim import TopologyConfig
 
 _PHI_CLIP = 30.0  # bound on predicted log-delays before expm1
 
@@ -54,8 +55,6 @@ class AgentParams:
     reward_skip: int = 0
 
     def validate(self) -> None:
-        from .errors import ConfigError
-
         checks = [
             (self.learning_rate > 0, "learning_rate must be > 0"),
             (self.num_epochs >= 1, "num_epochs must be >= 1"),
@@ -79,6 +78,12 @@ class AgentParams:
         for ok, msg in checks:
             if not ok:
                 raise ConfigError(msg)
+
+
+_PARAM_TYPES = get_type_hints(AgentParams)
+# the scalar AgentParams fields by type, for parsers that coerce raw values
+INT_PARAM_FIELDS = frozenset(name for name, kind in _PARAM_TYPES.items() if kind is int)
+FLOAT_PARAM_FIELDS = frozenset(name for name, kind in _PARAM_TYPES.items() if kind is float)
 
 
 @dataclass
@@ -127,7 +132,7 @@ class DdpgAgent:
         self.next_state_opt = Adam(self.next_state_model, lr)
         self.reward_opt = Adam(self.reward_model, lr)
 
-        self.buffer = ReplayBuffer(params.buffer_capacity)
+        self.buffer = ReplayBuffer(params.buffer_capacity, state_dim, action_dim)
         self.update_counter = 0
 
     def named_networks(self) -> dict[str, Mlp]:
@@ -163,21 +168,8 @@ class DdpgAgent:
 
     # -- updates ----------------------------------------------------------------
 
-    def _stack(self, batch: list[Experience]):
-        if not batch:
-            raise ValueError("batch is empty")
-        ds, da = self.state_dim, self.action_dim
-        for e in batch:
-            if len(e.state) != ds or len(e.next_state) != ds or len(e.action) != da:
-                raise DimensionMismatch("experience dimensions do not match the agent")
-        s = np.stack([np.asarray(e.state, float) for e in batch])
-        a = np.stack([np.asarray(e.action, float) for e in batch])
-        r = np.array([e.reward for e in batch], dtype=float)
-        s2 = np.stack([np.asarray(e.next_state, float) for e in batch])
-        return s, a, r, s2
-
-    def update_critic_network(self, batch: list[Experience]) -> float:
-        s, a, r, s2 = self._stack(batch)
+    def update_critic_network(self, batch: Batch) -> float:
+        s, a, r, s2 = batch
         phi_s2 = self._phi(s2)
         a2 = self.target_actor.forward(phi_s2)
         q2 = self.target_critic.forward(np.concatenate([phi_s2, a2], axis=1))[:, 0]
@@ -186,31 +178,30 @@ class DdpgAgent:
         q = self.critic.forward(np.concatenate([self._phi(s), a], axis=1))[:, 0]
         err = q - y
         loss = float(np.mean(err**2))
-        self.critic.backward((2.0 / len(batch)) * err[:, None])
+        self.critic.backward((2.0 / len(s)) * err[:, None])
         self.critic_opt.step()
         return loss
 
-    def update_actor_network(self, batch: list[Experience]) -> float:
+    def update_actor_network(self, batch: Batch) -> float:
         """One ascent step on mean Q(s, actor(s)); returns the loss -mean(Q).
 
         The applied gradient also carries the anti-saturation pull
         (_ACTOR_PREACT_PULL) on the actor's output pre-activations.
         """
-        s, _, _, _ = self._stack(batch)
-        phi_s = self._phi(s)
+        phi_s = self._phi(batch[0])
         a = self.actor.forward(phi_s)
         q = self.critic.forward(np.concatenate([phi_s, a], axis=1))[:, 0]
         loss = float(-np.mean(q))
 
-        dq = np.full((len(batch), 1), -1.0 / len(batch))
+        n = len(phi_s)
+        dq = np.full((n, 1), -1.0 / n)
         dx = self.critic.backward(dq)
         z = np.log(a / (1.0 - a))  # output pre-activations (sigmoid inverse)
         self.actor.backward(dx[:, self.state_dim :],
                             dout_pre=(2.0 * _ACTOR_PREACT_PULL / z.size) * z)
         self.actor_opt.step()
         # the critic pass above was only a conduit for gradients
-        for g in self.critic.gradients():
-            g[...] = 0.0
+        self.critic.grads[...] = 0.0
         return loss
 
     def soft_update_targets(self) -> None:
@@ -222,13 +213,12 @@ class DdpgAgent:
         """One fitting round of both predictors over the whole buffer."""
         if self.buffer.size == 0:
             raise EmptyBuffer("fit_model needs at least one experience")
-        exps = self.buffer.all_experiences()
-        s, a, r, s2 = self._stack(exps)
+        s, a, r, s2 = self.buffer.stored()
         x = np.concatenate([self._phi(s), a], axis=1)
         y_next = self._phi(s2)
         y_reward = r[:, None]
 
-        n = len(exps)
+        n = len(r)
         bs = min(self.params.batch_size, n)
         ns_loss = reward_loss = 0.0
         for _ in range(self.params.num_epochs):
@@ -278,10 +268,7 @@ class DdpgAgent:
             rewards = self.reward_model.forward(x)[:, 0]
             next_states = np.expm1(np.clip(self.next_state_model.forward(x), 0.0, _PHI_CLIP))
 
-            batch = [
-                Experience(s, a, float(r), s2)
-                for s, a, r, s2 in zip(states, actions, rewards, next_states)
-            ]
+            batch = (states, actions, rewards, next_states)
             closs = self.update_critic_network(batch)
             aloss = self.update_actor_network(batch)
             losses.append((closs, aloss))
@@ -318,7 +305,7 @@ class DdpgAgent:
                 next_state = env.get_next_state(action)
                 reward = env.get_reward()
                 rewards.append(reward)
-                self.buffer.push(Experience(state, action, reward, next_state))
+                self.buffer.push(state, action, reward, next_state)
                 if tracker is not None and blocked_node is not None:
                     tracker.record_visit(state, reward)
 
@@ -346,16 +333,29 @@ class DdpgAgent:
         return trace
 
 
+def make_agent(env_config: TopologyConfig, params: AgentParams) -> DdpgAgent:
+    """A fresh agent for env_config: one state and one action entry per
+    serviced edge, as in RlEnv."""
+    dim = len(env_config.serviced_edges())
+    return DdpgAgent(dim, dim, params)
+
+
 # -- checkpointing ----------------------------------------------------------------
+#
+# A checkpoint is the 8-byte magic, two little-endian uint32s (version and
+# header length), a JSON header with the agent's dimensions, params and each
+# network's layer sizes, then each network's `params` vector as little-endian
+# float64 in _NET_ORDER. A vector holds w0, b0, w1, b1, ... with each weight
+# matrix row-major, so the file is the six vectors back to back.
 
 _MAGIC = b"QRLAGENT"
 _VERSION = 1
+_PREAMBLE = struct.Struct("<II")
 _NET_ORDER = ("actor", "critic", "target_actor", "target_critic", "next_state_model", "reward_model")
 
 
 def save_agent(agent: DdpgAgent, path: str) -> None:
-    """Write a versioned checkpoint: magic, JSON header with layer sizes,
-    then row-major float64 parameter arrays in a fixed network order."""
+    """Write a versioned checkpoint (layout above)."""
     nets = agent.named_networks()
     header = {
         "version": _VERSION,
@@ -373,54 +373,49 @@ def save_agent(agent: DdpgAgent, path: str) -> None:
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<II", _VERSION, len(blob)))
+        fh.write(_PREAMBLE.pack(_VERSION, len(blob)))
         fh.write(blob)
         for name in _NET_ORDER:
-            net = nets[name]
-            for w, b in zip(net.weights, net.biases):
-                fh.write(np.ascontiguousarray(w, dtype="<f8").tobytes())
-                fh.write(np.ascontiguousarray(b, dtype="<f8").tobytes())
+            fh.write(nets[name].params.astype("<f8", copy=False).tobytes())
 
 
 def load_agent(path: str) -> DdpgAgent:
-    """Rebuild an agent from a checkpoint, rejecting any dimension mismatch."""
+    """Rebuild an agent from a checkpoint. A malformed file, or one whose
+    networks do not match its header, raises CheckpointError."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[: len(_MAGIC)] != _MAGIC:
         raise CheckpointError(f"{path} is not an agent checkpoint")
-    off = len(_MAGIC)
-    version, header_len = struct.unpack_from("<II", data, off)
-    off += 8
+    off = len(_MAGIC) + _PREAMBLE.size
+    if len(data) < off:
+        raise CheckpointError("checkpoint truncated in its preamble")
+    version, header_len = _PREAMBLE.unpack_from(data, len(_MAGIC))
     if version != _VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     try:
         header = json.loads(data[off : off + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"corrupt checkpoint header: {exc}") from exc
+        raw_params = dict(header["params"])
+        raw_params["hidden_sizes"] = tuple(raw_params["hidden_sizes"])
+        agent = DdpgAgent(header["state_dim"], header["action_dim"], AgentParams(**raw_params))
+        nets = agent.named_networks()
+        for name in _NET_ORDER:
+            meta, net = header["networks"][name], nets[name]
+            if meta["layer_sizes"] != net.layer_sizes:
+                raise CheckpointError(
+                    f"{name} layer sizes {meta['layer_sizes']} do not match {net.layer_sizes}"
+                )
+            if meta["output_activation"] != net.output_activation:
+                raise CheckpointError(f"{name} output activation mismatch")
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise CheckpointError(f"corrupt checkpoint header: {exc!r}") from exc
     off += header_len
 
-    raw_params = dict(header["params"])
-    raw_params["hidden_sizes"] = tuple(raw_params["hidden_sizes"])
-    params = AgentParams(**raw_params)
-    agent = DdpgAgent(header["state_dim"], header["action_dim"], params)
-
-    nets = agent.named_networks()
     for name in _NET_ORDER:
-        meta = header["networks"][name]
-        net = nets[name]
-        if meta["layer_sizes"] != net.layer_sizes:
-            raise CheckpointError(
-                f"{name} layer sizes {meta['layer_sizes']} do not match {net.layer_sizes}"
-            )
-        if meta["output_activation"] != net.output_activation:
-            raise CheckpointError(f"{name} output activation mismatch")
-        for w, b in zip(net.weights, net.biases):
-            for arr in (w, b):
-                nbytes = arr.size * 8
-                if off + nbytes > len(data):
-                    raise CheckpointError("checkpoint truncated")
-                arr[...] = np.frombuffer(data[off : off + nbytes], dtype="<f8").reshape(arr.shape)
-                off += nbytes
+        params = nets[name].params
+        if off + params.nbytes > len(data):
+            raise CheckpointError("checkpoint truncated")
+        params[...] = np.frombuffer(data, dtype="<f8", count=params.size, offset=off)
+        off += params.nbytes
     if off != len(data):
         raise CheckpointError("checkpoint has trailing bytes")
     return agent

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import reporting
-from .agent import DdpgAgent, load_agent, save_agent
+from .agent import DdpgAgent, load_agent, make_agent, save_agent
 from .config import parse_hyperparams, parse_network_config
 from .errors import ConfigError, QueueRlError
 from .evaluation import (
@@ -28,7 +28,6 @@ from .evaluation import (
     robustness_evaluate,
 )
 from .exploration import StateTracker, train_with_blockage_exploration
-from .rl_env import RlEnv
 from .tuning import random_search
 
 EVALUATORS = ("startup", "convergence", "noise", "disruption", "robustness")
@@ -104,17 +103,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _get_agent(cfg: RunConfig, env_config, params) -> DdpgAgent:
     if cfg.agent_file:
         return load_agent(cfg.agent_file)
-    env = RlEnv(env_config, seed=params.seed, events_per_step=params.events_per_step,
-                reward_skip=params.reward_skip)
-    agent = DdpgAgent(env.state_dim, env.action_dim, params)
+    agent = make_agent(env_config, params)
     train_with_blockage_exploration(agent, env_config, params)
     return agent
 
 
 def _run_train(cfg: RunConfig, env_config, params) -> int:
-    env = RlEnv(env_config, seed=params.seed, events_per_step=params.events_per_step,
-                reward_skip=params.reward_skip)
-    agent = DdpgAgent(env.state_dim, env.action_dim, params)
+    agent = make_agent(env_config, params)
     tracker = StateTracker()
     trace = train_with_blockage_exploration(agent, env_config, params, tracker=tracker)
 
@@ -142,9 +137,7 @@ def _run_evaluate(cfg: RunConfig, env_config, params) -> int:
         raise ConfigError("--evaluator is required with --function evaluate")
 
     if cfg.evaluator == "startup":
-        env = RlEnv(env_config, seed=params.seed, events_per_step=params.events_per_step,
-                    reward_skip=params.reward_skip)
-        agent = DdpgAgent(env.state_dim, env.action_dim, params)
+        agent = make_agent(env_config, params)
         trace = train_with_blockage_exploration(agent, env_config, params)
         rewards = trace.episode_rewards[-1]
         report = detect_burn_in(rewards, cfg.window_size, cfg.threshold, cfg.consecutive_points)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import yaml
 
-from .agent import AgentParams
+from .agent import FLOAT_PARAM_FIELDS, INT_PARAM_FIELDS, AgentParams
 from .errors import ConfigError, ParseError
 from .netsim import TopologyConfig, validate_config
 from .tuning import ChoiceSpec, RangeSpec, SearchSpace
@@ -24,22 +24,16 @@ _ALIASES = {
     "gamma": "discount",
     "num_time_steps": "num_timesteps",
 }
-_INT_PARAM_FIELDS = {
-    "num_epochs", "batch_size", "planning_steps", "num_samples", "num_episodes",
-    "num_timesteps", "target_update_frequency", "buffer_capacity", "seed",
-    "events_per_step", "reward_skip",
-}
-_FLOAT_PARAM_FIELDS = {"learning_rate", "tau", "discount", "epsilon", "w1", "w2"}
 
 
 def _coerce_scalar(key: str, value):
     try:
-        if key in _INT_PARAM_FIELDS:
+        if key in INT_PARAM_FIELDS:
             v = float(value)
             if not v.is_integer():
                 raise ConfigError(f"'{key}' must be an integer, got {value}")
             return int(v)
-        if key in _FLOAT_PARAM_FIELDS:
+        if key in FLOAT_PARAM_FIELDS:
             return float(value)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"'{key}' has a non-numeric value {value!r}") from exc

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .agent import AgentParams, DdpgAgent
+from .agent import AgentParams, DdpgAgent, make_agent
 from .errors import ConfigError, InsufficientData, UnknownNode
 from .exploration import train_with_blockage_exploration
 from .netsim import TopologyConfig
@@ -357,9 +357,7 @@ def required_runs(z: float, sigma: float, margin: float) -> int:
 
 def _train_and_snapshot(args) -> dict[int, dict[int, float]]:
     params, env_config, eval_seed, time_steps = args
-    env = RlEnv(env_config, seed=params.seed, events_per_step=params.events_per_step,
-                reward_skip=params.reward_skip)
-    agent = DdpgAgent(env.state_dim, env.action_dim, params)
+    agent = make_agent(env_config, params)
     train_with_blockage_exploration(agent, env_config, params)
 
     eval_env = RlEnv(env_config, seed=eval_seed, events_per_step=params.events_per_step)

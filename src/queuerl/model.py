@@ -5,6 +5,13 @@ ReLU hidden layers; the output layer is sigmoid (actor) or identity
 +-1/sqrt(fan_in). backward() computes both parameter gradients and the
 gradient with respect to the input, which the actor update needs to pull
 gradients through the critic.
+
+Each network keeps all its parameters in one float64 vector, `params`, laid
+out w0, b0, w1, b1, ... with each weight matrix row-major (fan_in, fan_out).
+That is the initializer's draw order and the checkpoint's byte order.
+`grads` has the same layout. `weights`, `biases`, `grad_w` and `grad_b` are
+lists of views into the two vectors, so writing through them (as backward
+does) updates the vectors, and Adam or a soft update acts on one array.
 """
 
 from __future__ import annotations
@@ -33,16 +40,40 @@ class Mlp:
         rng = rng if rng is not None else np.random.default_rng()
         self.layer_sizes = list(layer_sizes)
         self.output_activation = output_activation
-        self.weights: list[np.ndarray] = []
-        self.biases: list[np.ndarray] = []
-        for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-            bound = 1.0 / np.sqrt(fan_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-            self.biases.append(rng.uniform(-bound, bound, size=fan_out))
-        self.grad_w: list[np.ndarray] = [np.zeros_like(w) for w in self.weights]
-        self.grad_b: list[np.ndarray] = [np.zeros_like(b) for b in self.biases]
+        n = sum(i * o + o for i, o in zip(layer_sizes[:-1], layer_sizes[1:]))
+        self.params = np.empty(n)
+        self.grads = np.zeros(n)
+        self._bind()
+        for w, b in zip(self.weights, self.biases):
+            bound = 1.0 / np.sqrt(w.shape[0])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+            b[...] = rng.uniform(-bound, bound, size=b.shape)
         self._cache_inputs: list[np.ndarray] = []
         self._cache_out: np.ndarray | None = None
+
+    def _bind(self) -> None:
+        """Point weights/biases and grad_w/grad_b at slices of params and grads."""
+        self.weights, self.biases, self.grad_w, self.grad_b = [], [], [], []
+        off = 0
+        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            w_end = off + fan_in * fan_out
+            b_end = w_end + fan_out
+            self.weights.append(self.params[off:w_end].reshape(fan_in, fan_out))
+            self.grad_w.append(self.grads[off:w_end].reshape(fan_in, fan_out))
+            self.biases.append(self.params[w_end:b_end])
+            self.grad_b.append(self.grads[w_end:b_end])
+            off = b_end
+
+    def __getstate__(self) -> dict:
+        # the views would unpickle as independent copies; rebuild them instead
+        state = dict(self.__dict__)
+        for name in ("weights", "biases", "grad_w", "grad_b"):
+            del state[name]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._bind()
 
     @property
     def in_dim(self) -> int:
@@ -91,8 +122,8 @@ class Mlp:
             a_prev = self._cache_inputs[i]
             if i < len(self.weights) - 1:
                 d = d * (self._cache_inputs[i + 1] > 0.0)
-            self.grad_w[i] = a_prev.T @ d
-            self.grad_b[i] = d.sum(axis=0)
+            np.matmul(a_prev.T, d, out=self.grad_w[i])
+            d.sum(axis=0, out=self.grad_b[i])
             d = d @ self.weights[i].T
         return d[0] if single else d
 
@@ -100,28 +131,17 @@ class Mlp:
         clone = Mlp.__new__(Mlp)
         clone.layer_sizes = list(self.layer_sizes)
         clone.output_activation = self.output_activation
-        clone.weights = [w.copy() for w in self.weights]
-        clone.biases = [b.copy() for b in self.biases]
-        clone.grad_w = [np.zeros_like(w) for w in self.weights]
-        clone.grad_b = [np.zeros_like(b) for b in self.biases]
+        clone.params = self.params.copy()
+        clone.grads = np.zeros_like(self.grads)
+        clone._bind()
         clone._cache_inputs = []
         clone._cache_out = None
         return clone
 
     def blend_from(self, online: "Mlp", tau: float) -> None:
         """Soft update: param <- tau * online + (1 - tau) * param."""
-        for mine, theirs in zip(self.weights, online.weights):
-            mine *= 1.0 - tau
-            mine += tau * theirs
-        for mine, theirs in zip(self.biases, online.biases):
-            mine *= 1.0 - tau
-            mine += tau * theirs
-
-    def parameters(self) -> list[np.ndarray]:
-        return self.weights + self.biases
-
-    def gradients(self) -> list[np.ndarray]:
-        return self.grad_w + self.grad_b
+        self.params *= 1.0 - tau
+        self.params += tau * online.params
 
 
 class Adam:
@@ -134,16 +154,16 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in net.parameters()]
-        self.v = [np.zeros_like(p) for p in net.parameters()]
+        self.m = np.zeros_like(net.params)
+        self.v = np.zeros_like(net.params)
 
     def step(self) -> None:
         self.t += 1
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
-        for p, g, m, v in zip(self.net.parameters(), self.net.gradients(), self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        g, m, v = self.net.grads, self.m, self.v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * np.square(g)
+        self.net.params -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)

@@ -13,7 +13,7 @@ import heapq
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import ConfigError, UnknownEdge, UnknownNode
@@ -209,12 +209,6 @@ class QueueNetwork:
     @property
     def serviced_edge_types(self) -> list[int]:
         return list(self._serviced)
-
-    def edge_source(self, edge: int) -> int:
-        return self._endpoints[edge][0]
-
-    def edge_target(self, edge: int) -> int:
-        return self._endpoints[edge][1]
 
     def set_transition_map(self, tmap: dict[int, dict[int, float]]) -> None:
         """Install routing probabilities; keys must mirror edge_list."""
@@ -419,22 +413,6 @@ def build_network(
     """Validate the config and return a fresh network at clock 0 with a
     uniform transition map and the first external arrivals scheduled."""
     return QueueNetwork(config, seed, interarrival_noise)
-
-
-def simulate(net: QueueNetwork, num_events: int) -> None:
-    net.simulate(num_events)
-
-
-def get_queue_data(net: QueueNetwork, edge_type: int, skip: int = 0) -> list[JobRecord]:
-    return net.get_queue_data(edge_type, skip)
-
-
-def set_blockage(net: QueueNetwork, node: int) -> None:
-    net.set_blockage(node)
-
-
-def clear_blockage(net: QueueNetwork, node: int) -> None:
-    net.clear_blockage(node)
 
 
 def mm1_topology(arrival_rate: float, service_rate: float) -> TopologyConfig:

@@ -10,30 +10,16 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Union
 
-from .agent import AgentParams, DdpgAgent
+from .agent import INT_PARAM_FIELDS, AgentParams, make_agent
 from .errors import ConfigError
 from .evaluation import evaluate_policy
 from .exploration import train_with_blockage_exploration
 from .netsim import TopologyConfig
-from .rl_env import RlEnv
 
 EVAL_TIMESTEPS = 100
-
-_INT_FIELDS = {
-    "num_epochs",
-    "batch_size",
-    "planning_steps",
-    "num_samples",
-    "num_episodes",
-    "num_timesteps",
-    "target_update_frequency",
-    "buffer_capacity",
-    "events_per_step",
-    "reward_skip",
-}
 
 
 @dataclass
@@ -87,7 +73,7 @@ def sample_params(space: SearchSpace, base: AgentParams, rng: random.Random) -> 
             value = math.exp(rng.uniform(math.log(spec.low), math.log(spec.high)))
         else:
             value = rng.uniform(spec.low, spec.high)
-        if name in _INT_FIELDS:
+        if name in INT_PARAM_FIELDS:
             value = int(round(value))
         elif name == "hidden_sizes":
             value = tuple(value)
@@ -119,13 +105,7 @@ def random_search(
         params = replace(sample_params(space, base_params, rng), seed=trial_seed)
         params.validate()
 
-        env = RlEnv(
-            env_config,
-            seed=params.seed,
-            events_per_step=params.events_per_step,
-            reward_skip=params.reward_skip,
-        )
-        agent = DdpgAgent(env.state_dim, env.action_dim, params)
+        agent = make_agent(env_config, params)
         train_with_blockage_exploration(agent, env_config, params)
         score = evaluate_policy(
             agent,

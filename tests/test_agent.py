@@ -1,10 +1,12 @@
 import copy
+import json
+import struct
 
 import numpy as np
 import pytest
 
+from queuerl import agent as agent_module
 from queuerl.agent import AgentParams, DdpgAgent, load_agent, save_agent
-from queuerl.buffer import Experience
 from queuerl.errors import (
     CheckpointError,
     ConfigError,
@@ -13,7 +15,7 @@ from queuerl.errors import (
     InsufficientBuffer,
 )
 from queuerl.model import Mlp
-from queuerl.netsim import mm1_topology
+from queuerl.netsim import figure_topology, mm1_topology
 from queuerl.rl_env import RlEnv
 
 
@@ -36,27 +38,28 @@ def make_agent(state_dim=4, action_dim=4, **overrides) -> DdpgAgent:
     return DdpgAgent(state_dim, action_dim, small_params(**overrides))
 
 
-def random_experience(rng, ds=4, da=4) -> Experience:
-    return Experience(
-        state=rng.uniform(0, 10, ds),
-        action=rng.uniform(0, 1, da),
-        reward=float(rng.normal()),
-        next_state=rng.uniform(0, 10, ds),
-    )
+def random_transition(rng, ds=4, da=4):
+    """One (state, action, reward, next_state) transition."""
+    return (rng.uniform(0, 10, ds), rng.uniform(0, 1, da), float(rng.normal()),
+            rng.uniform(0, 10, ds))
+
+
+def stack(transitions):
+    """Transitions as the (s, a, r, s2) arrays the agent's updates take."""
+    s, a, r, s2 = zip(*transitions)
+    return np.stack(s), np.stack(a), np.array(r, dtype=float), np.stack(s2)
+
+
+def random_batch(rng, n):
+    return stack([random_transition(rng) for _ in range(n)])
 
 
 def network_params_snapshot(agent):
-    return {
-        name: [p.copy() for p in net.parameters()]
-        for name, net in agent.named_networks().items()
-    }
+    return {name: net.params.copy() for name, net in agent.named_networks().items()}
 
 
 def params_equal(a, b):
-    return all(
-        np.array_equal(pa, pb) for arrs_a, arrs_b in zip(a.values(), b.values())
-        for pa, pb in zip(arrs_a, arrs_b)
-    )
+    return all(np.array_equal(a[name], b[name]) for name in a)
 
 
 # -- action selection ---------------------------------------------------------
@@ -114,30 +117,27 @@ def test_explore_action_clamps_to_unit_interval():
 def test_critic_loss_hand_computed_with_zero_discount():
     agent = make_agent(discount=0.0)
     rng = np.random.default_rng(1)
-    batch = [random_experience(rng) for _ in range(2)]
-    x = np.concatenate(
-        [agent._phi(np.stack([e.state for e in batch])), np.stack([e.action for e in batch])],
-        axis=1,
-    )
-    q = agent.critic.forward(x)[:, 0]
-    expected = float(np.mean((q - np.array([e.reward for e in batch])) ** 2))
+    batch = random_batch(rng, 2)
+    s, a, r, _ = batch
+    q = agent.critic.forward(np.concatenate([agent._phi(s), a], axis=1))[:, 0]
+    expected = float(np.mean((q - r) ** 2))
     assert agent.update_critic_network(batch) == pytest.approx(expected, rel=1e-12)
 
 
 def test_critic_loss_of_identical_experiences_matches_single():
     rng = np.random.default_rng(2)
-    e = random_experience(rng)
+    e = random_transition(rng)
     a = make_agent(discount=0.0, seed=5)
     b = make_agent(discount=0.0, seed=5)
-    loss_many = a.update_critic_network([e] * 6)
-    loss_one = b.update_critic_network([e])
+    loss_many = a.update_critic_network(stack([e] * 6))
+    loss_one = b.update_critic_network(stack([e]))
     assert loss_many == pytest.approx(loss_one, rel=1e-12)
 
 
 def test_critic_descends_on_fixed_batch():
     agent = make_agent(discount=0.0, learning_rate=1e-4)
     rng = np.random.default_rng(3)
-    batch = [random_experience(rng) for _ in range(4)]
+    batch = random_batch(rng, 4)
     losses = [agent.update_critic_network(batch) for _ in range(50)]
     assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
     assert losses[-1] < losses[0]
@@ -145,9 +145,9 @@ def test_critic_descends_on_fixed_batch():
 
 def test_critic_update_rejects_malformed_experience():
     agent = make_agent()
-    bad = Experience(np.zeros(3), np.zeros(4), 0.0, np.zeros(3))
+    bad = stack([(np.zeros(3), np.zeros(4), 0.0, np.zeros(3))])
     with pytest.raises(DimensionMismatch):
-        agent.update_critic_network([bad])
+        agent.update_critic_network(bad)
 
 
 # -- actor update ----------------------------------------------------------------
@@ -165,30 +165,31 @@ def test_actor_update_increases_actions_under_sum_critic():
     agent = make_agent(learning_rate=1e-2)
     agent.critic = linear_probe_critic(4, 4)
     rng = np.random.default_rng(4)
-    batch = [random_experience(rng) for _ in range(4)]
-    before = np.mean([agent.select_action(e.state).mean() for e in batch])
+    batch = random_batch(rng, 4)
+    before = np.mean([agent.select_action(s).mean() for s in batch[0]])
     agent.update_actor_network(batch)
-    after = np.mean([agent.select_action(e.state).mean() for e in batch])
+    after = np.mean([agent.select_action(s).mean() for s in batch[0]])
     assert after > before
 
 
 def test_actor_loss_is_negative_q_for_single_sample():
     agent = make_agent()
     rng = np.random.default_rng(5)
-    e = random_experience(rng)
-    phi = agent._phi(e.state[None, :])
+    e = random_transition(rng)
+    phi = agent._phi(e[0][None, :])
     a = agent.actor.forward(phi)
     q = float(agent.critic.forward(np.concatenate([phi, a], axis=1))[0, 0])
-    assert agent.update_actor_network([e]) == pytest.approx(-q, rel=1e-12)
+    assert agent.update_actor_network(stack([e])) == pytest.approx(-q, rel=1e-12)
 
 
 def test_actor_update_leaves_critic_untouched():
     agent = make_agent()
     rng = np.random.default_rng(6)
-    batch = [random_experience(rng) for _ in range(4)]
-    before = [p.copy() for p in agent.critic.parameters()]
+    batch = random_batch(rng, 4)
+    before = agent.critic.params.copy()
     agent.update_actor_network(batch)
-    assert all(np.array_equal(a, b) for a, b in zip(before, agent.critic.parameters()))
+    assert np.array_equal(before, agent.critic.params)
+    assert not agent.critic.grads.any()
 
 
 # -- targets ----------------------------------------------------------------------
@@ -196,32 +197,20 @@ def test_actor_update_leaves_critic_untouched():
 
 def test_targets_start_equal_and_lag_after_updates():
     agent = make_agent()
-    assert all(
-        np.array_equal(a, b)
-        for a, b in zip(agent.critic.parameters(), agent.target_critic.parameters())
-    )
+    assert np.array_equal(agent.critic.params, agent.target_critic.params)
     rng = np.random.default_rng(7)
-    agent.update_critic_network([random_experience(rng) for _ in range(4)])
-    assert not all(
-        np.array_equal(a, b)
-        for a, b in zip(agent.critic.parameters(), agent.target_critic.parameters())
-    )
+    agent.update_critic_network(random_batch(rng, 4))
+    assert not np.array_equal(agent.critic.params, agent.target_critic.params)
 
 
 def test_soft_update_full_copy_with_tau_one():
     agent = make_agent(tau=1.0)
     rng = np.random.default_rng(8)
-    agent.update_critic_network([random_experience(rng) for _ in range(4)])
-    agent.update_actor_network([random_experience(rng) for _ in range(4)])
+    agent.update_critic_network(random_batch(rng, 4))
+    agent.update_actor_network(random_batch(rng, 4))
     agent.soft_update_targets()
-    assert all(
-        np.array_equal(a, b)
-        for a, b in zip(agent.critic.parameters(), agent.target_critic.parameters())
-    )
-    assert all(
-        np.array_equal(a, b)
-        for a, b in zip(agent.actor.parameters(), agent.target_actor.parameters())
-    )
+    assert np.array_equal(agent.critic.params, agent.target_critic.params)
+    assert np.array_equal(agent.actor.params, agent.target_actor.params)
 
 
 def test_soft_update_halfway_scalar_probe():
@@ -243,7 +232,7 @@ def test_fit_model_empty_buffer_raises():
 def test_fit_model_memorizes_single_experience():
     agent = make_agent(learning_rate=1e-2, num_epochs=50)
     rng = np.random.default_rng(9)
-    agent.buffer.push(random_experience(rng))
+    agent.buffer.push(*random_transition(rng))
     for _ in range(12):
         ns_loss, r_loss = agent.fit_model()
     assert ns_loss < 1e-4
@@ -255,7 +244,7 @@ def test_fit_model_learns_identity_environment():
     rng = np.random.default_rng(10)
     for _ in range(6):
         s = rng.uniform(0, 5, 4)
-        agent.buffer.push(Experience(s, rng.uniform(0, 1, 4), 0.0, s.copy()))
+        agent.buffer.push(s, rng.uniform(0, 1, 4), 0.0, s.copy())
     for _ in range(25):
         ns_loss, r_loss = agent.fit_model()
     assert ns_loss < 1e-3
@@ -266,7 +255,7 @@ def test_fit_model_losses_finite_on_random_buffer():
     agent = make_agent()
     rng = np.random.default_rng(11)
     for _ in range(20):
-        agent.buffer.push(random_experience(rng))
+        agent.buffer.push(*random_transition(rng))
     ns_loss, r_loss = agent.fit_model()
     assert np.isfinite(ns_loss) and ns_loss >= 0
     assert np.isfinite(r_loss) and r_loss >= 0
@@ -285,7 +274,7 @@ def test_plan_zero_steps_changes_nothing():
     agent = make_agent(planning_steps=0)
     rng = np.random.default_rng(12)
     for _ in range(6):
-        agent.buffer.push(random_experience(rng))
+        agent.buffer.push(*random_transition(rng))
     before = network_params_snapshot(agent)
     assert agent.plan() == []
     assert params_equal(before, network_params_snapshot(agent))
@@ -295,7 +284,7 @@ def test_plan_performs_exactly_planning_steps_updates():
     agent = make_agent(planning_steps=3)
     rng = np.random.default_rng(13)
     for _ in range(6):
-        agent.buffer.push(random_experience(rng))
+        agent.buffer.push(*random_transition(rng))
     losses = agent.plan()
     assert len(losses) == 3  # one (critic, actor) update pair per step
     assert all(len(pair) == 2 for pair in losses)
@@ -308,25 +297,19 @@ def test_plan_with_fitted_models_moves_like_real_updates():
                        batch_size=1, num_samples=4)
     s = np.array([1.0, 2.0, 3.0, 4.0])
     a = agent.select_action(s)
-    exp = Experience(s, a, -2.0, s * 1.5)
-    agent.buffer.push(exp)
+    exp = (s, a, -2.0, s * 1.5)
+    agent.buffer.push(*exp)
     for _ in range(20):
         agent.fit_model()
 
     real = copy.deepcopy(agent)
     dreamed = copy.deepcopy(agent)
-    real.update_critic_network([exp] * 4)
-    real.update_actor_network([exp] * 4)
+    real.update_critic_network(stack([exp] * 4))
+    real.update_actor_network(stack([exp] * 4))
     dreamed.plan()
 
     def delta(after, before, net):
-        return np.concatenate(
-            [
-                (pa - pb).ravel()
-                for pa, pb in zip(after.named_networks()[net].parameters(),
-                                  before.named_networks()[net].parameters())
-            ]
-        )
+        return after.named_networks()[net].params - before.named_networks()[net].params
 
     for net in ("actor", "critic"):
         dr = delta(real, agent, net)
@@ -387,7 +370,7 @@ def test_losses_stay_finite_under_fuzzing():
     agent = make_agent(batch_size=8, learning_rate=1e-2)
     rng = np.random.default_rng(14)
     for _ in range(64):
-        agent.buffer.push(random_experience(rng))
+        agent.buffer.push(*random_transition(rng))
     for i in range(1000):
         batch = agent.buffer.sample(8, agent.rng)
         closs = agent.update_critic_network(batch)
@@ -395,6 +378,13 @@ def test_losses_stay_finite_under_fuzzing():
         assert np.isfinite(closs) and np.isfinite(aloss)
         if i % 10 == 0:
             agent.soft_update_targets()
+
+
+def test_make_agent_is_sized_like_the_environment():
+    for cfg in (mm1_topology(0.5, 1.0), figure_topology()):
+        env = RlEnv(cfg)
+        agent = agent_module.make_agent(cfg, small_params())
+        assert (agent.state_dim, agent.action_dim) == (env.state_dim, env.action_dim)
 
 
 # -- params validation ----------------------------------------------------------------
@@ -420,7 +410,7 @@ def test_checkpoint_roundtrip(tmp_path):
     agent = make_agent(seed=21)
     rng = np.random.default_rng(15)
     for _ in range(8):
-        agent.buffer.push(random_experience(rng))
+        agent.buffer.push(*random_transition(rng))
     batch = agent.buffer.sample(4, agent.rng)
     agent.update_critic_network(batch)
     agent.update_actor_network(batch)
@@ -431,10 +421,12 @@ def test_checkpoint_roundtrip(tmp_path):
     loaded = load_agent(str(path))
     assert loaded.params == agent.params
     for name, net in agent.named_networks().items():
-        other = loaded.named_networks()[name]
-        assert all(np.array_equal(a, b) for a, b in zip(net.parameters(), other.parameters()))
+        assert np.array_equal(net.params, loaded.named_networks()[name].params)
     state = np.array([1.0, 2.0, 3.0, 4.0])
     assert np.array_equal(agent.select_action(state), loaded.select_action(state))
+    resaved = tmp_path / "resaved.agent"
+    save_agent(loaded, str(resaved))
+    assert resaved.read_bytes() == path.read_bytes()
 
 
 def test_checkpoint_rejects_garbage_and_truncation(tmp_path):
@@ -455,3 +447,27 @@ def test_checkpoint_rejects_garbage_and_truncation(tmp_path):
     padded.write_bytes(data + b"\x00" * 8)
     with pytest.raises(CheckpointError):
         load_agent(str(padded))
+
+    # shorter than the magic and the two-word preamble
+    short = tmp_path / "short.agent"
+    short.write_bytes(data[:12])
+    with pytest.raises(CheckpointError):
+        load_agent(str(short))
+
+    (header_len,) = struct.unpack_from("<I", data, 12)
+    header = json.loads(data[16 : 16 + header_len])
+    weights = data[16 + header_len :]
+
+    def with_header(name, edit):
+        doc = copy.deepcopy(header)
+        edit(doc)
+        blob = json.dumps(doc, sort_keys=True).encode()
+        out = tmp_path / name
+        out.write_bytes(data[:8] + struct.pack("<II", 1, len(blob)) + blob + weights)
+        return str(out)
+
+    with pytest.raises(CheckpointError):
+        load_agent(with_header("no_params.agent", lambda doc: doc.pop("params")))
+    with pytest.raises(CheckpointError):
+        load_agent(with_header("unknown_field.agent",
+                               lambda doc: doc["params"].update(not_a_field=1)))

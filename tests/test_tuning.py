@@ -4,7 +4,7 @@ import random
 import pytest
 from scipy import stats
 
-from queuerl.agent import AgentParams
+from queuerl.agent import FLOAT_PARAM_FIELDS, INT_PARAM_FIELDS, AgentParams
 from queuerl.errors import ConfigError
 from queuerl.netsim import mm1_topology
 from queuerl.tuning import ChoiceSpec, RangeSpec, SearchSpace, random_search, sample_params
@@ -113,3 +113,18 @@ def test_search_reproducible_end_to_end():
     r1 = random_search(space, cfg, tiny_base(), seed=17)
     r2 = random_search(space, cfg, tiny_base(), seed=17)
     assert [(r.params, r.objective) for r in r1] == [(r.params, r.objective) for r in r2]
+
+
+def test_param_field_kinds_follow_annotations():
+    assert INT_PARAM_FIELDS == {
+        "num_epochs", "batch_size", "planning_steps", "num_samples", "num_episodes",
+        "num_timesteps", "target_update_frequency", "buffer_capacity", "seed",
+        "events_per_step", "reward_skip",
+    }
+    assert FLOAT_PARAM_FIELDS == {"learning_rate", "tau", "discount", "epsilon", "w1", "w2"}
+
+
+def test_sampled_integer_fields_are_rounded():
+    space = SearchSpace({"seed": RangeSpec(0.0, 100.0), "batch_size": RangeSpec(2.0, 9.0)})
+    params = sample_params(space, tiny_base(), random.Random(0))
+    assert isinstance(params.seed, int) and isinstance(params.batch_size, int)
