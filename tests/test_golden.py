@@ -4,15 +4,22 @@ The run is `train_with_blockage_exploration` for 3 episodes of 30 steps on
 the figure topology with default AgentParams and a fixed seed. Its episode
 rewards, its losses and its checkpoint bytes are pinned by sha256 digest, so
 a refactor of the learner either reproduces them exactly or shows up here.
+The reports of the frozen-policy evaluators run on the trained agent are
+pinned the same way, so a refactor of the simulator, the reward or the
+rollout loops does too.
 The digests depend on float64 arithmetic only; a BLAS build whose matrix
 kernels round differently would change them.
 """
 
+import dataclasses
 import hashlib
+import json
 
 import numpy as np
+import pytest
 
 from queuerl.agent import AgentParams, DdpgAgent, save_agent
+from queuerl.evaluation import NoiseConfig, evaluate_disruption, evaluate_noise, evaluate_policy
 from queuerl.exploration import train_with_blockage_exploration
 from queuerl.netsim import figure_topology
 
@@ -20,18 +27,37 @@ SEED = 0  # episodes start normal, blocked at node 4, blocked at node 7
 REWARDS_SHA256 = "3fde5d1af0a34c13085cc5870cf0cb8fc4e88352879600415cce81521bce0e5e"
 LOSSES_SHA256 = "cc4f4f97ac6d1de510e29684a883ea0c602c04e9ad278eb6f4656b9d7d4d6b92"
 CHECKPOINT_SHA256 = "669595c61f8fe8104f0565e7612388048e4a1346f67c744dd84cd21a4f063ed3"
+EVALUATOR_SHA256 = {
+    "policy_skip0": "a5db213529fecf3e7ffd5a6cc8eb6d0867a32eafe453651ed0b39cc7f46b273e",
+    "policy_skip10": "aad1e521bc35d33d929e9eeff675b984b31045649818bd206808a3648a26018f",
+    "noise": "c277d68053bd09f759cec9c50c8ae841826cfa132bac2f3c608e89574bafeb95",
+    "disruption": "2d48dc7f9062bddc5dfc8a00e3a680e34799c97899123502327371ec0795c01c",
+}
 
 
 def _sha256(values) -> str:
     return hashlib.sha256(np.asarray(values, dtype="<f8").tobytes()).hexdigest()
 
 
-def test_golden_training_trace(tmp_path):
+def _report_sha256(report) -> str:
+    # json writes floats by repr, which round-trips float64 exactly
+    if dataclasses.is_dataclass(report):
+        report = dataclasses.asdict(report)
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def golden_run():
     cfg = figure_topology()
     params = AgentParams(seed=SEED, num_episodes=3, num_timesteps=30)
     dim = len(cfg.serviced_edges())
     agent = DdpgAgent(dim, dim, params)
     trace = train_with_blockage_exploration(agent, cfg, params)
+    return cfg, agent, trace
+
+
+def test_golden_training_trace(golden_run, tmp_path):
+    cfg, agent, trace = golden_run
     path = tmp_path / "golden.agent"
     save_agent(agent, str(path))
 
@@ -43,3 +69,15 @@ def test_golden_training_trace(tmp_path):
     assert _sha256(rewards) == REWARDS_SHA256
     assert _sha256(losses) == LOSSES_SHA256
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_SHA256
+
+
+def test_golden_evaluator_reports(golden_run):
+    # the evaluators only read the agent's frozen policy
+    cfg, agent, _ = golden_run
+    reports = {
+        "policy_skip0": evaluate_policy(agent, cfg, timesteps=60, seed=1),
+        "policy_skip10": evaluate_policy(agent, cfg, timesteps=60, seed=1, reward_skip=10),
+        "noise": evaluate_noise(agent, cfg, NoiseConfig(variance=0.5), timesteps=40, seed=2),
+        "disruption": evaluate_disruption(agent, cfg, node=3, steps=30, seed=3),
+    }
+    assert {name: _report_sha256(r) for name, r in reports.items()} == EVALUATOR_SHA256
