@@ -1,7 +1,6 @@
 """Simulation-driven reinforcement learning for queueing-network routing."""
 
 from .netsim import (
-    JobRecord,
     QueueNetwork,
     TopologyConfig,
     build_network,
@@ -19,7 +18,6 @@ __all__ = [
     "Adam",
     "AgentParams",
     "DdpgAgent",
-    "JobRecord",
     "Mlp",
     "QueueNetwork",
     "ReplayBuffer",

@@ -347,6 +347,10 @@ def make_agent(env_config: TopologyConfig, params: AgentParams) -> DdpgAgent:
 # network's layer sizes, then each network's `params` vector as little-endian
 # float64 in _NET_ORDER. A vector holds w0, b0, w1, b1, ... with each weight
 # matrix row-major, so the file is the six vectors back to back.
+#
+# Checkpoints are for inference: they hold no Adam moments, replay buffer or
+# RNG state, so training a loaded agent on is not the run that training
+# straight through would have been.
 
 _MAGIC = b"QRLAGENT"
 _VERSION = 1

@@ -24,11 +24,12 @@ _ALIASES = {
     "gamma": "discount",
     "num_time_steps": "num_timesteps",
 }
+_INT_KEYS = INT_PARAM_FIELDS | {"trials"}
 
 
 def _coerce_scalar(key: str, value):
     try:
-        if key in INT_PARAM_FIELDS:
+        if key in _INT_KEYS:
             v = float(value)
             if not v.is_integer():
                 raise ConfigError(f"'{key}' must be an integer, got {value}")
@@ -133,35 +134,39 @@ def parse_hyperparams(path: str) -> tuple[AgentParams, SearchSpace | None]:
 
     for raw_key, value in doc.items():
         key = _ALIASES.get(raw_key, raw_key)
-        if key == "trials":
-            trials = int(value)
-            continue
         if key == "objective":
             objective = str(value)
             continue
-        if key not in known:
+        if key != "trials" and key not in known:
             raise ConfigError(f"unknown hyperparameter '{raw_key}'")
 
-        if isinstance(value, dict):
-            if "choices" in value:
-                specs[key] = ChoiceSpec(choices=list(value["choices"]))
-            elif _is_range(value):
-                specs[key] = RangeSpec(
-                    low=float(value["low"]),
-                    high=float(value["high"]),
-                    scale=str(value.get("scale", "linear")),
-                )
+        try:
+            if key == "trials":
+                trials = _coerce_scalar(key, value)
+            elif isinstance(value, dict):
+                if "choices" in value:
+                    if not isinstance(value["choices"], list):
+                        raise ParseError(f"{path}: '{raw_key}' choices must be a list")
+                    specs[key] = ChoiceSpec(choices=list(value["choices"]))
+                elif _is_range(value):
+                    specs[key] = RangeSpec(
+                        low=float(value["low"]),
+                        high=float(value["high"]),
+                        scale=str(value.get("scale", "linear")),
+                    )
+                else:
+                    raise ParseError(f"{path}: '{raw_key}' needs either choices or low/high")
+            elif key == "hidden_sizes":
+                if isinstance(value, list) and value and isinstance(value[0], list):
+                    specs[key] = ChoiceSpec(choices=[tuple(int(h) for h in v) for v in value])
+                else:
+                    scalars[key] = tuple(int(v) for v in value)
+            elif isinstance(value, list):
+                specs[key] = ChoiceSpec(choices=[_coerce_scalar(key, v) for v in value])
             else:
-                raise ParseError(f"{path}: '{raw_key}' needs either choices or low/high")
-        elif key == "hidden_sizes":
-            if isinstance(value, list) and value and isinstance(value[0], list):
-                specs[key] = ChoiceSpec(choices=[tuple(v) for v in value])
-            else:
-                scalars[key] = tuple(int(v) for v in value)
-        elif isinstance(value, list):
-            specs[key] = ChoiceSpec(choices=[_coerce_scalar(key, v) for v in value])
-        else:
-            scalars[key] = _coerce_scalar(key, value)
+                scalars[key] = _coerce_scalar(key, value)
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{path}: '{raw_key}' has a malformed value {value!r}: {exc}") from exc
 
     try:
         params = AgentParams(**scalars)

@@ -11,7 +11,7 @@ import math
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -74,6 +74,23 @@ def detect_burn_in(
 # -- shared rollout helpers --------------------------------------------------------
 
 
+def _rollout(agent: DdpgAgent, env: RlEnv, steps: int) -> Iterator[np.ndarray]:
+    """Step env `steps` times with the frozen (noise-free) policy, starting
+    from its current state; yield each action after the env has stepped."""
+    state = env.get_state()
+    for _ in range(steps):
+        action = agent.select_action(state)
+        state = env.get_next_state(action)
+        yield action
+
+
+def _final_routing(agent: DdpgAgent, env: RlEnv, steps: int) -> dict[int, dict[int, float]]:
+    """Routing map of the last action of a `steps`-step rollout (steps >= 1)."""
+    for action in _rollout(agent, env, steps):
+        pass
+    return env.action_to_transition_probas(action)
+
+
 def evaluate_policy(
     agent: DdpgAgent,
     env_config: TopologyConfig,
@@ -84,22 +101,16 @@ def evaluate_policy(
 ) -> float:
     """Total reward of the frozen (noise-free) policy over a fresh rollout."""
     env = RlEnv(env_config, seed=seed, events_per_step=events_per_step, reward_skip=reward_skip)
-    state = env.get_state()
     total = 0.0
-    for _ in range(timesteps):
-        state = env.get_next_state(agent.select_action(state))
+    for _ in _rollout(agent, env, timesteps):
         total += env.get_reward()
     return total
 
 
 def _throughput_rollout(agent: DdpgAgent, env: RlEnv, timesteps: int) -> list[float]:
     """Cumulative throughput rate (total exits / clock) after each step."""
-    state = env.get_state()
-    series = []
-    for _ in range(timesteps):
-        state = env.get_next_state(agent.select_action(state))
-        series.append(sum(env.net.exits_total.values()) / env.net.clock)
-    return series
+    return [sum(env.net.exits_total.values()) / env.net.clock
+            for _ in _rollout(agent, env, timesteps)]
 
 
 # -- convergence -------------------------------------------------------------------
@@ -307,28 +318,21 @@ def evaluate_disruption(
         raise UnknownNode(f"node {node} not in network")
     if node not in env_config.blockable_nodes():
         raise ConfigError(f"node {node} is not blockable")
+    if steps < 1:
+        raise ConfigError(f"steps must be >= 1, got {steps}")
 
     env = RlEnv(env_config, seed=seed, events_per_step=events_per_step)
-    state = env.get_state()
-    probas = None
-    for _ in range(steps):
-        action = agent.select_action(state)
-        probas = env.action_to_transition_probas(action)
-        state = env.get_next_state(action)
-    pre_probas = probas
+    pre_probas = _final_routing(agent, env, steps)
     pre_exits = sum(env.net.exits_total.values())
     pre_clock = env.net.clock
     pre_throughput = pre_exits / pre_clock
 
     env.net.set_blockage(node)
-    for _ in range(steps):
-        action = agent.select_action(state)
-        probas = env.action_to_transition_probas(action)
-        state = env.get_next_state(action)
+    post_probas = _final_routing(agent, env, steps)
     post_exits = sum(env.net.exits_total.values())
     post_throughput = (post_exits - pre_exits) / (env.net.clock - pre_clock)
 
-    return DisruptionReport(pre_probas, probas, pre_throughput, post_throughput, node)
+    return DisruptionReport(pre_probas, post_probas, pre_throughput, post_throughput, node)
 
 
 # -- robustness --------------------------------------------------------------------
@@ -361,13 +365,7 @@ def _train_and_snapshot(args) -> dict[int, dict[int, float]]:
     train_with_blockage_exploration(agent, env_config, params)
 
     eval_env = RlEnv(env_config, seed=eval_seed, events_per_step=params.events_per_step)
-    state = eval_env.get_state()
-    probas = None
-    for _ in range(time_steps):
-        action = agent.select_action(state)
-        probas = eval_env.action_to_transition_probas(action)
-        state = eval_env.get_next_state(action)
-    return probas
+    return _final_routing(agent, eval_env, time_steps)
 
 
 def robustness_evaluate(
@@ -390,6 +388,8 @@ def robustness_evaluate(
         raise ConfigError("num_agents must be >= 2")
     if margin <= 0:
         raise ConfigError("margin must be > 0")
+    if time_steps < 1:
+        raise ConfigError(f"time_steps must be >= 1, got {time_steps}")
     if seeds is None:
         seeds = [agent_params.seed + i for i in range(num_agents)]
     elif len(seeds) != num_agents:

@@ -5,6 +5,12 @@ FIFO queue with a single exponential server; exit edges absorb jobs from the
 network instantly. External arrivals form Poisson streams into the entry
 edges. Routing at a node samples a successor from the network's current
 transition map.
+
+The simulator keeps no per-job log. A queue holds only the arrival times of
+the jobs on its edge, and each serviced edge keeps running aggregates of its
+traversals (counts and delay sums), so state and reward queries cost
+O(edges) and memory stays bounded however long a run goes. Exit edges keep
+only their exit counts.
 """
 
 from __future__ import annotations
@@ -75,8 +81,8 @@ def validate_config(config: TopologyConfig) -> None:
     """Raise ConfigError on any violated topology invariant."""
     if config.num_nodes <= 0:
         raise ConfigError("num_nodes must be positive")
-    if config.arrival_rate <= 0:
-        raise ConfigError(f"arrival_rate must be > 0, got {config.arrival_rate}")
+    if not (math.isfinite(config.arrival_rate) and config.arrival_rate > 0):
+        raise ConfigError(f"arrival_rate must be finite and > 0, got {config.arrival_rate}")
 
     seen: dict[int, tuple[int, int]] = {}
     for src, succs in config.edge_list.items():
@@ -105,8 +111,10 @@ def validate_config(config: TopologyConfig) -> None:
         rate = config.service_rates.get(etype)
         if rate is None:
             raise ConfigError(f"edge type {etype} has no service rate and is not an exit edge")
-        if rate <= 0:
-            raise ConfigError(f"service rate for edge type {etype} must be > 0, got {rate}")
+        if not (math.isfinite(rate) and rate > 0):
+            raise ConfigError(
+                f"service rate for edge type {etype} must be finite and > 0, got {rate}"
+            )
         # jobs completing here are routed onward from dst
         if not config.edge_list.get(dst):
             raise ConfigError(f"node {dst} (target of edge type {etype}) has no outgoing edges")
@@ -133,28 +141,21 @@ def validate_config(config: TopologyConfig) -> None:
 
 
 @dataclass
-class JobRecord:
-    """One traversal of one edge by one job.
+class _EdgeStats:
+    """Running aggregates over every traversal of one serviced edge.
 
-    exit_time == 0.0 encodes "has not left this edge yet"; callers that need
-    a provisional delay substitute the current clock.
+    A traversal's arrival index is the number of traversals that reached the
+    edge before it. The counted pair covers the exited traversals whose
+    arrival index is at least the network's skip; it is its own running sum,
+    added in exit order, which for a FIFO edge is arrival order.
     """
 
-    job_id: int
-    edge_type: int
-    arrival_time: float
-    service_start_time: Optional[float] = None
-    exit_time: float = 0.0
-    serviced: bool = False
-
-
-@dataclass
-class _EdgeStats:
-    # running aggregates so state/reward queries stay O(edges)
     n_records: int = 0
     n_exited: int = 0
     exited_delay_sum: float = 0.0
     inflight_arrival_sum: float = 0.0
+    n_counted: int = 0
+    counted_delay_sum: float = 0.0
 
 
 class QueueNetwork:
@@ -165,27 +166,28 @@ class QueueNetwork:
         config: TopologyConfig,
         seed: int,
         interarrival_noise: Optional[Callable[[float], float]] = None,
+        skip: int = 0,
     ):
         validate_config(config)
         self.config = config
         self.rng = random.Random(seed)
         self.seed = seed
         self.interarrival_noise = interarrival_noise
+        self.skip = skip
 
         self.clock = 0.0
         self._heap: list[tuple[float, int, int, int, int]] = []
         self._seq = 0
-        self._job_counter = 0
 
         self._endpoints = config.edge_endpoints()
         self._serviced = config.serviced_edges()
-        self.queues: dict[int, deque[JobRecord]] = {e: deque() for e in self._serviced}
-        self.job_logs: dict[int, list[JobRecord]] = {e: [] for e in self._endpoints}
+        # each queued job is (arrival time, whether its delay is counted)
+        self.queues: dict[int, deque[tuple[float, bool]]] = {e: deque() for e in self._serviced}
         self.arrivals_total: dict[int, int] = {e: 0 for e in sorted(config.entry_edges)}
         self.exits_total: dict[int, int] = {e: 0 for e in sorted(config.exit_edges)}
         self.blocked_nodes: set[int] = set()
         self._edge_epoch: dict[int, int] = {e: 0 for e in self._serviced}
-        self._stats: dict[int, _EdgeStats] = {e: _EdgeStats() for e in self._endpoints}
+        self._stats: dict[int, _EdgeStats] = {e: _EdgeStats() for e in self._serviced}
 
         self.transition_map = uniform_transition_map(config)
 
@@ -243,12 +245,6 @@ class QueueNetwork:
                 self._on_service_done(edge)
             processed += 1
 
-    def get_queue_data(self, edge_type: int, skip: int = 0) -> list[JobRecord]:
-        """Job records for an edge with the first `skip` entries omitted."""
-        if edge_type not in self.job_logs:
-            raise UnknownEdge(f"edge type {edge_type} not in network")
-        return self.job_logs[edge_type][skip:]
-
     def set_blockage(self, node: int) -> None:
         """Render a node's server non-functional: its incoming serviced edges
         never complete service until the blockage is cleared."""
@@ -279,8 +275,8 @@ class QueueNetwork:
         return [e for e in self._serviced if self._endpoints[e][1] == node]
 
     def edge_mean_delay(self, edge_type: int) -> float:
-        """Mean end-to-end delay over all records of an edge, with the current
-        clock standing in for unfinished traversals. 0.0 for untouched edges."""
+        """Mean end-to-end delay over all traversals of an edge, with the
+        current clock standing in for unfinished ones. 0.0 for untouched edges."""
         st = self._stats[edge_type]
         if st.n_records == 0:
             return 0.0
@@ -289,85 +285,71 @@ class QueueNetwork:
         return total / st.n_records
 
     def edge_serviced_stats(self, edge_type: int) -> tuple[int, float]:
-        """(count, delay sum) over serviced-and-exited records of an edge."""
+        """(count, delay sum) over the exited traversals of an edge whose
+        arrival index is at least the network's skip."""
         st = self._stats[edge_type]
-        return st.n_exited, st.exited_delay_sum
+        return st.n_counted, st.counted_delay_sum
 
-    def jobs_in_queues(self) -> int:
-        return sum(len(q) for q in self.queues.values())
+    def inject_record(self, edge_type: int, arrival_time: float, exit_time: float = 0.0) -> None:
+        """Add one synthetic traversal of a serviced edge to its aggregates.
 
-    def inject_record(
-        self,
-        edge_type: int,
-        arrival_time: float,
-        exit_time: float = 0.0,
-        service_start_time: Optional[float] = None,
-    ) -> JobRecord:
-        """Append a synthetic traversal record, maintaining delay statistics.
-
-        Supports log replay and hand-built scenarios; does not touch queues
-        or the event calendar.
+        exit_time 0.0 leaves the traversal unfinished. The traversal takes the
+        edge's next arrival index, as a simulated one would. For hand-built
+        scenarios; does not touch queues or the event calendar.
         """
-        if edge_type not in self.job_logs:
-            raise UnknownEdge(f"edge type {edge_type} not in network")
-        self._job_counter += 1
-        rec = JobRecord(
-            job_id=self._job_counter,
-            edge_type=edge_type,
-            arrival_time=arrival_time,
-            service_start_time=service_start_time,
-            exit_time=exit_time,
-            serviced=exit_time > 0.0,
-        )
-        self.job_logs[edge_type].append(rec)
-        st = self._stats[edge_type]
-        st.n_records += 1
-        if rec.serviced:
-            st.n_exited += 1
-            st.exited_delay_sum += exit_time - arrival_time
+        if edge_type not in self._stats:
+            raise UnknownEdge(f"edge type {edge_type} is not a serviced edge of the network")
+        counted = self._record_arrival(edge_type)
+        if exit_time > 0.0:
+            self._record_exit(edge_type, arrival_time, counted, exit_time)
         else:
-            st.inflight_arrival_sum += arrival_time
-        return rec
+            self._stats[edge_type].inflight_arrival_sum += arrival_time
+
+    def _record_arrival(self, edge: int) -> bool:
+        """Count one arrival; True when its delay falls in the skip window."""
+        st = self._stats[edge]
+        counted = st.n_records >= self.skip
+        st.n_records += 1
+        return counted
+
+    def _record_exit(self, edge: int, arrival_time: float, counted: bool, exit_time: float) -> None:
+        st = self._stats[edge]
+        delay = exit_time - arrival_time
+        st.n_exited += 1
+        st.exited_delay_sum += delay
+        if counted:
+            st.n_counted += 1
+            st.counted_delay_sum += delay
 
     # -- event handlers --------------------------------------------------------
 
     def _on_external_arrival(self, edge: int) -> None:
         self.arrivals_total[edge] += 1
-        self._job_counter += 1
-        self._enqueue(edge, self._job_counter)
+        self._enqueue(edge)
         self._schedule_external_arrival(edge)
 
-    def _enqueue(self, edge: int, job_id: int) -> None:
-        rec = JobRecord(job_id=job_id, edge_type=edge, arrival_time=self.clock)
-        self.job_logs[edge].append(rec)
-        st = self._stats[edge]
-        st.n_records += 1
-        st.inflight_arrival_sum += self.clock
+    def _enqueue(self, edge: int) -> None:
+        counted = self._record_arrival(edge)
+        self._stats[edge].inflight_arrival_sum += self.clock
         q = self.queues[edge]
-        q.append(rec)
+        q.append((self.clock, counted))
         if len(q) == 1 and self._endpoints[edge][1] not in self.blocked_nodes:
             self._start_service(edge)
 
     def _start_service(self, edge: int) -> None:
-        head = self.queues[edge][0]
-        head.service_start_time = self.clock
         duration = self.rng.expovariate(self.config.service_rates[edge])
         self._push(self.clock + duration, _SERVICE, edge, self._edge_epoch[edge])
 
     def _on_service_done(self, edge: int) -> None:
         q = self.queues[edge]
-        rec = q.popleft()
-        rec.exit_time = self.clock
-        rec.serviced = True
-        st = self._stats[edge]
-        st.n_exited += 1
-        st.exited_delay_sum += rec.exit_time - rec.arrival_time
-        st.inflight_arrival_sum -= rec.arrival_time
+        arrival_time, counted = q.popleft()
+        self._record_exit(edge, arrival_time, counted, self.clock)
+        self._stats[edge].inflight_arrival_sum -= arrival_time
         if q and self._endpoints[edge][1] not in self.blocked_nodes:
             self._start_service(edge)
-        self._route_onward(self._endpoints[edge][1], rec.job_id)
+        self._route_onward(self._endpoints[edge][1])
 
-    def _route_onward(self, node: int, job_id: int) -> None:
+    def _route_onward(self, node: int) -> None:
         row = self.transition_map[node]
         u = self.rng.random()
         acc = 0.0
@@ -379,21 +361,9 @@ class QueueNetwork:
                 break
         next_edge = self.config.edge_list[node][succ]
         if next_edge in self.config.exit_edges:
-            exit_rec = JobRecord(
-                job_id=job_id,
-                edge_type=next_edge,
-                arrival_time=self.clock,
-                service_start_time=self.clock,
-                exit_time=self.clock,
-                serviced=True,
-            )
-            self.job_logs[next_edge].append(exit_rec)
-            st = self._stats[next_edge]
-            st.n_records += 1
-            st.n_exited += 1
             self.exits_total[next_edge] += 1
         else:
-            self._enqueue(next_edge, job_id)
+            self._enqueue(next_edge)
 
 
 def uniform_transition_map(config: TopologyConfig) -> dict[int, dict[int, float]]:
@@ -409,10 +379,14 @@ def build_network(
     config: TopologyConfig,
     seed: int,
     interarrival_noise: Optional[Callable[[float], float]] = None,
+    skip: int = 0,
 ) -> QueueNetwork:
     """Validate the config and return a fresh network at clock 0 with a
-    uniform transition map and the first external arrivals scheduled."""
-    return QueueNetwork(config, seed, interarrival_noise)
+    uniform transition map and the first external arrivals scheduled.
+
+    skip sets the window of edge_serviced_stats: per edge, the traversals at
+    arrival index skip or above."""
+    return QueueNetwork(config, seed, interarrival_noise, skip)
 
 
 def mm1_topology(arrival_rate: float, service_rate: float) -> TopologyConfig:

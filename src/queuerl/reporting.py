@@ -47,6 +47,21 @@ def default_plot_node(tmap: dict[int, dict[int, float]]) -> int:
 # -- training outputs -----------------------------------------------------------
 
 
+def _write_transition_csv(path, trace: TrainingTrace, node: int | None) -> None:
+    """Per-timestep routing probabilities out of one node (by default the
+    first branching node); writes nothing for an empty trace."""
+    tmaps = trace.flat_tmaps()
+    if not tmaps:
+        return
+    node = default_plot_node(tmaps[0]) if node is None else node
+    succs = sorted(tmaps[0][node])
+    write_csv(
+        path,
+        ["timestep"] + [f"to_node_{s}" for s in succs],
+        [(t, *[tm[node][s] for s in succs]) for t, tm in enumerate(tmaps)],
+    )
+
+
 def write_training_csvs(trace: TrainingTrace, out_dir, node: int | None = None) -> None:
     out = Path(out_dir)
     write_csv(
@@ -73,29 +88,13 @@ def write_training_csvs(trace: TrainingTrace, out_dir, node: int | None = None) 
         ["episode", "start_mode"],
         list(enumerate(trace.episode_modes)),
     )
-    tmaps = trace.flat_tmaps()
-    if tmaps:
-        node = default_plot_node(tmaps[0]) if node is None else node
-        succs = sorted(tmaps[0][node])
-        write_csv(
-            out / "transition_proba.csv",
-            ["timestep"] + [f"to_node_{s}" for s in succs],
-            [(t, *[tm[node][s] for s in succs]) for t, tm in enumerate(tmaps)],
-        )
+    _write_transition_csv(out / "transition_proba.csv", trace, node)
 
 
 def write_plot_csvs(trace: TrainingTrace, image_dir, node: int | None = None) -> None:
     """Data files mirroring the per-figure training plots."""
     out = Path(image_dir)
-    tmaps = trace.flat_tmaps()
-    if tmaps:
-        node = default_plot_node(tmaps[0]) if node is None else node
-        succs = sorted(tmaps[0][node])
-        write_csv(
-            out / "plot_transition_proba.csv",
-            ["timestep"] + [f"to_node_{s}" for s in succs],
-            [(t, *[tm[node][s] for s in succs]) for t, tm in enumerate(tmaps)],
-        )
+    _write_transition_csv(out / "plot_transition_proba.csv", trace, node)
     last_rewards = trace.episode_rewards[-1] if trace.episode_rewards else []
     write_csv(out / "plot_reward.csv", ["timestep", "reward"], list(enumerate(last_rewards)))
     write_csv(

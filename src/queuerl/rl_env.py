@@ -40,7 +40,7 @@ class RlEnv:
         self.reward_skip = reward_skip
         self.interarrival_noise = interarrival_noise
         self.step_count = 0
-        self.net: QueueNetwork = build_network(config, seed, interarrival_noise)
+        self.net: QueueNetwork = build_network(config, seed, interarrival_noise, reward_skip)
 
         self.serviced_edges = self.net.serviced_edge_types
         self._edge_index = {e: i for i, e in enumerate(self.serviced_edges)}
@@ -55,7 +55,7 @@ class RlEnv:
 
     def reset(self, seed: int) -> np.ndarray:
         """Rebuild the network from its config; returns the all-zero state."""
-        self.net = build_network(self.config, seed, self.interarrival_noise)
+        self.net = build_network(self.config, seed, self.interarrival_noise, self.reward_skip)
         self.step_count = 0
         return self.get_state()
 
@@ -101,8 +101,10 @@ class RlEnv:
     def get_reward(self) -> float:
         """-(mean serviced delay) / throughput ratio, over the whole run so far.
 
-        Edges with no serviced jobs are left out of the delay average; the
-        throughput ratio is clamped below at R_FLOOR.
+        An edge's serviced delay is the mean over its exited traversals at
+        arrival index reward_skip or above, so each edge's first reward_skip
+        jobs are left out. Edges with no such traversal are left out of the
+        delay average; the throughput ratio is clamped below at R_FLOOR.
         """
         arrivals = sum(self.net.arrivals_total.values())
         if arrivals == 0:
@@ -111,13 +113,7 @@ class RlEnv:
 
         edge_means = []
         for etype in self.serviced_edges:
-            if self.reward_skip == 0:
-                count, delay_sum = self.net.edge_serviced_stats(etype)
-            else:
-                records = self.net.get_queue_data(etype, self.reward_skip)
-                serviced = [r for r in records if r.serviced]
-                count = len(serviced)
-                delay_sum = sum(r.exit_time - r.arrival_time for r in serviced)
+            count, delay_sum = self.net.edge_serviced_stats(etype)
             if count > 0:
                 edge_means.append(delay_sum / count)
 

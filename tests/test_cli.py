@@ -35,7 +35,7 @@ def write_fig_config(path: Path) -> Path:
     return path
 
 
-def write_chain_config(path: Path) -> Path:
+def write_chain_config(path: Path, **extra) -> Path:
     doc = {
         "num_nodes": 3,
         "edges": [
@@ -47,6 +47,7 @@ def write_chain_config(path: Path) -> Path:
         "arrival_rate": 0.5,
         "service_rates": {1: 1.0},
     }
+    doc.update(extra)
     path.write_text(yaml.safe_dump(doc))
     return path
 
@@ -245,6 +246,37 @@ def test_missing_config_file_exit_code(tmp_path, capsys):
                    "--param_file", str(par), "--data_file", str(tmp_path / "out"))
     assert code == 3  # ParseError
     assert "missing.yml" in capsys.readouterr().err
+
+
+TRAIN = ("--function", "train")
+
+
+@pytest.mark.parametrize("network, params, cli_args, code, message", [
+    ({"arrival_rate": float("nan")}, {}, TRAIN, 2, "arrival_rate must be finite"),
+    ({"arrival_rate": float("inf")}, {}, TRAIN, 2, "arrival_rate must be finite"),
+    ({"service_rates": {1: float("inf")}}, {}, TRAIN, 2, "edge type 1 must be finite"),
+    ({"service_rates": {1: float("nan")}}, {}, TRAIN, 2, "edge type 1 must be finite"),
+    ({}, {"trials": "abc", "tau": {"low": 0.01, "high": 0.2}}, TRAIN, 3, "'trials'"),
+    ({}, {"tau": {"low": "abc", "high": 0.2}}, TRAIN, 3, "'tau'"),
+    ({}, {"hidden_sizes": ["a", "b"]}, TRAIN, 3, "'hidden_sizes'"),
+    ({}, {"hidden_sizes": 5}, TRAIN, 3, "'hidden_sizes'"),
+    ({}, {"batch_size": {"choices": 3}}, TRAIN, 3, "'batch_size'"),
+    ({}, {"num_episodes": 1, "num_timesteps": 2},
+     ("--function", "evaluate", "--evaluator", "robustness", "--num_agents", "2",
+      "--time_steps", "0"), 2, "time_steps must be >= 1"),
+], ids=["nan_arrival_rate", "inf_arrival_rate", "inf_service_rate", "nan_service_rate",
+        "trials_abc", "range_low_abc", "hidden_sizes_strings", "hidden_sizes_scalar",
+        "choices_scalar", "zero_time_steps"])
+def test_malformed_numeric_input_exit_codes(tmp_path, capsys, network, params, cli_args,
+                                            code, message):
+    net = write_chain_config(tmp_path / "net.yml", **network)
+    par = write_params(tmp_path / "params.yml", **params)
+    assert run_cli(*cli_args, "--config_file", str(net), "--param_file", str(par),
+                   "--data_file", str(tmp_path / "out")) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error (")
+    assert message in err
+    assert "Traceback" not in err
 
 
 def test_tune_writes_ranked_results(tmp_path):

@@ -264,6 +264,8 @@ def test_disruption_unknown_node():
         evaluate_disruption(agent, cfg, node=77, steps=2)
     with pytest.raises(ConfigError):
         evaluate_disruption(agent, cfg, node=0, steps=2)
+    with pytest.raises(ConfigError, match="steps"):
+        evaluate_disruption(agent, cfg, node=3, steps=0)
 
 
 # -- robustness -------------------------------------------------------------------------
@@ -324,6 +326,8 @@ def test_robustness_rejects_bad_arguments():
         robustness_evaluate(tiny_params(), cfg, num_agents=2, margin=0.0)
     with pytest.raises(ConfigError):
         robustness_evaluate(tiny_params(), cfg, num_agents=2, seeds=[1, 2, 3])
+    with pytest.raises(ConfigError, match="time_steps"):
+        robustness_evaluate(tiny_params(), cfg, num_agents=2, time_steps=0)
 
 
 def test_evaluate_policy_is_deterministic():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -233,11 +235,29 @@ def test_reset_with_new_seed_changes_trajectory():
     env = RlEnv(mm1_topology(0.5, 1.0), seed=1, events_per_step=100)
     env.reset(seed=1)
     env.net.simulate(100)
-    times_a = [r.arrival_time for r in env.net.get_queue_data(1)]
+    state_a = env.get_state()
     env.reset(seed=2)
     env.net.simulate(100)
-    times_b = [r.arrival_time for r in env.net.get_queue_data(1)]
-    assert times_a != times_b
+    state_b = env.get_state()
+    assert not np.array_equal(state_a, state_b)
+
+
+def test_memory_stays_flat_over_a_long_skipped_reward_run():
+    # the simulator keeps aggregates, not a per-job log, so a long run with a
+    # reward window holds a bounded number of objects once queues settle
+    env = RlEnv(figure_topology(), seed=0, events_per_step=100, reward_skip=10)
+    action = np.full(env.action_dim, 0.5)
+    tracemalloc.start()
+    try:
+        for step in range(500):
+            if step == 200:
+                settled = tracemalloc.get_traced_memory()[0]
+            env.get_next_state(action)
+            env.get_reward()
+        grown = tracemalloc.get_traced_memory()[0] - settled
+    finally:
+        tracemalloc.stop()
+    assert grown < 32_000
 
 
 def test_weighting_slow_edge_raises_its_delay():
