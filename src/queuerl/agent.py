@@ -13,6 +13,7 @@ compressed space and its predictions are mapped back with expm1.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, get_type_hints
@@ -74,7 +75,10 @@ class AgentParams:
              "hidden_sizes must be positive"),
             (self.events_per_step >= 1, "events_per_step must be >= 1"),
             (self.reward_skip >= 0, "reward_skip must be >= 0"),
+            (self.seed >= 0, "seed must be >= 0"),
         ]
+        checks += [(math.isfinite(getattr(self, name)), f"{name} must be finite")
+                   for name in sorted(FLOAT_PARAM_FIELDS)]
         for ok, msg in checks:
             if not ok:
                 raise ConfigError(msg)
@@ -102,9 +106,6 @@ class TrainingTrace:
 
     def avg_reward_per_episode(self) -> list[float]:
         return [sum(r) / len(r) for r in self.episode_rewards]
-
-    def final_transition_map(self) -> dict[int, dict[int, float]]:
-        return self.episode_tmaps[-1][-1]
 
     def flat_tmaps(self) -> list[dict[int, dict[int, float]]]:
         return [tm for ep in self.episode_tmaps for tm in ep]
@@ -301,8 +302,8 @@ class DdpgAgent:
             tmaps: list[dict[int, dict[int, float]]] = []
             for _ in range(p.num_timesteps):
                 action = self.explore_action(state, p.epsilon)
-                tmaps.append(env.action_to_transition_probas(action))
                 next_state = env.get_next_state(action)
+                tmaps.append(env.net.transition_map)
                 reward = env.get_reward()
                 rewards.append(reward)
                 self.buffer.push(state, action, reward, next_state)

@@ -86,9 +86,9 @@ def _rollout(agent: DdpgAgent, env: RlEnv, steps: int) -> Iterator[np.ndarray]:
 
 def _final_routing(agent: DdpgAgent, env: RlEnv, steps: int) -> dict[int, dict[int, float]]:
     """Routing map of the last action of a `steps`-step rollout (steps >= 1)."""
-    for action in _rollout(agent, env, steps):
+    for _ in _rollout(agent, env, steps):
         pass
-    return env.action_to_transition_probas(action)
+    return env.net.transition_map
 
 
 def evaluate_policy(
@@ -140,17 +140,6 @@ def _tail_stop(series: list[float], threshold: float, consecutive_points: int) -
     if all(abs(d) < threshold for d in diffs):
         return "plateau"
     return None
-
-
-def early_stop_index(
-    series: list[float], threshold: float, consecutive_points: int
-) -> tuple[Optional[int], str]:
-    """First position at which a left-to-right scan would stop, with reason."""
-    for k in range(len(series)):
-        reason = _tail_stop(series[: k + 1], threshold, consecutive_points)
-        if reason is not None:
-            return k, reason
-    return None, "completed"
 
 
 def _trailing_ma(series: list[float], window: int) -> list[float]:

@@ -3,8 +3,9 @@
 Every directed edge carries a unique integer type id. Serviced edges hold a
 FIFO queue with a single exponential server; exit edges absorb jobs from the
 network instantly. External arrivals form Poisson streams into the entry
-edges. Routing at a node samples a successor from the network's current
-transition map.
+edges. Routing is one weight per serviced edge; set_routing normalises the
+weights per node into the transition map, and a job leaving an edge samples
+its successor from that map.
 
 The simulator keeps no per-job log. A queue holds only the arrival times of
 the jobs on its edge, and each serviced edge keeps running aggregates of its
@@ -20,14 +21,18 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from itertools import accumulate
+from typing import Callable, Optional, Sequence
 
-from .errors import ConfigError, UnknownEdge, UnknownNode
+from .errors import ConfigError, DimensionMismatch, UnknownEdge, UnknownNode
 
 # Event kinds on the calendar. Service events carry a per-edge epoch so a
 # blockage can cancel them lazily.
 _ARRIVAL = 0
 _SERVICE = 1
+
+# A node whose outgoing weights sum below this routes uniformly.
+UNIFORM_FALLBACK_EPS = 1e-6
 
 
 @dataclass
@@ -189,7 +194,22 @@ class QueueNetwork:
         self._edge_epoch: dict[int, int] = {e: 0 for e in self._serviced}
         self._stats: dict[int, _EdgeStats] = {e: _EdgeStats() for e in self._serviced}
 
-        self.transition_map = uniform_transition_map(config)
+        # blockage lookups: the nodes that cannot be blocked, and the serviced
+        # edges into each node, ascending
+        self._unblockable = config.entry_sources() | config.exit_sinks()
+        self._incoming: dict[int, list[int]] = {}
+        for e in self._serviced:
+            self._incoming.setdefault(self._endpoints[e][1], []).append(e)
+
+        # routing tables: per node, its successors ascending, their edges, and
+        # each edge's position in a routing vector (None for an exit edge)
+        position = {e: i for i, e in enumerate(self._serviced)}
+        self._routes: list[tuple[int, list[int], list[int], list[Optional[int]]]] = []
+        for node, succs in config.edge_list.items():
+            ordered = sorted(succs)
+            edges = [succs[succ] for succ in ordered]
+            self._routes.append((node, ordered, edges, [position.get(e) for e in edges]))
+        self.set_routing([0.0] * len(self._serviced))
 
         for etype in sorted(config.entry_edges):
             self._schedule_external_arrival(etype)
@@ -212,20 +232,36 @@ class QueueNetwork:
     def serviced_edge_types(self) -> list[int]:
         return list(self._serviced)
 
-    def set_transition_map(self, tmap: dict[int, dict[int, float]]) -> None:
-        """Install routing probabilities; keys must mirror edge_list."""
-        if set(tmap) != set(self.config.edge_list):
-            raise ConfigError("transition map nodes do not match edge_list")
-        normalized: dict[int, dict[int, float]] = {}
-        for node, row in tmap.items():
-            succs = self.config.edge_list[node]
-            if set(row) != set(succs):
-                raise ConfigError(f"transition map successors for node {node} do not match edge_list")
-            total = sum(row.values())
-            if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
-                raise ConfigError(f"transition probabilities at node {node} sum to {total}")
-            normalized[node] = {succ: row[succ] for succ in sorted(row)}
-        self.transition_map = normalized
+    def set_routing(self, weights: Sequence[float]) -> None:
+        """Install routing from one weight per serviced edge, in
+        serviced_edge_types order; exit edges weigh 0.
+
+        At each node the weights of its outgoing edges are summed in
+        ascending-successor order and each is divided by the sum; a sum below
+        UNIFORM_FALLBACK_EPS routes uniformly, and a sum that is not finite
+        raises ConfigError. transition_map becomes a fresh dict on every call,
+        so a map read earlier is never changed.
+        """
+        weights = [float(w) for w in weights]
+        if len(weights) != len(self._serviced):
+            raise DimensionMismatch(
+                f"routing has {len(weights)} weights, expected {len(self._serviced)}"
+            )
+        tmap: dict[int, dict[int, float]] = {}
+        tables: dict[int, list[tuple[float, int]]] = {}
+        for node, succs, edges, positions in self._routes:
+            row = [0.0 if i is None else weights[i] for i in positions]
+            total = sum(row)
+            if not math.isfinite(total):
+                raise ConfigError(f"routing weights at node {node} sum to {total}")
+            if total < UNIFORM_FALLBACK_EPS:
+                probs = [1.0 / len(row) for _ in row]
+            else:
+                probs = [w / total for w in row]
+            tmap[node] = dict(zip(succs, probs))
+            tables[node] = list(zip(accumulate(probs), edges))
+        self.transition_map = tmap
+        self._routing = tables
 
     def simulate(self, num_events: int) -> None:
         """Process num_events calendar events in time order."""
@@ -252,7 +288,7 @@ class QueueNetwork:
         if node in self.blocked_nodes:
             return
         self.blocked_nodes.add(node)
-        for edge in self._incoming_serviced(node):
+        for edge in self._incoming.get(node, ()):
             self._edge_epoch[edge] += 1  # cancels pending completions
 
     def clear_blockage(self, node: int) -> None:
@@ -261,18 +297,15 @@ class QueueNetwork:
         if node not in self.blocked_nodes:
             return
         self.blocked_nodes.remove(node)
-        for edge in self._incoming_serviced(node):
+        for edge in self._incoming.get(node, ()):
             if self.queues[edge]:
                 self._start_service(edge)
 
     def _check_blockable(self, node: int) -> None:
         if not 0 <= node < self.config.num_nodes:
             raise UnknownNode(f"node {node} not in network")
-        if node in self.config.entry_sources() or node in self.config.exit_sinks():
+        if node in self._unblockable:
             raise ConfigError(f"node {node} is an entry source or exit sink; not blockable")
-
-    def _incoming_serviced(self, node: int) -> list[int]:
-        return [e for e in self._serviced if self._endpoints[e][1] == node]
 
     def edge_mean_delay(self, edge_type: int) -> float:
         """Mean end-to-end delay over all traversals of an edge, with the
@@ -350,29 +383,15 @@ class QueueNetwork:
         self._route_onward(self._endpoints[edge][1])
 
     def _route_onward(self, node: int) -> None:
-        row = self.transition_map[node]
+        # the first edge whose cumulative probability exceeds u, else the last
         u = self.rng.random()
-        acc = 0.0
-        succ = next(iter(row))
-        for candidate, p in row.items():
-            acc += p
-            succ = candidate
-            if u < acc:
+        for cumulative, next_edge in self._routing[node]:
+            if u < cumulative:
                 break
-        next_edge = self.config.edge_list[node][succ]
-        if next_edge in self.config.exit_edges:
+        if next_edge in self.exits_total:
             self.exits_total[next_edge] += 1
         else:
             self._enqueue(next_edge)
-
-
-def uniform_transition_map(config: TopologyConfig) -> dict[int, dict[int, float]]:
-    """Equal probability to every successor of every node."""
-    tmap: dict[int, dict[int, float]] = {}
-    for node, succs in config.edge_list.items():
-        n = len(succs)
-        tmap[node] = {succ: 1.0 / n for succ in sorted(succs)}
-    return tmap
 
 
 def build_network(

@@ -2,9 +2,9 @@
 
 State: mean end-to-end delay per serviced edge (ascending edge-type order),
 with the current clock standing in for jobs still on an edge. Action: one
-weight in [0, 1] per serviced edge; a masking step turns the weights into
-per-node routing distributions. Reward: -(mean of per-edge serviced delays)
-divided by the network throughput ratio.
+weight in [0, 1] per serviced edge, in the same order; the network's
+set_routing normalises them per node into its transition map. Reward:
+-(mean of per-edge serviced delays) divided by the network throughput ratio.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .errors import DimensionMismatch, NoArrivals
 from .netsim import QueueNetwork, TopologyConfig, build_network
 
 R_FLOOR = 1e-3  # throughput-ratio clamp so the reward stays finite
-UNIFORM_FALLBACK_EPS = 1e-6
 
 
 class RlEnv:
@@ -43,7 +42,6 @@ class RlEnv:
         self.net: QueueNetwork = build_network(config, seed, interarrival_noise, reward_skip)
 
         self.serviced_edges = self.net.serviced_edge_types
-        self._edge_index = {e: i for i, e in enumerate(self.serviced_edges)}
 
     @property
     def state_dim(self) -> int:
@@ -64,36 +62,14 @@ class RlEnv:
             [self.net.edge_mean_delay(e) for e in self.serviced_edges], dtype=float
         )
 
-    def action_to_transition_probas(self, action: np.ndarray) -> dict[int, dict[int, float]]:
-        """Mask the action through the edge list and normalize per node.
-
-        For each node the weights of its outgoing serviced edges are pulled
-        out of the action by edge-type position and rescaled to sum to one;
-        an all-zero extraction falls back to the uniform distribution.
-        """
+    def get_next_state(self, action: np.ndarray) -> np.ndarray:
+        """Install the action's routing, advance the simulation one step."""
         action = np.asarray(action, dtype=float)
         if action.shape != (self.action_dim,):
             raise DimensionMismatch(
                 f"action has shape {action.shape}, expected ({self.action_dim},)"
             )
-        tmap: dict[int, dict[int, float]] = {}
-        for node, succs in self.config.edge_list.items():
-            ordered = sorted(succs)
-            weights = []
-            for succ in ordered:
-                etype = succs[succ]
-                weights.append(action[self._edge_index[etype]] if etype in self._edge_index else 0.0)
-            total = float(sum(weights))
-            if total < UNIFORM_FALLBACK_EPS:
-                row = {succ: 1.0 / len(ordered) for succ in ordered}
-            else:
-                row = {succ: w / total for succ, w in zip(ordered, weights)}
-            tmap[node] = row
-        return tmap
-
-    def get_next_state(self, action: np.ndarray) -> np.ndarray:
-        """Install the action's routing, advance the simulation one step."""
-        self.net.set_transition_map(self.action_to_transition_probas(action))
+        self.net.set_routing(action)
         self.net.simulate(self.events_per_step)
         self.step_count += 1
         return self.get_state()

@@ -264,9 +264,15 @@ TRAIN = ("--function", "train")
     ({}, {"num_episodes": 1, "num_timesteps": 2},
      ("--function", "evaluate", "--evaluator", "robustness", "--num_agents", "2",
       "--time_steps", "0"), 2, "time_steps must be >= 1"),
+    ({}, {"seed": -1}, TRAIN, 2, "seed must be >= 0"),
+    ({}, {"epsilon": float("inf")}, TRAIN, 2, "epsilon must be finite"),
+    ({}, {"w1": float("inf")}, TRAIN, 2, "w1 must be finite"),
+    ({}, {"w2": float("inf")}, TRAIN, 2, "w2 must be finite"),
+    ({}, {"learning_rate": float("inf")}, TRAIN, 2, "learning_rate must be finite"),
 ], ids=["nan_arrival_rate", "inf_arrival_rate", "inf_service_rate", "nan_service_rate",
         "trials_abc", "range_low_abc", "hidden_sizes_strings", "hidden_sizes_scalar",
-        "choices_scalar", "zero_time_steps"])
+        "choices_scalar", "zero_time_steps", "negative_seed", "inf_epsilon", "inf_w1",
+        "inf_w2", "inf_learning_rate"])
 def test_malformed_numeric_input_exit_codes(tmp_path, capsys, network, params, cli_args,
                                             code, message):
     net = write_chain_config(tmp_path / "net.yml", **network)

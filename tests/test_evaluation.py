@@ -7,9 +7,9 @@ from queuerl.agent import AgentParams, DdpgAgent
 from queuerl.errors import ConfigError, InsufficientData, UnknownNode
 from queuerl.evaluation import (
     NoiseConfig,
+    _tail_stop,
     convergence_train,
     detect_burn_in,
-    early_stop_index,
     evaluate_disruption,
     evaluate_noise,
     evaluate_policy,
@@ -110,18 +110,28 @@ def test_burn_in_translation_invariance():
 # -- early stopping ------------------------------------------------------------------
 
 
+def first_stop(series, threshold, consecutive_points):
+    """Apply _tail_stop to each prefix in turn, as convergence_train does as
+    its evaluation series grows: (position of the first stop, reason)."""
+    for k in range(len(series)):
+        reason = _tail_stop(series[: k + 1], threshold, consecutive_points)
+        if reason is not None:
+            return k, reason
+    return None, "completed"
+
+
 def test_plateau_stops_after_fourth_point():
-    idx, reason = early_stop_index([-5.0, -5.0, -5.0, -5.0], threshold=0.5, consecutive_points=3)
+    idx, reason = first_stop([-5.0, -5.0, -5.0, -5.0], threshold=0.5, consecutive_points=3)
     assert (idx, reason) == (3, "plateau")
 
 
 def test_local_maximum_stops_after_fourth_point():
-    idx, reason = early_stop_index([-2.0, -3.5, -5.0, -6.5], threshold=1.0, consecutive_points=3)
+    idx, reason = first_stop([-2.0, -3.5, -5.0, -6.5], threshold=1.0, consecutive_points=3)
     assert (idx, reason) == (3, "local_maximum")
 
 
 def test_no_stop_on_improving_series():
-    idx, reason = early_stop_index([-9.0, -6.0, -3.0, 0.0], threshold=1.0, consecutive_points=3)
+    idx, reason = first_stop([-9.0, -6.0, -3.0, 0.0], threshold=1.0, consecutive_points=3)
     assert (idx, reason) == (None, "completed")
 
 
@@ -145,7 +155,7 @@ def test_stop_rules_match_brute_force_on_random_series():
         series = [rng.uniform(-10, 10) for _ in range(n)]
         threshold = rng.uniform(0.05, 3.0)
         c = rng.randrange(1, 5)
-        assert early_stop_index(series, threshold, c) == stop_oracle(series, threshold, c)
+        assert first_stop(series, threshold, c) == stop_oracle(series, threshold, c)
 
 
 def test_stop_rules_are_mutually_exclusive():

@@ -4,7 +4,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from queuerl.errors import ConfigError, UnknownEdge, UnknownNode
+from queuerl.errors import ConfigError, DimensionMismatch, UnknownEdge, UnknownNode
 from queuerl.netsim import (
     QueueNetwork,
     TopologyConfig,
@@ -84,6 +84,18 @@ def test_mm1_topology_single_successor():
     net = build_network(mm1_topology(0.5, 1.0), seed=0)
     assert net.transition_map == {0: {1: 1.0}, 1: {2: 1.0}}
     assert net.serviced_edge_types == [1]
+
+
+def test_set_routing_installs_a_fresh_map():
+    net = build_network(figure_topology(), seed=0)
+    uniform = net.transition_map
+    weights = [0.0] * 12
+    weights[net.serviced_edge_types.index(2)] = 1.0
+    net.set_routing(weights)
+    assert net.transition_map[1] == {2: 1.0, 3: 0.0, 4: 0.0}
+    assert uniform[1] == {2: pytest.approx(1 / 3), 3: pytest.approx(1 / 3), 4: pytest.approx(1 / 3)}
+    with pytest.raises(DimensionMismatch):
+        net.set_routing(weights[:-1])
 
 
 def test_missing_service_rate_raises():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from queuerl.errors import DimensionMismatch, NoArrivals
+from queuerl.errors import ConfigError, DimensionMismatch, NoArrivals
 from queuerl.netsim import TopologyConfig, figure_topology, mm1_topology
 from queuerl.rl_env import RlEnv
 
@@ -79,7 +80,8 @@ def test_masking_reference_vector():
     action[env.serviced_edges.index(2)] = 0.27
     action[env.serviced_edges.index(3)] = 0.30
     action[env.serviced_edges.index(4)] = 0.59
-    row = env.action_to_transition_probas(action)[1]
+    env.net.set_routing(action)
+    row = env.net.transition_map[1]
     assert row[2] == pytest.approx(0.2328, abs=5e-5)
     assert row[3] == pytest.approx(0.2586, abs=5e-5)
     assert row[4] == pytest.approx(0.5086, abs=5e-5)
@@ -87,32 +89,66 @@ def test_masking_reference_vector():
 
 def test_masking_single_successor_is_one():
     env = RlEnv(mm1_topology(0.5, 1.0), seed=0)
-    tmap = env.action_to_transition_probas(np.array([0.123]))
+    env.net.set_routing(np.array([0.123]))
+    tmap = env.net.transition_map
     assert tmap[0] == {1: 1.0}
     assert tmap[1] == {2: 1.0}
 
 
 def test_masking_all_zero_weights_falls_back_to_uniform():
     env = RlEnv(figure_topology(), seed=0)
-    tmap = env.action_to_transition_probas(np.zeros(12))
-    assert tmap[1] == pytest.approx({2: 1 / 3, 3: 1 / 3, 4: 1 / 3})
+    env.net.set_routing(np.zeros(12))
+    assert env.net.transition_map[1] == pytest.approx({2: 1 / 3, 3: 1 / 3, 4: 1 / 3})
 
 
 def test_masking_dimension_mismatch():
     env = RlEnv(figure_topology(), seed=0)
     with pytest.raises(DimensionMismatch):
-        env.action_to_transition_probas(np.zeros(11))
+        env.get_next_state(np.zeros(11))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=12, max_size=12))
 def test_masking_rows_are_distributions(weights):
     env = RlEnv(figure_topology(), seed=0)
-    tmap = env.action_to_transition_probas(np.array(weights))
-    for node, row in tmap.items():
+    env.net.set_routing(np.array(weights))
+    for node, row in env.net.transition_map.items():
         assert abs(sum(row.values()) - 1.0) < 1e-9
         assert all(0.0 <= p <= 1.0 for p in row.values())
         assert set(row) == set(env.config.edge_list[node])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_masking_non_finite_action_raises(bad):
+    env = RlEnv(figure_topology(), seed=0)
+    installed = env.net.transition_map
+    action = np.full(12, 0.5)
+    action[env.serviced_edges.index(3)] = bad
+    with pytest.raises(ConfigError, match="node 1"):
+        env.get_next_state(action)
+    assert env.net.transition_map is installed
+
+
+def test_jobs_split_as_the_installed_routing_says():
+    # Each job leaving edge 1 picks edge 2, 3 or 4 independently, so given
+    # the n jobs routed out of node 1 the count on an edge of probability p
+    # is Binomial(n, p). Five standard deviations per edge leave a false
+    # failure chance below 2e-6 over the three edges.
+    env = RlEnv(figure_topology(), seed=11)
+    probs = {2: 0.2, 3: 0.3, 4: 0.5}
+    action = np.full(12, 0.5)
+    for edge, p in probs.items():
+        action[env.serviced_edges.index(edge)] = p
+    net = env.net
+    net.set_routing(action)
+    net.simulate(100_000)
+    # with reward_skip 0 every exited traversal is counted
+    arrivals = {e: net.edge_serviced_stats(e)[0] + len(net.queues[e]) for e in probs}
+    n = sum(arrivals.values())
+    assert n > 10_000
+    for edge, p in probs.items():
+        bound = 5.0 * math.sqrt(n * p * (1.0 - p))
+        assert abs(arrivals[edge] - n * p) <= bound, (edge, arrivals[edge], n * p, bound)
 
 
 # -- reward ----------------------------------------------------------------------
