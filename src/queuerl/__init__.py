@@ -3,7 +3,6 @@
 from .netsim import (
     QueueNetwork,
     TopologyConfig,
-    build_network,
     feed_forward_topology,
     figure_topology,
     mm1_topology,
@@ -26,7 +25,6 @@ __all__ = [
     "StateTracker",
     "TopologyConfig",
     "TrainingTrace",
-    "build_network",
     "choose_start_mode",
     "feed_forward_topology",
     "figure_topology",

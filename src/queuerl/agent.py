@@ -99,8 +99,6 @@ class TrainingTrace:
     episode_tmaps: list[list[dict[int, dict[int, float]]]] = field(default_factory=list)
     actor_losses: list[float] = field(default_factory=list)
     critic_losses: list[float] = field(default_factory=list)
-    next_state_losses: list[float] = field(default_factory=list)
-    reward_losses: list[float] = field(default_factory=list)
     # one row per updating timestep: (actor, critic, next_state, reward)
     step_losses: list[tuple[float, float, float, float]] = field(default_factory=list)
 
@@ -244,7 +242,7 @@ class DdpgAgent:
             reward_loss = sum(r_batch) / len(r_batch)
         return ns_loss, reward_loss
 
-    def plan(self, rng: Optional[np.random.Generator] = None) -> list[tuple[float, float]]:
+    def plan(self) -> list[tuple[float, float]]:
         """Hallucinate experiences with the predictors and update on them.
 
         Returns (critic loss, actor loss) per planning step. Hallucinated
@@ -255,14 +253,13 @@ class DdpgAgent:
             raise InsufficientBuffer(
                 f"planning needs {p.batch_size} stored experiences, have {self.buffer.size}"
             )
-        rng = self.rng if rng is None else rng
         losses = []
         for _ in range(p.planning_steps):
-            states = self.buffer.sample_states(p.num_samples, rng)
+            states = self.buffer.sample_states(p.num_samples, self.rng)
             phi_s = self._phi(states)
             actions = self.actor.forward(phi_s)
             if p.epsilon > 0:
-                actions = actions + rng.normal(0.0, p.epsilon, size=actions.shape)
+                actions = actions + self.rng.normal(0.0, p.epsilon, size=actions.shape)
             actions = np.clip(actions, 0.0, 1.0)
 
             x = np.concatenate([phi_s, actions], axis=1)
@@ -320,8 +317,6 @@ class DdpgAgent:
                     if self.update_counter % p.target_update_frequency == 0:
                         self.soft_update_targets()
                     ns_loss, r_loss = self.fit_model()
-                    trace.next_state_losses.append(ns_loss)
-                    trace.reward_losses.append(r_loss)
                     trace.step_losses.append((actor_loss, critic_loss, ns_loss, r_loss))
                     for closs, aloss in self.plan():
                         trace.critic_losses.append(closs)

@@ -29,9 +29,6 @@ class ReplayBuffer:
         self._size = 0
         self._next = 0  # ring-buffer write position once full
 
-    def __len__(self) -> int:
-        return self._size
-
     @property
     def size(self) -> int:
         return self._size

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
 from typing import Optional
@@ -40,33 +39,6 @@ def _str2bool(value: str) -> bool:
     if lowered in ("false", "0", "no"):
         return False
     raise argparse.ArgumentTypeError(f"expected True or False, got {value!r}")
-
-
-@dataclass
-class RunConfig:
-    function: str
-    config_file: str
-    param_file: str
-    data_file: str = "output_csv"
-    image_file: str = "output_plots"
-    plot_curves: bool = False
-    save_file: bool = False
-    run_name: Optional[str] = None
-    evaluator: Optional[str] = None
-    agent_file: Optional[str] = None
-    node: Optional[int] = None
-    window_size: int = 5
-    threshold: float = 0.01
-    consecutive_points: int = 3
-    noise_mean: float = 0.0
-    noise_variance: float = 1.0
-    noise_frequency: float = 0.5
-    noise_mode: str = "evaluate"
-    num_agents: int = 10
-    time_steps: int = 50
-    z: float = 1.96
-    margin: float = 0.1
-    workers: int = 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _get_agent(cfg: RunConfig, env_config, params) -> DdpgAgent:
+def _get_agent(cfg: argparse.Namespace, env_config, params) -> DdpgAgent:
     if cfg.agent_file:
         return load_agent(cfg.agent_file)
     agent = make_agent(env_config, params)
@@ -108,7 +80,7 @@ def _get_agent(cfg: RunConfig, env_config, params) -> DdpgAgent:
     return agent
 
 
-def _run_train(cfg: RunConfig, env_config, params) -> int:
+def _run_train(cfg: argparse.Namespace, env_config, params) -> int:
     agent = make_agent(env_config, params)
     tracker = StateTracker()
     trace = train_with_blockage_exploration(agent, env_config, params, tracker=tracker)
@@ -124,7 +96,7 @@ def _run_train(cfg: RunConfig, env_config, params) -> int:
     return 0
 
 
-def _run_tune(cfg: RunConfig, env_config, params, space) -> int:
+def _run_tune(cfg: argparse.Namespace, env_config, params, space) -> int:
     if space is None:
         raise ConfigError("tune needs at least one range or choice entry in the param file")
     results = random_search(space, env_config, params, seed=params.seed)
@@ -132,7 +104,7 @@ def _run_tune(cfg: RunConfig, env_config, params, space) -> int:
     return 0
 
 
-def _run_evaluate(cfg: RunConfig, env_config, params) -> int:
+def _run_evaluate(cfg: argparse.Namespace, env_config, params) -> int:
     if cfg.evaluator is None:
         raise ConfigError("--evaluator is required with --function evaluate")
 
@@ -168,7 +140,8 @@ def _run_evaluate(cfg: RunConfig, env_config, params) -> int:
     return 0
 
 
-def run(cfg: RunConfig) -> int:
+def run(cfg: argparse.Namespace) -> int:
+    """Run one command; cfg holds the options of build_parser."""
     env_config = parse_network_config(cfg.config_file)
     params, space = parse_hyperparams(cfg.param_file)
     if cfg.function == "train":
@@ -180,9 +153,8 @@ def run(cfg: RunConfig) -> int:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(**vars(args))
     try:
-        return run(cfg)
+        return run(args)
     except QueueRlError as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return exc.exit_code

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import yaml
 
-from .agent import FLOAT_PARAM_FIELDS, INT_PARAM_FIELDS, AgentParams
+from .agent import INT_PARAM_FIELDS, AgentParams
 from .errors import ConfigError, ParseError
 from .netsim import TopologyConfig, validate_config
 from .tuning import ChoiceSpec, RangeSpec, SearchSpace
@@ -27,18 +27,26 @@ _ALIASES = {
 _INT_KEYS = INT_PARAM_FIELDS | {"trials"}
 
 
-def _coerce_scalar(key: str, value):
+def _coerce_number(key: str, value, integer: bool):
     try:
-        if key in _INT_KEYS:
-            v = float(value)
-            if not v.is_integer():
-                raise ConfigError(f"'{key}' must be an integer, got {value}")
-            return int(v)
-        if key in FLOAT_PARAM_FIELDS:
-            return float(value)
-    except (TypeError, ValueError) as exc:
+        v = float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"'{key}' has a non-numeric value {value!r}") from exc
-    return value
+    if not integer:
+        return v
+    if not v.is_integer():
+        raise ConfigError(f"'{key}' must be an integer, got {value}")
+    return int(v)
+
+
+def _coerce_value(key: str, value):
+    """One value of a field: hidden_sizes is a list of integers, every other
+    field a number, an integer where the field is one."""
+    if key != "hidden_sizes":
+        return _coerce_number(key, value, key in _INT_KEYS)
+    if not isinstance(value, list):
+        raise ParseError(f"'hidden_sizes' must be a list of integers, got {value!r}")
+    return tuple(_coerce_number(key, h, True) for h in value)
 
 
 def _load_yaml(path: str):
@@ -140,33 +148,28 @@ def parse_hyperparams(path: str) -> tuple[AgentParams, SearchSpace | None]:
         if key != "trials" and key not in known:
             raise ConfigError(f"unknown hyperparameter '{raw_key}'")
 
-        try:
-            if key == "trials":
-                trials = _coerce_scalar(key, value)
-            elif isinstance(value, dict):
-                if "choices" in value:
-                    if not isinstance(value["choices"], list):
-                        raise ParseError(f"{path}: '{raw_key}' choices must be a list")
-                    specs[key] = ChoiceSpec(choices=list(value["choices"]))
-                elif _is_range(value):
-                    specs[key] = RangeSpec(
-                        low=float(value["low"]),
-                        high=float(value["high"]),
-                        scale=str(value.get("scale", "linear")),
-                    )
-                else:
-                    raise ParseError(f"{path}: '{raw_key}' needs either choices or low/high")
-            elif key == "hidden_sizes":
-                if isinstance(value, list) and value and isinstance(value[0], list):
-                    specs[key] = ChoiceSpec(choices=[tuple(int(h) for h in v) for v in value])
-                else:
-                    scalars[key] = tuple(int(v) for v in value)
-            elif isinstance(value, list):
-                specs[key] = ChoiceSpec(choices=[_coerce_scalar(key, v) for v in value])
+        if key == "trials":
+            trials = _coerce_value(key, value)
+        elif isinstance(value, dict):
+            if "choices" in value:
+                if not isinstance(value["choices"], list):
+                    raise ParseError(f"{path}: '{raw_key}' choices must be a list")
+                specs[key] = ChoiceSpec([_coerce_value(key, v) for v in value["choices"]])
+            elif _is_range(value):
+                specs[key] = RangeSpec(
+                    low=_coerce_number(key, value["low"], False),
+                    high=_coerce_number(key, value["high"], False),
+                    scale=str(value.get("scale", "linear")),
+                )
             else:
-                scalars[key] = _coerce_scalar(key, value)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: '{raw_key}' has a malformed value {value!r}: {exc}") from exc
+                raise ParseError(f"{path}: '{raw_key}' needs either choices or low/high")
+        elif isinstance(value, list) and (
+            key != "hidden_sizes" or (value and isinstance(value[0], list))
+        ):
+            # a bare list is a choice list; for hidden_sizes, a list of lists is
+            specs[key] = ChoiceSpec([_coerce_value(key, v) for v in value])
+        else:
+            scalars[key] = _coerce_value(key, value)
 
     try:
         params = AgentParams(**scalars)

@@ -37,6 +37,17 @@ class BurnInReport:
     consecutive_points: int
 
 
+def _trailing_ma(series: list[float], window: int) -> list[float]:
+    """Trailing moving average of width window (at least 1); an entry with
+    fewer than window points before it averages the points there are."""
+    window = max(window, 1)
+    out = []
+    for k in range(len(series)):
+        part = series[max(0, k - window + 1) : k + 1]
+        out.append(sum(part) / len(part))
+    return out
+
+
 def detect_burn_in(
     rewards: list[float], window_size: int, threshold: float, consecutive_points: int
 ) -> BurnInReport:
@@ -55,10 +66,7 @@ def detect_burn_in(
         raise InsufficientData(
             f"need at least {window_size + consecutive_points} rewards, got {n}"
         )
-    smoothed = [
-        sum(rewards[k - window_size + 1 : k + 1]) / window_size
-        for k in range(window_size - 1, n)
-    ]
+    smoothed = _trailing_ma(rewards, window_size)[window_size - 1 :]
     derivative = [b - a for a, b in zip(smoothed, smoothed[1:])]
 
     idx = None
@@ -140,15 +148,6 @@ def _tail_stop(series: list[float], threshold: float, consecutive_points: int) -
     if all(abs(d) < threshold for d in diffs):
         return "plateau"
     return None
-
-
-def _trailing_ma(series: list[float], window: int) -> list[float]:
-    if window <= 1:
-        return list(series)
-    return [
-        sum(series[max(0, k - window + 1) : k + 1]) / len(series[max(0, k - window + 1) : k + 1])
-        for k in range(len(series))
-    ]
 
 
 def convergence_train(

@@ -20,6 +20,11 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
@@ -32,12 +37,11 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 class Mlp:
-    def __init__(self, layer_sizes: list[int], output_activation: str = "identity", rng=None):
+    def __init__(self, layer_sizes: list[int], output_activation: str, rng: np.random.Generator):
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
         if output_activation not in ("identity", "sigmoid"):
             raise ValueError(f"unknown output activation {output_activation!r}")
-        rng = rng if rng is not None else np.random.default_rng()
         self.layer_sizes = list(layer_sizes)
         self.output_activation = output_activation
         n = sum(i * o + o for i, o in zip(layer_sizes[:-1], layer_sizes[1:]))
@@ -145,25 +149,22 @@ class Mlp:
 
 
 class Adam:
-    """Per-parameter adaptive gradient steps (beta1=0.9, beta2=0.999)."""
+    """Per-parameter adaptive gradient steps (ADAM_BETA1, ADAM_BETA2, ADAM_EPS)."""
 
-    def __init__(self, net: Mlp, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, net: Mlp, lr: float):
         self.net = net
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = np.zeros_like(net.params)
         self.v = np.zeros_like(net.params)
 
     def step(self) -> None:
         self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
+        b1t = 1.0 - ADAM_BETA1**self.t
+        b2t = 1.0 - ADAM_BETA2**self.t
         g, m, v = self.net.grads, self.m, self.v
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * np.square(g)
-        self.net.params -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(g)
+        self.net.params -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)

@@ -11,7 +11,9 @@ The simulator keeps no per-job log. A queue holds only the arrival times of
 the jobs on its edge, and each serviced edge keeps running aggregates of its
 traversals (counts and delay sums), so state and reward queries cost
 O(edges) and memory stays bounded however long a run goes. Exit edges keep
-only their exit counts.
+only their exit counts. An edge is FIFO, so its k-th exit is its k-th
+arrival, and the exit count alone says which traversals a skip window
+covers.
 """
 
 from __future__ import annotations
@@ -149,22 +151,26 @@ def validate_config(config: TopologyConfig) -> None:
 class _EdgeStats:
     """Running aggregates over every traversal of one serviced edge.
 
-    A traversal's arrival index is the number of traversals that reached the
-    edge before it. The counted pair covers the exited traversals whose
-    arrival index is at least the network's skip; it is its own running sum,
-    added in exit order, which for a FIFO edge is arrival order.
+    counted_delay_sum adds the delays of the exits after the network's first
+    skip, in exit order; on a FIFO edge those are the traversals at arrival
+    index skip or above, in arrival order. It is its own running sum, not
+    the total minus a prefix, which would round differently.
     """
 
     n_records: int = 0
     n_exited: int = 0
     exited_delay_sum: float = 0.0
     inflight_arrival_sum: float = 0.0
-    n_counted: int = 0
     counted_delay_sum: float = 0.0
 
 
 class QueueNetwork:
-    """Live simulator state; construct through build_network."""
+    """Live simulator state: a network at clock 0 with uniform routing and
+    the first external arrivals scheduled. The config is validated first.
+
+    skip sets the window of edge_serviced_stats: per edge, the traversals at
+    arrival index skip or above.
+    """
 
     def __init__(
         self,
@@ -176,7 +182,6 @@ class QueueNetwork:
         validate_config(config)
         self.config = config
         self.rng = random.Random(seed)
-        self.seed = seed
         self.interarrival_noise = interarrival_noise
         self.skip = skip
 
@@ -186,17 +191,17 @@ class QueueNetwork:
 
         self._endpoints = config.edge_endpoints()
         self._serviced = config.serviced_edges()
-        # each queued job is (arrival time, whether its delay is counted)
-        self.queues: dict[int, deque[tuple[float, bool]]] = {e: deque() for e in self._serviced}
+        # each queued job is its arrival time
+        self.queues: dict[int, deque[float]] = {e: deque() for e in self._serviced}
         self.arrivals_total: dict[int, int] = {e: 0 for e in sorted(config.entry_edges)}
         self.exits_total: dict[int, int] = {e: 0 for e in sorted(config.exit_edges)}
         self.blocked_nodes: set[int] = set()
         self._edge_epoch: dict[int, int] = {e: 0 for e in self._serviced}
         self._stats: dict[int, _EdgeStats] = {e: _EdgeStats() for e in self._serviced}
 
-        # blockage lookups: the nodes that cannot be blocked, and the serviced
+        # blockage lookups: the nodes that can be blocked, and the serviced
         # edges into each node, ascending
-        self._unblockable = config.entry_sources() | config.exit_sinks()
+        self._blockable = set(config.blockable_nodes())
         self._incoming: dict[int, list[int]] = {}
         for e in self._serviced:
             self._incoming.setdefault(self._endpoints[e][1], []).append(e)
@@ -304,8 +309,8 @@ class QueueNetwork:
     def _check_blockable(self, node: int) -> None:
         if not 0 <= node < self.config.num_nodes:
             raise UnknownNode(f"node {node} not in network")
-        if node in self._unblockable:
-            raise ConfigError(f"node {node} is an entry source or exit sink; not blockable")
+        if node not in self._blockable:
+            raise ConfigError(f"node {node} is not blockable")
 
     def edge_mean_delay(self, edge_type: int) -> float:
         """Mean end-to-end delay over all traversals of an edge, with the
@@ -321,38 +326,32 @@ class QueueNetwork:
         """(count, delay sum) over the exited traversals of an edge whose
         arrival index is at least the network's skip."""
         st = self._stats[edge_type]
-        return st.n_counted, st.counted_delay_sum
+        return max(0, st.n_exited - self.skip), st.counted_delay_sum
 
     def inject_record(self, edge_type: int, arrival_time: float, exit_time: float = 0.0) -> None:
         """Add one synthetic traversal of a serviced edge to its aggregates.
 
-        exit_time 0.0 leaves the traversal unfinished. The traversal takes the
-        edge's next arrival index, as a simulated one would. For hand-built
-        scenarios; does not touch queues or the event calendar.
+        exit_time 0.0 leaves the traversal unfinished. A finished traversal
+        is the edge's next exit, and edge_serviced_stats counts it when at
+        least skip exits came before it, as for a simulated one; an unfinished
+        one never exits. For hand-built scenarios; does not touch queues or
+        the event calendar.
         """
         if edge_type not in self._stats:
             raise UnknownEdge(f"edge type {edge_type} is not a serviced edge of the network")
-        counted = self._record_arrival(edge_type)
+        self._stats[edge_type].n_records += 1
         if exit_time > 0.0:
-            self._record_exit(edge_type, arrival_time, counted, exit_time)
+            self._record_exit(edge_type, arrival_time, exit_time)
         else:
             self._stats[edge_type].inflight_arrival_sum += arrival_time
 
-    def _record_arrival(self, edge: int) -> bool:
-        """Count one arrival; True when its delay falls in the skip window."""
-        st = self._stats[edge]
-        counted = st.n_records >= self.skip
-        st.n_records += 1
-        return counted
-
-    def _record_exit(self, edge: int, arrival_time: float, counted: bool, exit_time: float) -> None:
+    def _record_exit(self, edge: int, arrival_time: float, exit_time: float) -> None:
         st = self._stats[edge]
         delay = exit_time - arrival_time
+        if st.n_exited >= self.skip:
+            st.counted_delay_sum += delay
         st.n_exited += 1
         st.exited_delay_sum += delay
-        if counted:
-            st.n_counted += 1
-            st.counted_delay_sum += delay
 
     # -- event handlers --------------------------------------------------------
 
@@ -362,10 +361,11 @@ class QueueNetwork:
         self._schedule_external_arrival(edge)
 
     def _enqueue(self, edge: int) -> None:
-        counted = self._record_arrival(edge)
-        self._stats[edge].inflight_arrival_sum += self.clock
+        st = self._stats[edge]
+        st.n_records += 1
+        st.inflight_arrival_sum += self.clock
         q = self.queues[edge]
-        q.append((self.clock, counted))
+        q.append(self.clock)
         if len(q) == 1 and self._endpoints[edge][1] not in self.blocked_nodes:
             self._start_service(edge)
 
@@ -375,8 +375,8 @@ class QueueNetwork:
 
     def _on_service_done(self, edge: int) -> None:
         q = self.queues[edge]
-        arrival_time, counted = q.popleft()
-        self._record_exit(edge, arrival_time, counted, self.clock)
+        arrival_time = q.popleft()
+        self._record_exit(edge, arrival_time, self.clock)
         self._stats[edge].inflight_arrival_sum -= arrival_time
         if q and self._endpoints[edge][1] not in self.blocked_nodes:
             self._start_service(edge)
@@ -392,20 +392,6 @@ class QueueNetwork:
             self.exits_total[next_edge] += 1
         else:
             self._enqueue(next_edge)
-
-
-def build_network(
-    config: TopologyConfig,
-    seed: int,
-    interarrival_noise: Optional[Callable[[float], float]] = None,
-    skip: int = 0,
-) -> QueueNetwork:
-    """Validate the config and return a fresh network at clock 0 with a
-    uniform transition map and the first external arrivals scheduled.
-
-    skip sets the window of edge_serviced_stats: per edge, the traversals at
-    arrival index skip or above."""
-    return QueueNetwork(config, seed, interarrival_noise, skip)
 
 
 def mm1_topology(arrival_rate: float, service_rate: float) -> TopologyConfig:

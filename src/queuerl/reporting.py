@@ -107,9 +107,9 @@ def write_plot_csvs(trace: TrainingTrace, image_dir, node: int | None = None) ->
     write_csv(out / "plot_critic_loss.csv", ["update_index", "critic_loss"],
               list(enumerate(trace.critic_losses)))
     write_csv(out / "plot_reward_model_loss.csv", ["fit_index", "reward_model_loss"],
-              list(enumerate(trace.reward_losses)))
+              [(i, row[3]) for i, row in enumerate(trace.step_losses)])
     write_csv(out / "plot_next_state_model_loss.csv", ["fit_index", "next_state_model_loss"],
-              list(enumerate(trace.next_state_losses)))
+              [(i, row[2]) for i, row in enumerate(trace.step_losses)])
 
 
 def write_tracker_csvs(tracker: StateTracker, out_dir) -> None:

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, NoArrivals
-from .netsim import QueueNetwork, TopologyConfig, build_network
+from .netsim import QueueNetwork, TopologyConfig
 
 R_FLOOR = 1e-3  # throughput-ratio clamp so the reward stays finite
 
@@ -38,8 +38,7 @@ class RlEnv:
         self.events_per_step = events_per_step
         self.reward_skip = reward_skip
         self.interarrival_noise = interarrival_noise
-        self.step_count = 0
-        self.net: QueueNetwork = build_network(config, seed, interarrival_noise, reward_skip)
+        self.net = QueueNetwork(config, seed, interarrival_noise, reward_skip)
 
         self.serviced_edges = self.net.serviced_edge_types
 
@@ -53,8 +52,7 @@ class RlEnv:
 
     def reset(self, seed: int) -> np.ndarray:
         """Rebuild the network from its config; returns the all-zero state."""
-        self.net = build_network(self.config, seed, self.interarrival_noise, self.reward_skip)
-        self.step_count = 0
+        self.net = QueueNetwork(self.config, seed, self.interarrival_noise, self.reward_skip)
         return self.get_state()
 
     def get_state(self) -> np.ndarray:
@@ -71,7 +69,6 @@ class RlEnv:
             )
         self.net.set_routing(action)
         self.net.simulate(self.events_per_step)
-        self.step_count += 1
         return self.get_state()
 
     def get_reward(self) -> float:

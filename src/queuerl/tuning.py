@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, fields, replace
 from typing import Union
 
-from .agent import INT_PARAM_FIELDS, AgentParams, make_agent
+from .agent import FLOAT_PARAM_FIELDS, INT_PARAM_FIELDS, AgentParams, make_agent
 from .errors import ConfigError
 from .evaluation import evaluate_policy
 from .exploration import train_with_blockage_exploration
@@ -53,6 +53,10 @@ class SearchSpace:
                 if not spec.choices:
                     raise ConfigError(f"{name}: empty choice list")
             elif isinstance(spec, RangeSpec):
+                if name not in INT_PARAM_FIELDS | FLOAT_PARAM_FIELDS:
+                    raise ConfigError(f"{name}: a range needs a numeric field")
+                if not math.isfinite(spec.high - spec.low):
+                    raise ConfigError(f"{name}: low, high and their distance must be finite")
                 if spec.scale not in ("linear", "log"):
                     raise ConfigError(f"{name}: scale must be linear or log")
                 if not spec.low < spec.high:

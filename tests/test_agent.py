@@ -347,7 +347,6 @@ def test_train_runs_updates_and_records_losses():
     # each updating step adds one real + planning_steps extra actor/critic entries
     assert len(trace.actor_losses) == n_updating_steps * 3
     assert len(trace.critic_losses) == n_updating_steps * 3
-    assert len(trace.next_state_losses) == n_updating_steps
     assert all(np.isfinite(v) for v in trace.actor_losses + trace.critic_losses)
     assert len(trace.flat_tmaps()) == 8
 

@@ -1,10 +1,15 @@
 import csv
 import json
+import random
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from queuerl.agent import AgentParams
 from queuerl.cli import main
 from queuerl.config import (
     network_config_to_dict,
@@ -12,9 +17,9 @@ from queuerl.config import (
     parse_network_config,
     write_network_config,
 )
-from queuerl.errors import ConfigError, ParseError
+from queuerl.errors import ConfigError, ParseError, QueueRlError
 from queuerl.netsim import figure_topology, mm1_topology
-from queuerl.tuning import RangeSpec
+from queuerl.tuning import RangeSpec, sample_params
 
 FIG_EDGES = [
     (0, 1, 1), (1, 2, 2), (1, 3, 3), (1, 4, 4), (2, 5, 5), (3, 6, 6), (3, 7, 7),
@@ -185,6 +190,50 @@ def test_parse_hyperparams_string_scientific_notation(tmp_path):
     assert params.learning_rate == 1e-4
 
 
+def test_parse_hyperparams_coerces_every_form_alike(tmp_path):
+    path = tmp_path / "p.yml"
+    path.write_text(yaml.safe_dump({
+        "hidden_sizes": {"choices": [[8.0, "4"], [16]]},
+        "batch_size": {"choices": ["8", 4.0]},
+        "tau": ["0.1", 1],
+    }))
+    _, space = parse_hyperparams(str(path))
+    assert space.specs["hidden_sizes"].choices == [(8, 4), (16,)]
+    assert space.specs["batch_size"].choices == [8, 4]
+    assert space.specs["tau"].choices == [0.1, 1.0]
+    path.write_text(yaml.safe_dump({"hidden_sizes": [[8], ["4"]]}))
+    assert parse_hyperparams(str(path))[1].specs["hidden_sizes"].choices == [(8,), (4,)]
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.just(10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4), st.sampled_from(["1e-3", "8", ".inf", "nan"]),
+)
+_VALUES = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=3),
+    st.fixed_dictionaries({"low": inner, "high": inner},
+                          optional={"scale": st.sampled_from(["linear", "log", "cubic"])}),
+    st.fixed_dictionaries({"choices": inner}),
+), max_leaves=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=st.sampled_from(sorted(f.name for f in fields(AgentParams)) + ["trials"]),
+       value=_VALUES, seed=st.integers(0, 2**32))
+def test_any_hyperparameter_value_raises_only_typed_errors(tmp_path_factory, key, value, seed):
+    # parsing, and sampling and validating any search space it returns, either
+    # succeed or raise a QueueRlError; any other exception escapes the CLI
+    path = tmp_path_factory.getbasetemp() / "fuzzed_params.yml"
+    path.write_text(yaml.safe_dump({key: value}))
+    try:
+        params, space = parse_hyperparams(str(path))
+        if space is not None:
+            sample_params(space, params, random.Random(seed)).validate()
+    except QueueRlError:
+        pass
+
+
 # -- CLI end-to-end ---------------------------------------------------------------------
 
 
@@ -249,6 +298,7 @@ def test_missing_config_file_exit_code(tmp_path, capsys):
 
 
 TRAIN = ("--function", "train")
+TUNE = ("--function", "tune")
 
 
 @pytest.mark.parametrize("network, params, cli_args, code, message", [
@@ -269,10 +319,15 @@ TRAIN = ("--function", "train")
     ({}, {"w1": float("inf")}, TRAIN, 2, "w1 must be finite"),
     ({}, {"w2": float("inf")}, TRAIN, 2, "w2 must be finite"),
     ({}, {"learning_rate": float("inf")}, TRAIN, 2, "learning_rate must be finite"),
+    ({}, {"hidden_sizes": [float("inf")]}, TRAIN, 2, "'hidden_sizes' must be an integer"),
+    ({}, {"hidden_sizes": [2.5]}, TRAIN, 2, "'hidden_sizes' must be an integer"),
+    ({}, {"batch_size": {"low": 1, "high": float("inf")}}, TUNE, 2, "must be finite"),
+    ({}, {"hidden_sizes": {"choices": [3]}}, TUNE, 3, "'hidden_sizes'"),
 ], ids=["nan_arrival_rate", "inf_arrival_rate", "inf_service_rate", "nan_service_rate",
         "trials_abc", "range_low_abc", "hidden_sizes_strings", "hidden_sizes_scalar",
         "choices_scalar", "zero_time_steps", "negative_seed", "inf_epsilon", "inf_w1",
-        "inf_w2", "inf_learning_rate"])
+        "inf_w2", "inf_learning_rate", "inf_hidden_size", "fractional_hidden_size",
+        "inf_range_high", "hidden_sizes_scalar_choice"])
 def test_malformed_numeric_input_exit_codes(tmp_path, capsys, network, params, cli_args,
                                             code, message):
     net = write_chain_config(tmp_path / "net.yml", **network)

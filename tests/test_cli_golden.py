@@ -14,8 +14,8 @@ from pathlib import Path
 import yaml
 
 from queuerl.cli import main
-
-from test_cli import write_fig_config
+from queuerl.config import write_network_config
+from queuerl.netsim import figure_topology
 
 PARAMS = {
     "hidden_sizes": [8, 8],
@@ -81,7 +81,8 @@ OUTPUT_SHA256 = {
 
 
 def _run_session(root: Path) -> None:
-    net = str(write_fig_config(root / "net.yml"))
+    net = str(root / "net.yml")
+    write_network_config(figure_topology(), net)
     par = root / "params.yml"
     par.write_text(yaml.safe_dump(PARAMS))
     common = ("--config_file", net, "--param_file", str(par))

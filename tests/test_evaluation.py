@@ -328,6 +328,15 @@ def test_robustness_distinct_seeds_report_shape():
     assert report.required_runs == required_runs(1.96, report.sigma, 0.1)
 
 
+def test_robustness_parallel_report_equals_serial():
+    cfg = figure_topology()
+    params = tiny_params(num_episodes=2, num_timesteps=2)
+    serial = robustness_evaluate(params, cfg, num_agents=3, time_steps=2, workers=1)
+    parallel = robustness_evaluate(params, cfg, num_agents=3, time_steps=2, workers=2)
+    assert parallel == serial
+    assert serial.sigma > 0.0
+
+
 def test_robustness_rejects_bad_arguments():
     cfg = mm1_topology(0.5, 1.0)
     with pytest.raises(ConfigError):

@@ -8,7 +8,6 @@ from queuerl.errors import ConfigError, DimensionMismatch, UnknownEdge, UnknownN
 from queuerl.netsim import (
     QueueNetwork,
     TopologyConfig,
-    build_network,
     feed_forward_topology,
     figure_topology,
     mm1_topology,
@@ -76,18 +75,18 @@ def test_figure_topology_matches_reference_edge_list():
     assert cfg.edge_list[1] == {2: 2, 3: 3, 4: 4}
     assert cfg.edge_list[9] == {10: 0}
     assert cfg.serviced_edges() == list(range(1, 13))
-    net = build_network(cfg, seed=0)
+    net = QueueNetwork(cfg, seed=0)
     assert net.transition_map[1] == {2: pytest.approx(1 / 3), 3: pytest.approx(1 / 3), 4: pytest.approx(1 / 3)}
 
 
 def test_mm1_topology_single_successor():
-    net = build_network(mm1_topology(0.5, 1.0), seed=0)
+    net = QueueNetwork(mm1_topology(0.5, 1.0), seed=0)
     assert net.transition_map == {0: {1: 1.0}, 1: {2: 1.0}}
     assert net.serviced_edge_types == [1]
 
 
 def test_set_routing_installs_a_fresh_map():
-    net = build_network(figure_topology(), seed=0)
+    net = QueueNetwork(figure_topology(), seed=0)
     uniform = net.transition_map
     weights = [0.0] * 12
     weights[net.serviced_edge_types.index(2)] = 1.0
@@ -159,7 +158,7 @@ def test_unreachable_exit_raises():
 @pytest.mark.parametrize("lam", [0.3, 0.5, 0.7])
 def test_mm1_sojourn_matches_theory(lam):
     mu = 1.0
-    net = build_network(mm1_topology(lam, mu), seed=123)
+    net = QueueNetwork(mm1_topology(lam, mu), seed=123)
     target = 50_000
     while sum(net.exits_total.values()) < target:
         net.simulate(20_000)
@@ -169,23 +168,23 @@ def test_mm1_sojourn_matches_theory(lam):
 
 
 def test_single_event_advances_clock_to_first_arrival():
-    net = build_network(mm1_topology(0.5, 1.0), seed=7)
+    net = QueueNetwork(mm1_topology(0.5, 1.0), seed=7)
     net.simulate(1)
     assert net.clock > 0
-    assert list(net.queues[1]) == [(net.clock, True)]
+    assert list(net.queues[1]) == [net.clock]
     assert sum(net.arrivals_total.values()) == 1
 
 
 def test_empirical_interarrival_and_service_means():
     lam, mu = 0.5, 1.0
-    net = build_network(mm1_topology(lam, mu), seed=11)
+    net = QueueNetwork(mm1_topology(lam, mu), seed=11)
     net.simulate(45_000)
     arrivals = sum(net.arrivals_total.values())
     assert arrivals >= 10_000
     assert net.clock / arrivals == pytest.approx(1 / lam, rel=0.03)
     # a saturated server (arrivals far faster than service) never idles, so
     # its completions come at the service rate
-    saturated = build_network(mm1_topology(4.0, mu), seed=11)
+    saturated = QueueNetwork(mm1_topology(4.0, mu), seed=11)
     saturated.simulate(80_000)
     exits = sum(saturated.exits_total.values())
     assert exits >= 10_000
@@ -194,18 +193,17 @@ def test_empirical_interarrival_and_service_means():
 
 def test_fifo_exit_order_per_edge():
     # jobs leave from the head of their queue, so sorted queues mean FIFO exits
-    net = build_network(figure_topology(), seed=3)
+    net = QueueNetwork(figure_topology(), seed=3)
     net.set_blockage(3)  # let queues build up behind node 3
     for _ in range(10):
         net.simulate(2_000)
         for q in net.queues.values():
-            times = [arrival for arrival, _ in q]
-            assert times == sorted(times)
+            assert list(q) == sorted(q)
     assert len(net.queues[3]) > 1
 
 
 def test_conservation_of_jobs():
-    net = build_network(figure_topology(), seed=5)
+    net = QueueNetwork(figure_topology(), seed=5)
     for _ in range(10):
         net.simulate(1_777)
         total_arrived = sum(net.arrivals_total.values())
@@ -217,8 +215,8 @@ def test_conservation_of_jobs():
 
 def test_determinism_same_seed_same_state():
     cfg = figure_topology()
-    a = build_network(cfg, seed=99)
-    b = build_network(cfg, seed=99)
+    a = QueueNetwork(cfg, seed=99)
+    b = QueueNetwork(cfg, seed=99)
     a.simulate(5_000)
     b.simulate(2_000)
     b.simulate(3_000)
@@ -266,13 +264,13 @@ def test_skip_window_matches_log_rescan(skip):
 
 
 def test_inject_record_unknown_edge():
-    net = build_network(mm1_topology(0.5, 1.0), seed=1)
+    net = QueueNetwork(mm1_topology(0.5, 1.0), seed=1)
     with pytest.raises(UnknownEdge):
         net.inject_record(42, arrival_time=1.0)
 
 
 def test_untraversed_edge_has_no_serviced_stats():
-    net = build_network(figure_topology(), seed=1)
+    net = QueueNetwork(figure_topology(), seed=1)
     assert net.edge_serviced_stats(12) == (0, 0.0)
 
 
@@ -280,7 +278,7 @@ def test_untraversed_edge_has_no_serviced_stats():
 
 
 def test_blockage_suspends_incoming_edge_service():
-    net = build_network(figure_topology(), seed=17)
+    net = QueueNetwork(figure_topology(), seed=17)
     net.set_blockage(3)
     net.simulate(10_000)
     # edge 3 feeds node 3: its jobs never finish service
@@ -297,25 +295,41 @@ def test_blockage_suspends_incoming_edge_service():
 
 
 def test_blockage_validation():
-    net = build_network(figure_topology(), seed=0)
+    net = QueueNetwork(figure_topology(), seed=0)
     with pytest.raises(UnknownNode):
         net.set_blockage(42)
     with pytest.raises(ConfigError):
         net.set_blockage(0)  # entry source
     with pytest.raises(ConfigError):
         net.set_blockage(10)  # exit sink
+    # a node no serviced edge enters is not blockable either, as the config says
+    chain = TopologyConfig(
+        num_nodes=5,
+        edge_list={0: {1: 1}, 1: {2: 2}, 2: {3: 0}},
+        entry_edges={1},
+        exit_edges={0},
+        arrival_rate=0.5,
+        service_rates={1: 1.0, 2: 1.0},
+    )
+    assert chain.blockable_nodes() == [1, 2]
+    net = QueueNetwork(chain, seed=0)
+    with pytest.raises(ConfigError):
+        net.set_blockage(4)
+    assert net.blocked_nodes == set()
+    net.set_blockage(1)
+    assert net.blocked_nodes == {1}
 
 
 def test_clear_blockage_is_noop_when_not_blocked():
-    net = build_network(figure_topology(), seed=0)
+    net = QueueNetwork(figure_topology(), seed=0)
     net.clear_blockage(3)
     assert net.blocked_nodes == set()
 
 
 def test_block_then_clear_before_simulating_is_identical():
     cfg = figure_topology()
-    plain = build_network(cfg, seed=31)
-    toggled = build_network(cfg, seed=31)
+    plain = QueueNetwork(cfg, seed=31)
+    toggled = QueueNetwork(cfg, seed=31)
     toggled.set_blockage(3)
     toggled.clear_blockage(3)
     plain.simulate(5_000)
@@ -324,7 +338,7 @@ def test_block_then_clear_before_simulating_is_identical():
 
 
 def test_clear_blockage_resumes_service():
-    net = build_network(figure_topology(), seed=13)
+    net = QueueNetwork(figure_topology(), seed=13)
     net.set_blockage(3)
     net.simulate(4_000)
     assert len(net.queues[3]) > 0
@@ -346,13 +360,13 @@ def test_feed_forward_topology_valid_and_runs(n):
     # edge count stays linear in the node count
     n_edges = sum(len(s) for s in cfg.edge_list.values())
     assert n_edges <= 3 * n
-    net = build_network(cfg, seed=2)
+    net = QueueNetwork(cfg, seed=2)
     net.simulate(3_000)
     assert sum(net.exits_total.values()) > 0
 
 
 def test_inject_record_updates_stats():
-    net = build_network(mm1_topology(0.5, 1.0), seed=0)
+    net = QueueNetwork(mm1_topology(0.5, 1.0), seed=0)
     net.inject_record(1, arrival_time=2.0, exit_time=5.0)
     net.inject_record(1, arrival_time=3.0)
     net.clock = 7.0

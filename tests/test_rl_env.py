@@ -260,7 +260,6 @@ def test_reset_returns_zero_state_and_replays():
     env.get_next_state(np.full(12, 0.5))
     state = env.reset(seed=9)
     assert np.all(state == 0.0)
-    assert env.step_count == 0
     first = env.get_next_state(np.full(12, 0.5))
     env.reset(seed=9)
     again = env.get_next_state(np.full(12, 0.5))
