@@ -23,7 +23,7 @@ import numpy as np
 from .buffer import Batch, ReplayBuffer
 from .errors import CheckpointError, ConfigError, DimensionMismatch, EmptyBuffer, InsufficientBuffer
 from .model import Adam, Mlp
-from .netsim import TopologyConfig
+from .netsim import RoutingLayout, TopologyConfig
 
 _PHI_CLIP = 30.0  # bound on predicted log-delays before expm1
 
@@ -96,7 +96,10 @@ class TrainingTrace:
 
     episode_rewards: list[list[float]] = field(default_factory=list)
     episode_modes: list[str] = field(default_factory=list)
-    episode_tmaps: list[list[dict[int, dict[int, float]]]] = field(default_factory=list)
+    # per episode, the routing weights installed at each step: (steps, action_dim)
+    episode_weights: list[np.ndarray] = field(default_factory=list)
+    # the layout that turned those weights into transition maps
+    routing: Optional[RoutingLayout] = None
     actor_losses: list[float] = field(default_factory=list)
     critic_losses: list[float] = field(default_factory=list)
     # one row per updating timestep: (actor, critic, next_state, reward)
@@ -106,7 +109,11 @@ class TrainingTrace:
         return [sum(r) / len(r) for r in self.episode_rewards]
 
     def flat_tmaps(self) -> list[dict[int, dict[int, float]]]:
-        return [tm for ep in self.episode_tmaps for tm in ep]
+        """The transition map installed at each step, over all episodes."""
+        if self.routing is None:
+            return []
+        probs = self.routing.probabilities(np.concatenate(self.episode_weights))
+        return [self.routing.transition_map(p) for p in probs]
 
 
 class DdpgAgent:
@@ -296,11 +303,11 @@ class DdpgAgent:
                 env.net.set_blockage(blocked_node)
 
             rewards: list[float] = []
-            tmaps: list[dict[int, dict[int, float]]] = []
-            for _ in range(p.num_timesteps):
+            weights = np.empty((p.num_timesteps, self.action_dim))
+            for t in range(p.num_timesteps):
                 action = self.explore_action(state, p.epsilon)
                 next_state = env.get_next_state(action)
-                tmaps.append(env.net.transition_map)
+                weights[t] = action
                 reward = env.get_reward()
                 rewards.append(reward)
                 self.buffer.push(state, action, reward, next_state)
@@ -325,7 +332,8 @@ class DdpgAgent:
 
             trace.episode_rewards.append(rewards)
             trace.episode_modes.append("normal" if mode is None else str(mode))
-            trace.episode_tmaps.append(tmaps)
+            trace.episode_weights.append(weights)
+            trace.routing = env.net.routing_layout
         return trace
 
 

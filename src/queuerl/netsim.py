@@ -4,8 +4,21 @@ Every directed edge carries a unique integer type id. Serviced edges hold a
 FIFO queue with a single exponential server; exit edges absorb jobs from the
 network instantly. External arrivals form Poisson streams into the entry
 edges. Routing is one weight per serviced edge; set_routing normalises the
-weights per node into the transition map, and a job leaving an edge samples
-its successor from that map.
+weights per node, and a job leaving an edge samples its successor from them.
+
+QueueNetwork.simulate is one loop over the event calendar. It pops an event
+and drops a service completion that a blockage cancelled. An external
+arrival joins its edge's queue and schedules the next arrival. A completion
+records the job's exit from its edge, starts the next job there, draws the
+job's successor and enqueues it (or counts its exit from the network). All
+random numbers come from one random.Random, drawn in this order, which the
+golden tests pin:
+
+- arrival: the service time, when the job finds its edge idle and
+  unblocked; then the gap to the next arrival;
+- completion: the service time of the next job on the edge, when one waits
+  and the edge is unblocked; then the routing uniform; then the service time
+  downstream, when the job finds that edge idle and unblocked.
 
 The simulator keeps no per-job log. A queue holds only the arrival times of
 the jobs on its edge, and each serviced edge keeps running aggregates of its
@@ -23,8 +36,9 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, UnknownEdge, UnknownNode
 
@@ -147,21 +161,64 @@ def validate_config(config: TopologyConfig) -> None:
         raise ConfigError("no directed path from an entry source to any exit edge")
 
 
-@dataclass
-class _EdgeStats:
-    """Running aggregates over every traversal of one serviced edge.
+class RoutingLayout:
+    """Where each node's routing weights sit, built once per topology.
 
-    counted_delay_sum adds the delays of the exits after the network's first
-    skip, in exit order; on a FIFO edge those are the traversals at arrival
-    index skip or above, in arrival order. It is its own running sum, not
-    the total minus a prefix, which would round differently.
+    Nodes come in edge_list order, each with its successors ascending and
+    the edges to them. slots is a (nodes x largest out-degree) matrix of
+    positions in a weight vector extended by one 0.0 entry; exit edges, and
+    the padding of nodes with fewer successors, point at that entry.
     """
 
-    n_records: int = 0
-    n_exited: int = 0
-    exited_delay_sum: float = 0.0
-    inflight_arrival_sum: float = 0.0
-    counted_delay_sum: float = 0.0
+    def __init__(self, config: TopologyConfig):
+        serviced = config.serviced_edges()
+        position = {e: i for i, e in enumerate(serviced)}
+        zero = len(serviced)
+        self.nodes = list(config.edge_list)
+        self.successors = [sorted(config.edge_list[node]) for node in self.nodes]
+        self.edges = [
+            [config.edge_list[node][succ] for succ in succs]
+            for node, succs in zip(self.nodes, self.successors)
+        ]
+        self.degree = np.array([len(succs) for succs in self.successors])
+        width = max(1, int(self.degree.max()))
+        self.slots = np.full((len(self.nodes), width), zero)
+        for row, edges in enumerate(self.edges):
+            self.slots[row, : len(edges)] = [position.get(e, zero) for e in edges]
+        real = np.arange(width) < self.degree[:, None]
+        self._uniform = np.where(real, 1.0 / np.maximum(self.degree, 1)[:, None], 0.0)
+
+    def probabilities(self, weights: np.ndarray) -> np.ndarray:
+        """Routing probabilities (..., nodes, width) from weights (...,
+        serviced edges), 0.0 in the padding.
+
+        At each node the weights are summed in ascending-successor order and
+        each is divided by the sum, the same float operations in the same
+        order as a scalar loop; a sum below UNIFORM_FALLBACK_EPS routes
+        uniformly, and a sum that is not finite raises ConfigError.
+        """
+        zero = np.zeros(weights.shape[:-1] + (1,))
+        w = np.concatenate([weights, zero], axis=-1)[..., self.slots]
+        total = w[..., 0]
+        for k in range(1, w.shape[-1]):
+            total = total + w[..., k]
+        finite = np.isfinite(total)
+        if not finite.all():
+            first = tuple(np.argwhere(~finite)[0])
+            raise ConfigError(
+                f"routing weights at node {self.nodes[first[-1]]} sum to {float(total[first])}"
+            )
+        uniform = total < UNIFORM_FALLBACK_EPS
+        probs = w / np.where(uniform, 1.0, total)[..., None]
+        return np.where(uniform[..., None], self._uniform, probs)
+
+    def transition_map(self, probs: np.ndarray) -> dict[int, dict[int, float]]:
+        """node -> {successor: probability} from one (nodes, width) slice of
+        probabilities."""
+        return {
+            node: dict(zip(succs, row))
+            for node, succs, row in zip(self.nodes, self.successors, probs.tolist())
+        }
 
 
 class QueueNetwork:
@@ -169,7 +226,8 @@ class QueueNetwork:
     the first external arrivals scheduled. The config is validated first.
 
     skip sets the window of edge_serviced_stats: per edge, the traversals at
-    arrival index skip or above.
+    arrival index skip or above. events counts the calendar events simulate
+    processed and cancelled the service completions a blockage cancelled.
     """
 
     def __init__(
@@ -186,50 +244,63 @@ class QueueNetwork:
         self.skip = skip
 
         self.clock = 0.0
+        self.events = 0
+        self.cancelled = 0
         self._heap: list[tuple[float, int, int, int, int]] = []
         self._seq = 0
 
-        self._endpoints = config.edge_endpoints()
-        self._serviced = config.serviced_edges()
+        # Per-edge tables are lists indexed by an edge's position: serviced
+        # edges ascending, then exit edges ascending. Calendar events carry
+        # that position.
+        serviced = config.serviced_edges()
+        n = len(serviced)
+        self._serviced = serviced
+        self._edge_types = serviced + sorted(config.exit_edges)
+        position = {e: i for i, e in enumerate(self._edge_types)}
+        self._index = {e: i for i, e in enumerate(serviced)}
         # each queued job is its arrival time
-        self.queues: dict[int, deque[float]] = {e: deque() for e in self._serviced}
+        self._queues: list[deque[float]] = [deque() for _ in serviced]
+        self.queues: dict[int, deque[float]] = dict(zip(serviced, self._queues))
         self.arrivals_total: dict[int, int] = {e: 0 for e in sorted(config.entry_edges)}
         self.exits_total: dict[int, int] = {e: 0 for e in sorted(config.exit_edges)}
-        self.blocked_nodes: set[int] = set()
-        self._edge_epoch: dict[int, int] = {e: 0 for e in self._serviced}
-        self._stats: dict[int, _EdgeStats] = {e: _EdgeStats() for e in self._serviced}
+        self._rates = [config.service_rates[e] for e in serviced]
+        self._epoch = [0] * n
+        self._halted = [False] * n  # the edge's target node is blocked
+        # traversal aggregates
+        self._n_records = [0] * n
+        self._n_exited = [0] * n
+        self._exited_sum = [0.0] * n
+        self._inflight_sum = [0.0] * n
+        self._counted_sum = [0.0] * n
+        # whether the skip rule in _count_exit already holds for the edge
+        self._counting = [False] * n
 
         # blockage lookups: the nodes that can be blocked, and the serviced
         # edges into each node, ascending
+        endpoints = config.edge_endpoints()
+        self.blocked_nodes: set[int] = set()
         self._blockable = set(config.blockable_nodes())
         self._incoming: dict[int, list[int]] = {}
-        for e in self._serviced:
-            self._incoming.setdefault(self._endpoints[e][1], []).append(e)
+        for i, e in enumerate(serviced):
+            self._incoming.setdefault(endpoints[e][1], []).append(i)
 
-        # routing tables: per node, its successors ascending, their edges, and
-        # each edge's position in a routing vector (None for an exit edge)
-        position = {e: i for i, e in enumerate(self._serviced)}
-        self._routes: list[tuple[int, list[int], list[int], list[Optional[int]]]] = []
-        for node, succs in config.edge_list.items():
-            ordered = sorted(succs)
-            edges = [succs[succ] for succ in ordered]
-            self._routes.append((node, ordered, edges, [position.get(e) for e in edges]))
-        self.set_routing([0.0] * len(self._serviced))
+        # routing: per layout row the positions of its successor edges, and
+        # per serviced edge the row of its target node
+        self.routing_layout = RoutingLayout(config)
+        layout = self.routing_layout
+        rows = {node: r for r, node in enumerate(layout.nodes)}
+        self._next_edges = [[position[e] for e in edges] for edges in layout.edges]
+        self._target_row = [rows[endpoints[e][1]] for e in serviced]
+        routed = np.flatnonzero(layout.degree)
+        self._last = (routed, layout.degree[routed] - 1)
+        self.set_routing(np.zeros(n))
 
         for etype in sorted(config.entry_edges):
-            self._schedule_external_arrival(etype)
-
-    # -- construction helpers -------------------------------------------------
-
-    def _push(self, time: float, kind: int, edge: int, epoch: int) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (time, self._seq, kind, edge, epoch))
-
-    def _schedule_external_arrival(self, edge: int) -> None:
-        gap = self.rng.expovariate(self.config.arrival_rate)
-        if self.interarrival_noise is not None:
-            gap = self.interarrival_noise(gap)
-        self._push(self.clock + gap, _ARRIVAL, edge, 0)
+            gap = self.rng.expovariate(config.arrival_rate)
+            if interarrival_noise is not None:
+                gap = interarrival_noise(gap)
+            self._seq += 1
+            heapq.heappush(self._heap, (gap, self._seq, _ARRIVAL, position[etype], 0))
 
     # -- public surface --------------------------------------------------------
 
@@ -241,50 +312,111 @@ class QueueNetwork:
         """Install routing from one weight per serviced edge, in
         serviced_edge_types order; exit edges weigh 0.
 
-        At each node the weights of its outgoing edges are summed in
-        ascending-successor order and each is divided by the sum; a sum below
-        UNIFORM_FALLBACK_EPS routes uniformly, and a sum that is not finite
-        raises ConfigError. transition_map becomes a fresh dict on every call,
-        so a map read earlier is never changed.
+        RoutingLayout.probabilities normalises the weights per node; a sum
+        that is not finite raises ConfigError and leaves the installed
+        routing in place.
         """
-        weights = [float(w) for w in weights]
-        if len(weights) != len(self._serviced):
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != (len(self._serviced),):
             raise DimensionMismatch(
-                f"routing has {len(weights)} weights, expected {len(self._serviced)}"
+                f"routing has weights of shape {weights.shape}, expected ({len(self._serviced)},)"
             )
-        tmap: dict[int, dict[int, float]] = {}
-        tables: dict[int, list[tuple[float, int]]] = {}
-        for node, succs, edges, positions in self._routes:
-            row = [0.0 if i is None else weights[i] for i in positions]
-            total = sum(row)
-            if not math.isfinite(total):
-                raise ConfigError(f"routing weights at node {node} sum to {total}")
-            if total < UNIFORM_FALLBACK_EPS:
-                probs = [1.0 / len(row) for _ in row]
-            else:
-                probs = [w / total for w in row]
-            tmap[node] = dict(zip(succs, probs))
-            tables[node] = list(zip(accumulate(probs), edges))
-        self.transition_map = tmap
-        self._routing = tables
+        probs = self.routing_layout.probabilities(weights)
+        # a job leaving for a node takes the first successor whose cumulative
+        # probability exceeds its uniform draw, else the last one; an infinite
+        # last entry makes that fallback part of the scan
+        cumulative = np.cumsum(probs, axis=1)
+        cumulative[self._last] = math.inf
+        self._cumulative = cumulative.tolist()
+        self._probs = probs
+        self._map: Optional[dict[int, dict[int, float]]] = None
+
+    @property
+    def transition_map(self) -> dict[int, dict[int, float]]:
+        """node -> {successor: probability} under the installed routing.
+
+        Built on the first read after each set_routing, as a fresh dict that
+        is never changed afterwards.
+        """
+        if self._map is None:
+            self._map = self.routing_layout.transition_map(self._probs)
+        return self._map
 
     def simulate(self, num_events: int) -> None:
-        """Process num_events calendar events in time order."""
+        """Process num_events calendar events in time order, as the module
+        docstring describes."""
         if num_events < 1:
             raise ValueError("num_events must be >= 1")
+        heap, pop, push = self._heap, heapq.heappop, heapq.heappush
+        expovariate, uniform = self.rng.expovariate, self.rng.random
+        noise, arrival_rate = self.interarrival_noise, self.config.arrival_rate
+        queues, rates, epochs, halted = self._queues, self._rates, self._epoch, self._halted
+        n_records, n_exited = self._n_records, self._n_exited
+        exited_sum, inflight_sum, counted_sum = (
+            self._exited_sum, self._inflight_sum, self._counted_sum)
+        counting, count_exit = self._counting, self._count_exit
+        target_row, cumulative, next_edges = (
+            self._target_row, self._cumulative, self._next_edges)
+        edge_types, n_serviced = self._edge_types, len(queues)
+        arrivals_total, exits_total = self.arrivals_total, self.exits_total
+        clock, seq, cancelled = self.clock, self._seq, self.cancelled
         processed = 0
-        while processed < num_events:
-            if not self._heap:
-                raise RuntimeError("event calendar empty; network has no arrival stream")
-            time, _, kind, edge, epoch = heapq.heappop(self._heap)
-            if kind == _SERVICE and epoch != self._edge_epoch[edge]:
-                continue  # cancelled by a blockage
-            self.clock = time
-            if kind == _ARRIVAL:
-                self._on_external_arrival(edge)
-            else:
-                self._on_service_done(edge)
-            processed += 1
+        try:
+            while processed < num_events:
+                if not heap:
+                    raise RuntimeError("event calendar empty; network has no arrival stream")
+                time, _, kind, i, epoch = pop(heap)
+                if kind == _SERVICE:
+                    if epoch != epochs[i]:
+                        cancelled += 1  # a blockage cancelled this completion
+                        continue
+                    processed += 1
+                    clock = time
+                    q = queues[i]
+                    arrival = q.popleft()
+                    delay = clock - arrival
+                    n_exited[i] += 1
+                    exited_sum[i] += delay
+                    if counting[i]:
+                        counted_sum[i] += delay
+                    else:
+                        count_exit(i, delay)
+                    inflight_sum[i] -= arrival
+                    if q and not halted[i]:
+                        seq += 1
+                        push(heap, (clock + expovariate(rates[i]), seq, _SERVICE, i, epochs[i]))
+                    u = uniform()
+                    row = target_row[i]
+                    cum = cumulative[row]
+                    k = 0
+                    while not u < cum[k]:
+                        k += 1
+                    j = next_edges[row][k]
+                    if j >= n_serviced:
+                        exits_total[edge_types[j]] += 1
+                        continue
+                else:
+                    processed += 1
+                    clock = time
+                    arrivals_total[edge_types[i]] += 1
+                    j = i
+                # the job joins edge j
+                n_records[j] += 1
+                inflight_sum[j] += clock
+                q = queues[j]
+                q.append(clock)
+                if len(q) == 1 and not halted[j]:
+                    seq += 1
+                    push(heap, (clock + expovariate(rates[j]), seq, _SERVICE, j, epochs[j]))
+                if kind == _ARRIVAL:
+                    gap = expovariate(arrival_rate)
+                    if noise is not None:
+                        gap = noise(gap)
+                    seq += 1
+                    push(heap, (clock + gap, seq, _ARRIVAL, i, 0))
+        finally:
+            self.clock, self._seq, self.cancelled = clock, seq, cancelled
+            self.events += processed
 
     def set_blockage(self, node: int) -> None:
         """Render a node's server non-functional: its incoming serviced edges
@@ -293,8 +425,9 @@ class QueueNetwork:
         if node in self.blocked_nodes:
             return
         self.blocked_nodes.add(node)
-        for edge in self._incoming.get(node, ()):
-            self._edge_epoch[edge] += 1  # cancels pending completions
+        for i in self._incoming.get(node, ()):
+            self._halted[i] = True
+            self._epoch[i] += 1  # cancels pending completions
 
     def clear_blockage(self, node: int) -> None:
         """Undo set_blockage; restarts service at the head of affected queues."""
@@ -302,9 +435,13 @@ class QueueNetwork:
         if node not in self.blocked_nodes:
             return
         self.blocked_nodes.remove(node)
-        for edge in self._incoming.get(node, ()):
-            if self.queues[edge]:
-                self._start_service(edge)
+        for i in self._incoming.get(node, ()):
+            self._halted[i] = False
+            if self._queues[i]:
+                self._seq += 1
+                duration = self.rng.expovariate(self._rates[i])
+                heapq.heappush(
+                    self._heap, (self.clock + duration, self._seq, _SERVICE, i, self._epoch[i]))
 
     def _check_blockable(self, node: int) -> None:
         if not 0 <= node < self.config.num_nodes:
@@ -315,18 +452,19 @@ class QueueNetwork:
     def edge_mean_delay(self, edge_type: int) -> float:
         """Mean end-to-end delay over all traversals of an edge, with the
         current clock standing in for unfinished ones. 0.0 for untouched edges."""
-        st = self._stats[edge_type]
-        if st.n_records == 0:
+        i = self._index[edge_type]
+        n = self._n_records[i]
+        if n == 0:
             return 0.0
-        inflight = st.n_records - st.n_exited
-        total = st.exited_delay_sum + inflight * self.clock - st.inflight_arrival_sum
-        return total / st.n_records
+        inflight = n - self._n_exited[i]
+        total = self._exited_sum[i] + inflight * self.clock - self._inflight_sum[i]
+        return total / n
 
     def edge_serviced_stats(self, edge_type: int) -> tuple[int, float]:
         """(count, delay sum) over the exited traversals of an edge whose
         arrival index is at least the network's skip."""
-        st = self._stats[edge_type]
-        return max(0, st.n_exited - self.skip), st.counted_delay_sum
+        i = self._index[edge_type]
+        return max(0, self._n_exited[i] - self.skip), self._counted_sum[i]
 
     def inject_record(self, edge_type: int, arrival_time: float, exit_time: float = 0.0) -> None:
         """Add one synthetic traversal of a serviced edge to its aggregates.
@@ -337,61 +475,26 @@ class QueueNetwork:
         one never exits. For hand-built scenarios; does not touch queues or
         the event calendar.
         """
-        if edge_type not in self._stats:
+        i = self._index.get(edge_type)
+        if i is None:
             raise UnknownEdge(f"edge type {edge_type} is not a serviced edge of the network")
-        self._stats[edge_type].n_records += 1
+        self._n_records[i] += 1
         if exit_time > 0.0:
-            self._record_exit(edge_type, arrival_time, exit_time)
+            delay = exit_time - arrival_time
+            self._n_exited[i] += 1
+            self._exited_sum[i] += delay
+            self._count_exit(i, delay)
         else:
-            self._stats[edge_type].inflight_arrival_sum += arrival_time
+            self._inflight_sum[i] += arrival_time
 
-    def _record_exit(self, edge: int, arrival_time: float, exit_time: float) -> None:
-        st = self._stats[edge]
-        delay = exit_time - arrival_time
-        if st.n_exited >= self.skip:
-            st.counted_delay_sum += delay
-        st.n_exited += 1
-        st.exited_delay_sum += delay
-
-    # -- event handlers --------------------------------------------------------
-
-    def _on_external_arrival(self, edge: int) -> None:
-        self.arrivals_total[edge] += 1
-        self._enqueue(edge)
-        self._schedule_external_arrival(edge)
-
-    def _enqueue(self, edge: int) -> None:
-        st = self._stats[edge]
-        st.n_records += 1
-        st.inflight_arrival_sum += self.clock
-        q = self.queues[edge]
-        q.append(self.clock)
-        if len(q) == 1 and self._endpoints[edge][1] not in self.blocked_nodes:
-            self._start_service(edge)
-
-    def _start_service(self, edge: int) -> None:
-        duration = self.rng.expovariate(self.config.service_rates[edge])
-        self._push(self.clock + duration, _SERVICE, edge, self._edge_epoch[edge])
-
-    def _on_service_done(self, edge: int) -> None:
-        q = self.queues[edge]
-        arrival_time = q.popleft()
-        self._record_exit(edge, arrival_time, self.clock)
-        self._stats[edge].inflight_arrival_sum -= arrival_time
-        if q and self._endpoints[edge][1] not in self.blocked_nodes:
-            self._start_service(edge)
-        self._route_onward(self._endpoints[edge][1])
-
-    def _route_onward(self, node: int) -> None:
-        # the first edge whose cumulative probability exceeds u, else the last
-        u = self.rng.random()
-        for cumulative, next_edge in self._routing[node]:
-            if u < cumulative:
-                break
-        if next_edge in self.exits_total:
-            self.exits_total[next_edge] += 1
-        else:
-            self._enqueue(next_edge)
+    def _count_exit(self, i: int, delay: float) -> None:
+        """The skip rule, for an exit of the edge at position i that
+        _n_exited already includes: its delay joins the counted sum when at
+        least skip exits came before it. Once the rule holds for an edge,
+        simulate adds the delays of its later exits itself."""
+        if self._n_exited[i] > self.skip:
+            self._counted_sum[i] += delay
+            self._counting[i] = True
 
 
 def mm1_topology(arrival_rate: float, service_rate: float) -> TopologyConfig:

@@ -1,11 +1,16 @@
+import heapq
 import math
+import random
 from collections import deque
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
 from queuerl.errors import ConfigError, DimensionMismatch, UnknownEdge, UnknownNode
+from queuerl.evaluation import NoiseConfig, make_noise_hook
 from queuerl.netsim import (
+    UNIFORM_FALLBACK_EPS,
     QueueNetwork,
     TopologyConfig,
     feed_forward_topology,
@@ -16,24 +21,151 @@ from queuerl.netsim import (
 from queuerl.rl_env import R_FLOOR, RlEnv
 
 
-class RecordingNetwork(QueueNetwork):
-    """Oracle network: also logs every traversal of a serviced edge as
-    [arrival time, exit time], the exit time None while the job is on the edge."""
+class ReferenceNetwork:
+    """Oracle simulator: a straight-line copy of the per-event handlers that
+    QueueNetwork.simulate replaced, drawing the same random numbers in the
+    same order. It also logs every traversal of a serviced edge as
+    [arrival time, exit time], the exit time None while the job is on the
+    edge. It checks no argument."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, config, seed, interarrival_noise=None, skip=0):
+        self.config = config
+        self.rng = random.Random(seed)
+        self.interarrival_noise = interarrival_noise
+        self.skip = skip
+        self.clock = 0.0
+        self.events = 0
+        self.cancelled = 0
+        self._heap = []
+        self._seq = 0
+        self._endpoints = config.edge_endpoints()
+        self.serviced_edge_types = config.serviced_edges()
+        self.queues = {e: deque() for e in self.serviced_edge_types}
+        self.arrivals_total = {e: 0 for e in sorted(config.entry_edges)}
+        self.exits_total = {e: 0 for e in sorted(config.exit_edges)}
+        self.blocked_nodes = set()
+        self._edge_epoch = {e: 0 for e in self.serviced_edge_types}
+        # per edge: records, exits, exited delay sum, in-flight arrival sum,
+        # counted delay sum
+        self._stats = {e: [0, 0, 0.0, 0.0, 0.0] for e in self.serviced_edge_types}
         self.log = {e: [] for e in self.serviced_edge_types}
         self._on_edge = {e: deque() for e in self.serviced_edge_types}
+        self.set_routing([0.0] * len(self.serviced_edge_types))
+        for etype in sorted(config.entry_edges):
+            self._schedule_external_arrival(etype)
+
+    def _push(self, time, kind, edge, epoch):
+        self._seq += 1
+        heapq.heappush(self._heap, (time, self._seq, kind, edge, epoch))
+
+    def _schedule_external_arrival(self, edge):
+        gap = self.rng.expovariate(self.config.arrival_rate)
+        if self.interarrival_noise is not None:
+            gap = self.interarrival_noise(gap)
+        self._push(self.clock + gap, "arrival", edge, 0)
+
+    def set_routing(self, weights):
+        weights = [float(w) for w in weights]
+        position = {e: i for i, e in enumerate(self.serviced_edge_types)}
+        tmap, tables = {}, {}
+        for node, succs in self.config.edge_list.items():
+            ordered = sorted(succs)
+            edges = [succs[s] for s in ordered]
+            row = [weights[position[e]] if e in position else 0.0 for e in edges]
+            total = sum(row)
+            if not math.isfinite(total):
+                raise ConfigError(f"routing weights at node {node} sum to {total}")
+            if total < UNIFORM_FALLBACK_EPS:
+                probs = [1.0 / len(row) for _ in row]
+            else:
+                probs = [w / total for w in row]
+            tmap[node] = dict(zip(ordered, probs))
+            tables[node] = list(zip(accumulate(probs), edges))
+        self.transition_map = tmap
+        self._routing = tables
+
+    def simulate(self, num_events):
+        processed = 0
+        while processed < num_events:
+            time, _, kind, edge, epoch = heapq.heappop(self._heap)
+            if kind == "service" and epoch != self._edge_epoch[edge]:
+                self.cancelled += 1
+                continue
+            self.clock = time
+            if kind == "arrival":
+                self.arrivals_total[edge] += 1
+                self._enqueue(edge)
+                self._schedule_external_arrival(edge)
+            else:
+                self._on_service_done(edge)
+            processed += 1
+        self.events += processed
+
+    def set_blockage(self, node):
+        if node in self.blocked_nodes:
+            return
+        self.blocked_nodes.add(node)
+        for edge in self.serviced_edge_types:
+            if self._endpoints[edge][1] == node:
+                self._edge_epoch[edge] += 1
+
+    def clear_blockage(self, node):
+        if node not in self.blocked_nodes:
+            return
+        self.blocked_nodes.remove(node)
+        for edge in self.serviced_edge_types:
+            if self._endpoints[edge][1] == node and self.queues[edge]:
+                self._start_service(edge)
+
+    def edge_mean_delay(self, edge):
+        n_records, n_exited, exited_sum, inflight_sum, _ = self._stats[edge]
+        if n_records == 0:
+            return 0.0
+        total = exited_sum + (n_records - n_exited) * self.clock - inflight_sum
+        return total / n_records
+
+    def edge_serviced_stats(self, edge):
+        st = self._stats[edge]
+        return max(0, st[1] - self.skip), st[4]
 
     def _enqueue(self, edge):
         rec = [self.clock, None]
         self.log[edge].append(rec)
         self._on_edge[edge].append(rec)
-        super()._enqueue(edge)
+        st = self._stats[edge]
+        st[0] += 1
+        st[3] += self.clock
+        q = self.queues[edge]
+        q.append(self.clock)
+        if len(q) == 1 and self._endpoints[edge][1] not in self.blocked_nodes:
+            self._start_service(edge)
+
+    def _start_service(self, edge):
+        duration = self.rng.expovariate(self.config.service_rates[edge])
+        self._push(self.clock + duration, "service", edge, self._edge_epoch[edge])
 
     def _on_service_done(self, edge):
         self._on_edge[edge].popleft()[1] = self.clock
-        super()._on_service_done(edge)
+        q = self.queues[edge]
+        arrival_time = q.popleft()
+        st = self._stats[edge]
+        delay = self.clock - arrival_time
+        if st[1] >= self.skip:
+            st[4] += delay
+        st[1] += 1
+        st[2] += delay
+        st[3] -= arrival_time
+        if q and self._endpoints[edge][1] not in self.blocked_nodes:
+            self._start_service(edge)
+        node = self._endpoints[edge][1]
+        u = self.rng.random()
+        for cumulative, next_edge in self._routing[node]:
+            if u < cumulative:
+                break
+        if next_edge in self.exits_total:
+            self.exits_total[next_edge] += 1
+        else:
+            self._enqueue(next_edge)
 
 
 def mean_delay_oracle(net, edge):
@@ -59,10 +191,13 @@ def snapshot(net):
     """Everything observable about a network, for exact comparisons."""
     return (
         net.clock,
+        net.events,
+        net.cancelled,
         dict(net.arrivals_total),
         dict(net.exits_total),
         {e: (net.edge_mean_delay(e), net.edge_serviced_stats(e)) for e in net.serviced_edge_types},
         {e: list(q) for e, q in net.queues.items()},
+        net.transition_map,
     )
 
 
@@ -224,40 +359,103 @@ def test_determinism_same_seed_same_state():
 
 
 def test_mean_delay_accumulators_match_log_scan():
-    net = RecordingNetwork(figure_topology(), seed=21)
+    net = QueueNetwork(figure_topology(), seed=21)
+    ref = ReferenceNetwork(figure_topology(), seed=21)
     net.simulate(8_000)
+    ref.simulate(8_000)
     for edge in net.serviced_edge_types:
         assert net.edge_mean_delay(edge) == pytest.approx(
-            mean_delay_oracle(net, edge), rel=1e-12, abs=1e-12
+            mean_delay_oracle(ref, edge), rel=1e-12, abs=1e-12
         )
-        assert net.edge_serviced_stats(edge) == serviced_oracle(net, edge, 0)
+        assert net.edge_serviced_stats(edge) == serviced_oracle(ref, edge, 0)
 
 
 @pytest.mark.parametrize("skip", [0, 1, 3, 10])
 def test_skip_window_matches_log_rescan(skip):
     cfg = figure_topology()
     env = RlEnv(cfg, seed=skip + 40, events_per_step=100, reward_skip=skip)
-    env.net = net = RecordingNetwork(cfg, skip + 40, None, skip)
+    net = env.net
+    ref = ReferenceNetwork(cfg, skip + 40, None, skip)
     nodes = cfg.blockable_nodes()
     action = np.linspace(0.1, 0.9, env.action_dim)
     blocked = None
     for step in range(60):
         if step % 10 == 0:  # move the blockage to the next node
-            if blocked is not None:
-                net.clear_blockage(blocked)
+            for n in (net, ref):
+                if blocked is not None:
+                    n.clear_blockage(blocked)
+                n.set_blockage(nodes[(step // 10 + 2) % len(nodes)])
             blocked = nodes[(step // 10 + 2) % len(nodes)]
-            net.set_blockage(blocked)
         env.get_next_state(action)
+        ref.set_routing(action)
+        ref.simulate(100)
         means = []
         for edge in net.serviced_edge_types:
-            count, delay_sum = serviced_oracle(net, edge, skip)
+            count, delay_sum = serviced_oracle(ref, edge, skip)
             assert net.edge_serviced_stats(edge) == (count, delay_sum)
             if count > 0:
                 means.append(delay_sum / count)
         ratio = max(sum(net.exits_total.values()) / sum(net.arrivals_total.values()), R_FLOOR)
         expected = -(sum(means) / len(means) if means else 0.0) / ratio
         assert env.get_reward() == expected
-    assert any(len(net.log[e]) > skip for e in net.serviced_edge_types)
+    assert any(len(ref.log[e]) > skip for e in net.serviced_edge_types)
+
+
+def snapshots(make, cfg, seed, skip, events):
+    """A network's snapshot after each step of a 60-step run: seeded
+    routing weights (every seventh step all zero), interarrival noise, a
+    blockage moved every 10 steps, and a rebuild with a new seed at step 35."""
+    actions = np.random.default_rng(seed).random((60, len(cfg.serviced_edges())))
+    actions[::7] = 0.0
+    nodes = cfg.blockable_nodes()
+    noise = NoiseConfig(mean=0.0, variance=0.5, frequency=0.5)
+    net = make(cfg, seed, make_noise_hook(noise, seed), skip)
+    blocked = None
+    for step, action in enumerate(actions):
+        if step == 35:
+            net = make(cfg, seed + 1, make_noise_hook(noise, seed + 1), skip)
+            blocked = None
+        if step % 10 == 0:
+            if blocked is not None:
+                net.clear_blockage(blocked)
+            blocked = nodes[(step // 10 + skip) % len(nodes)]
+            net.set_blockage(blocked)
+        net.set_routing(action)
+        net.simulate(events)
+        yield snapshot(net)
+
+
+@pytest.mark.parametrize("skip", [0, 1, 3, 10])
+@pytest.mark.parametrize("topology", ["figure", "feed_forward_30"])
+def test_kernel_matches_reference_network(topology, skip):
+    cfg = figure_topology() if topology == "figure" else feed_forward_topology(30)
+    fast = snapshots(QueueNetwork, cfg, 60 + skip, skip, 150)
+    reference = snapshots(ReferenceNetwork, cfg, 60 + skip, skip, 150)
+    for step, (a, b) in enumerate(zip(fast, reference)):
+        assert a == b, f"step {step}"
+    assert step == 59
+
+
+def test_event_counter_sums_simulated_events():
+    net = QueueNetwork(figure_topology(), seed=4)
+    for n in (1, 250, 4_000):
+        net.simulate(n)
+    assert net.events == 4_251
+    assert net.cancelled == 0
+
+
+def test_blockage_cancels_one_completion_per_busy_edge():
+    # node 9 merges edges 9-12; run until at least two of them are busy
+    net = QueueNetwork(figure_topology(arrival_rate=1.5), seed=8)
+    busy = []
+    while len(busy) < 2:
+        net.simulate(50)
+        busy = [e for e in (9, 10, 11, 12) if net.queues[e]]
+    events = net.events
+    net.set_blockage(9)
+    net.simulate(3_000)
+    assert net.cancelled == len(busy)
+    assert net.events == events + 3_000
 
 
 # -- serviced stats ----------------------------------------------------------------
