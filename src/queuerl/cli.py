@@ -119,8 +119,9 @@ def _run_evaluate(cfg: argparse.Namespace, env_config, params) -> int:
                                    cfg.consecutive_points)
         reporting.write_convergence(report, cfg.data_file)
     elif cfg.evaluator == "noise":
-        agent = _get_agent(cfg, env_config, params)
         noise = NoiseConfig(cfg.noise_mean, cfg.noise_variance, cfg.noise_frequency)
+        noise.validate()  # before training an agent for it
+        agent = _get_agent(cfg, env_config, params)
         report = evaluate_noise(agent, env_config, noise, mode=cfg.noise_mode,
                                 timesteps=cfg.time_steps, seed=params.seed,
                                 events_per_step=params.events_per_step)

@@ -60,7 +60,7 @@ def detect_burn_in(
     at least window_size - 1).
     """
     if window_size < 1 or consecutive_points < 1:
-        raise ValueError("window_size and consecutive_points must be >= 1")
+        raise ConfigError("window_size and consecutive_points must be >= 1")
     n = len(rewards)
     if n < window_size + consecutive_points:
         raise InsufficientData(
@@ -164,6 +164,8 @@ def convergence_train(
     series. The series (smoothed by a trailing moving average of width
     window_size) stops training at the first local maximum or plateau.
     """
+    if window_size < 1 or consecutive_points < 1:
+        raise ConfigError("window_size and consecutive_points must be >= 1")
     env = RlEnv(
         env_config,
         seed=agent_params.seed,
@@ -207,8 +209,10 @@ class NoiseConfig:
     frequency: float = 0.5
 
     def validate(self) -> None:
-        if self.variance < 0:
-            raise ConfigError("noise variance must be >= 0")
+        if not math.isfinite(self.mean):
+            raise ConfigError(f"noise mean must be finite, got {self.mean}")
+        if not (math.isfinite(self.variance) and self.variance >= 0):
+            raise ConfigError(f"noise variance must be finite and >= 0, got {self.variance}")
         if not 0.0 <= self.frequency <= 1.0:
             raise ConfigError("noise frequency must be in [0, 1]")
 
@@ -217,7 +221,7 @@ def noisy_interarrival(base: float, cfg: NoiseConfig, rng: random.Random) -> flo
     """Perturb an interarrival gap with probability cfg.frequency by a
     normal increment, floored at T_FLOOR."""
     if base <= 0:
-        raise ValueError("base interarrival time must be > 0")
+        raise ConfigError("base interarrival time must be > 0")
     if rng.random() >= cfg.frequency:
         return base
     delta = rng.gauss(cfg.mean, math.sqrt(cfg.variance))
@@ -340,10 +344,10 @@ class RobustnessReport:
 def required_runs(z: float, sigma: float, margin: float) -> int:
     """Sample size for a confidence level and error margin: the squared
     (z * sigma / margin), rounded up, never below one run."""
-    if margin <= 0:
-        raise ConfigError("margin must be > 0")
-    if sigma < 0 or z < 0:
-        raise ConfigError("sigma and z must be >= 0")
+    if not (math.isfinite(margin) and margin > 0):
+        raise ConfigError(f"margin must be finite and > 0, got {margin}")
+    if not (math.isfinite(sigma) and math.isfinite(z) and sigma >= 0 and z >= 0):
+        raise ConfigError(f"sigma and z must be finite and >= 0, got sigma {sigma}, z {z}")
     return max(1, math.ceil((z * sigma / margin) ** 2))
 
 
@@ -374,8 +378,9 @@ def robustness_evaluate(
     """
     if num_agents < 2:
         raise ConfigError("num_agents must be >= 2")
-    if margin <= 0:
-        raise ConfigError("margin must be > 0")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+    required_runs(z, 0.0, margin)  # checks z and margin before any training
     if time_steps < 1:
         raise ConfigError(f"time_steps must be >= 1, got {time_steps}")
     if seeds is None:

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoArrivals
+from .errors import ConfigError, DimensionMismatch, NoArrivals
 from .netsim import QueueNetwork, TopologyConfig
 
 R_FLOOR = 1e-3  # throughput-ratio clamp so the reward stays finite
@@ -31,9 +31,9 @@ class RlEnv:
         interarrival_noise: Optional[Callable[[float], float]] = None,
     ):
         if events_per_step < 1:
-            raise ValueError("events_per_step must be >= 1")
+            raise ConfigError("events_per_step must be >= 1")
         if reward_skip < 0:
-            raise ValueError("reward_skip must be >= 0")
+            raise ConfigError("reward_skip must be >= 0")
         self.config = config
         self.events_per_step = events_per_step
         self.reward_skip = reward_skip

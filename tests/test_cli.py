@@ -299,6 +299,7 @@ def test_missing_config_file_exit_code(tmp_path, capsys):
 
 TRAIN = ("--function", "train")
 TUNE = ("--function", "tune")
+EVALUATE = ("--function", "evaluate", "--evaluator")
 
 
 @pytest.mark.parametrize("network, params, cli_args, code, message", [
@@ -323,11 +324,26 @@ TUNE = ("--function", "tune")
     ({}, {"hidden_sizes": [2.5]}, TRAIN, 2, "'hidden_sizes' must be an integer"),
     ({}, {"batch_size": {"low": 1, "high": float("inf")}}, TUNE, 2, "must be finite"),
     ({}, {"hidden_sizes": {"choices": [3]}}, TUNE, 3, "'hidden_sizes'"),
+    ({}, {"num_episodes": 1, "num_timesteps": 4},
+     EVALUATE + ("startup", "--window_size", "0"), 2, "window_size and consecutive_points"),
+    ({}, {"num_episodes": 1, "num_timesteps": 2},
+     EVALUATE + ("convergence", "--consecutive_points", "0"), 2,
+     "window_size and consecutive_points"),
+    ({}, {"num_episodes": 1, "num_timesteps": 2},
+     EVALUATE + ("noise", "--noise_variance", "nan"), 2, "noise variance must be finite"),
+    ({}, {"num_episodes": 1, "num_timesteps": 2},
+     EVALUATE + ("noise", "--noise_mean", "nan"), 2, "noise mean must be finite"),
+    ({}, {"num_episodes": 1, "num_timesteps": 2},
+     EVALUATE + ("robustness", "--num_agents", "2", "--z", "nan"), 2, "z nan"),
+    ({}, {"num_episodes": 1, "num_timesteps": 2},
+     EVALUATE + ("robustness", "--num_agents", "2", "--workers", "0"), 2, "workers must be >= 1"),
 ], ids=["nan_arrival_rate", "inf_arrival_rate", "inf_service_rate", "nan_service_rate",
         "trials_abc", "range_low_abc", "hidden_sizes_strings", "hidden_sizes_scalar",
         "choices_scalar", "zero_time_steps", "negative_seed", "inf_epsilon", "inf_w1",
         "inf_w2", "inf_learning_rate", "inf_hidden_size", "fractional_hidden_size",
-        "inf_range_high", "hidden_sizes_scalar_choice"])
+        "inf_range_high", "hidden_sizes_scalar_choice", "zero_window_size",
+        "zero_consecutive_points", "nan_noise_variance", "nan_noise_mean", "nan_z",
+        "zero_workers"])
 def test_malformed_numeric_input_exit_codes(tmp_path, capsys, network, params, cli_args,
                                             code, message):
     net = write_chain_config(tmp_path / "net.yml", **network)

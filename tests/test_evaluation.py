@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -212,6 +213,12 @@ def test_noise_config_validation():
         make_noise_hook(NoiseConfig(variance=-1.0), seed=0)
     with pytest.raises(ConfigError):
         make_noise_hook(NoiseConfig(frequency=1.5), seed=0)
+    for bad in (NoiseConfig(mean=math.nan), NoiseConfig(variance=math.nan),
+                NoiseConfig(variance=math.inf)):
+        with pytest.raises(ConfigError, match="must be finite"):
+            make_noise_hook(bad, seed=0)
+    with pytest.raises(ConfigError):
+        noisy_interarrival(0.0, NoiseConfig(), random.Random(0))
 
 
 def test_zero_noise_rollouts_are_identical():
@@ -303,6 +310,10 @@ def test_required_runs_monotonicity():
 def test_required_runs_validation():
     with pytest.raises(ConfigError):
         required_runs(1.96, 0.4, 0.0)
+    for z, sigma, margin in [(math.nan, 0.4, 0.1), (math.inf, 0.4, 0.1), (1.96, math.nan, 0.1),
+                             (1.96, 0.4, math.nan), (1.96, 0.4, math.inf)]:
+        with pytest.raises(ConfigError, match="finite"):
+            required_runs(z, sigma, margin)
 
 
 def test_robustness_identical_seeds_zero_sigma():
@@ -347,6 +358,10 @@ def test_robustness_rejects_bad_arguments():
         robustness_evaluate(tiny_params(), cfg, num_agents=2, seeds=[1, 2, 3])
     with pytest.raises(ConfigError, match="time_steps"):
         robustness_evaluate(tiny_params(), cfg, num_agents=2, time_steps=0)
+    with pytest.raises(ConfigError, match="workers"):
+        robustness_evaluate(tiny_params(), cfg, num_agents=2, workers=0)
+    with pytest.raises(ConfigError, match="z nan"):
+        robustness_evaluate(tiny_params(), cfg, num_agents=2, z=math.nan)
 
 
 def test_evaluate_policy_is_deterministic():

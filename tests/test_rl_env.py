@@ -74,6 +74,13 @@ def test_state_dimension_is_stable_across_steps():
 # -- masking ---------------------------------------------------------------------
 
 
+def test_env_rejects_bad_step_arguments():
+    with pytest.raises(ConfigError, match="events_per_step"):
+        RlEnv(figure_topology(), events_per_step=0)
+    with pytest.raises(ConfigError, match="reward_skip"):
+        RlEnv(figure_topology(), reward_skip=-1)
+
+
 def test_masking_reference_vector():
     env = RlEnv(figure_topology(), seed=0)
     action = np.full(12, 0.5)
