@@ -199,17 +199,19 @@ class RoutingLayout:
         """
         zero = np.zeros(weights.shape[:-1] + (1,))
         w = np.concatenate([weights, zero], axis=-1)[..., self.slots]
-        total = w[..., 0]
-        for k in range(1, w.shape[-1]):
-            total = total + w[..., k]
-        finite = np.isfinite(total)
-        if not finite.all():
-            first = tuple(np.argwhere(~finite)[0])
-            raise ConfigError(
-                f"routing weights at node {self.nodes[first[-1]]} sum to {float(total[first])}"
-            )
-        uniform = total < UNIFORM_FALLBACK_EPS
-        probs = w / np.where(uniform, 1.0, total)[..., None]
+        # overflow and inf - inf give inf and nan silently, as float sums do
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = w[..., 0]
+            for k in range(1, w.shape[-1]):
+                total = total + w[..., k]
+            finite = np.isfinite(total)
+            if not finite.all():
+                first = tuple(np.argwhere(~finite)[0])
+                raise ConfigError(
+                    f"routing weights at node {self.nodes[first[-1]]} sum to {float(total[first])}"
+                )
+            uniform = total < UNIFORM_FALLBACK_EPS
+            probs = w / np.where(uniform, 1.0, total)[..., None]
         return np.where(uniform[..., None], self._uniform, probs)
 
     def transition_map(self, probs: np.ndarray) -> dict[int, dict[int, float]]:
@@ -325,7 +327,8 @@ class QueueNetwork:
         # a job leaving for a node takes the first successor whose cumulative
         # probability exceeds its uniform draw, else the last one; an infinite
         # last entry makes that fallback part of the scan
-        cumulative = np.cumsum(probs, axis=1)
+        with np.errstate(invalid="ignore"):
+            cumulative = np.cumsum(probs, axis=1)
         cumulative[self._last] = math.inf
         self._cumulative = cumulative.tolist()
         self._probs = probs

@@ -1,11 +1,14 @@
 import heapq
 import math
 import random
+import re
 from collections import deque
 from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from queuerl.errors import ConfigError, DimensionMismatch, UnknownEdge, UnknownNode
 from queuerl.evaluation import NoiseConfig, make_noise_hook
@@ -230,6 +233,35 @@ def test_set_routing_installs_a_fresh_map():
     assert uniform[1] == {2: pytest.approx(1 / 3), 3: pytest.approx(1 / 3), 4: pytest.approx(1 / 3)}
     with pytest.raises(DimensionMismatch):
         net.set_routing(weights[:-1])
+
+
+_WEIGHT = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6),
+    st.sampled_from([0.0, -0.0, 1e-7, 5e-7, 1e308, -1e308, math.inf, -math.inf, math.nan]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_WEIGHT, min_size=12, max_size=12), min_size=1, max_size=3))
+def test_routing_normalisation_matches_scalar_loop(rows):
+    # the array normalisation gives the scalar loop's floats and errors, for
+    # one weight vector at a time and for a stack of them
+    cfg = figure_topology()
+    net = QueueNetwork(cfg, seed=0)
+    ref = ReferenceNetwork(cfg, seed=0)
+    maps = []
+    for weights in rows:
+        try:
+            ref.set_routing(weights)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError, match=re.escape(str(exc))):
+                net.set_routing(weights)
+            return
+        net.set_routing(weights)
+        assert net.transition_map == ref.transition_map
+        maps.append(ref.transition_map)
+    layout = net.routing_layout
+    assert [layout.transition_map(p) for p in layout.probabilities(np.array(rows))] == maps
 
 
 def test_missing_service_rate_raises():
