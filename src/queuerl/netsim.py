@@ -268,7 +268,10 @@ class QueueNetwork:
         self._rates = [config.service_rates[e] for e in serviced]
         self._epoch = [0] * n
         self._halted = [False] * n  # the edge's target node is blocked
-        # traversal aggregates
+        # Traversal aggregates. _counted_sum adds the delays of an edge's exits
+        # after its first skip, in exit order (on a FIFO edge, the traversals
+        # at arrival index skip or above); it is its own running sum, not the
+        # total minus a prefix, which would round differently.
         self._n_records = [0] * n
         self._n_exited = [0] * n
         self._exited_sum = [0.0] * n
