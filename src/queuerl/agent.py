@@ -99,7 +99,7 @@ class TrainingTrace:
     # per episode, the routing weights installed at each step: (steps, action_dim)
     episode_weights: list[np.ndarray] = field(default_factory=list)
     # the layout that turned those weights into transition maps
-    routing: Optional[RoutingLayout] = None
+    routing_layout: Optional[RoutingLayout] = None
     actor_losses: list[float] = field(default_factory=list)
     critic_losses: list[float] = field(default_factory=list)
     # one row per updating timestep: (actor, critic, next_state, reward)
@@ -110,10 +110,10 @@ class TrainingTrace:
 
     def flat_tmaps(self) -> list[dict[int, dict[int, float]]]:
         """The transition map installed at each step, over all episodes."""
-        if self.routing is None:
+        if self.routing_layout is None:
             return []
-        probs = self.routing.probabilities(np.concatenate(self.episode_weights))
-        return [self.routing.transition_map(p) for p in probs]
+        probs = self.routing_layout.probabilities(np.concatenate(self.episode_weights))
+        return [self.routing_layout.transition_map(p) for p in probs]
 
 
 class DdpgAgent:
@@ -333,7 +333,7 @@ class DdpgAgent:
             trace.episode_rewards.append(rewards)
             trace.episode_modes.append("normal" if mode is None else str(mode))
             trace.episode_weights.append(weights)
-            trace.routing = env.net.routing_layout
+            trace.routing_layout = env.net.routing_layout
         return trace
 
 
