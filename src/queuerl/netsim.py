@@ -166,14 +166,13 @@ class RoutingLayout:
 
     Nodes come in edge_list order, each with its successors ascending and
     the edges to them. slots is a (nodes x largest out-degree) matrix of
-    positions in a weight vector extended by one 0.0 entry; exit edges, and
-    the padding of nodes with fewer successors, point at that entry.
+    positions in a weight vector; weighted marks the entries that hold a
+    serviced edge's position, and the others (exit edges, and the padding of
+    nodes with fewer successors) weigh 0.0.
     """
 
     def __init__(self, config: TopologyConfig):
-        serviced = config.serviced_edges()
-        position = {e: i for i, e in enumerate(serviced)}
-        zero = len(serviced)
+        position = {e: i for i, e in enumerate(config.serviced_edges())}
         self.nodes = list(config.edge_list)
         self.successors = [sorted(config.edge_list[node]) for node in self.nodes]
         self.edges = [
@@ -182,9 +181,13 @@ class RoutingLayout:
         ]
         self.degree = np.array([len(succs) for succs in self.successors])
         width = max(1, int(self.degree.max()))
-        self.slots = np.full((len(self.nodes), width), zero)
+        self.slots = np.zeros((len(self.nodes), width), dtype=int)
+        self.weighted = np.zeros((len(self.nodes), width), dtype=bool)
         for row, edges in enumerate(self.edges):
-            self.slots[row, : len(edges)] = [position.get(e, zero) for e in edges]
+            for k, e in enumerate(edges):
+                if e in position:
+                    self.slots[row, k] = position[e]
+                    self.weighted[row, k] = True
         real = np.arange(width) < self.degree[:, None]
         self._uniform = np.where(real, 1.0 / np.maximum(self.degree, 1)[:, None], 0.0)
 
@@ -197,21 +200,18 @@ class RoutingLayout:
         order as a scalar loop; a sum below UNIFORM_FALLBACK_EPS routes
         uniformly, and a sum that is not finite raises ConfigError.
         """
-        zero = np.zeros(weights.shape[:-1] + (1,))
-        w = np.concatenate([weights, zero], axis=-1)[..., self.slots]
-        # overflow and inf - inf give inf and nan silently, as float sums do
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = w[..., 0]
-            for k in range(1, w.shape[-1]):
-                total = total + w[..., k]
-            finite = np.isfinite(total)
-            if not finite.all():
-                first = tuple(np.argwhere(~finite)[0])
-                raise ConfigError(
-                    f"routing weights at node {self.nodes[first[-1]]} sum to {float(total[first])}"
-                )
-            uniform = total < UNIFORM_FALLBACK_EPS
-            probs = w / np.where(uniform, 1.0, total)[..., None]
+        w = np.where(self.weighted, weights[..., self.slots], 0.0)
+        total = w[..., 0]
+        for k in range(1, w.shape[-1]):
+            total = total + w[..., k]
+        finite = np.isfinite(total)
+        if not finite.all():
+            first = tuple(np.argwhere(~finite)[0])
+            raise ConfigError(
+                f"routing weights at node {self.nodes[first[-1]]} sum to {float(total[first])}"
+            )
+        uniform = total < UNIFORM_FALLBACK_EPS
+        probs = w / np.where(uniform, 1.0, total)[..., None]
         return np.where(uniform[..., None], self._uniform, probs)
 
     def transition_map(self, probs: np.ndarray) -> dict[int, dict[int, float]]:
@@ -330,8 +330,7 @@ class QueueNetwork:
         # a job leaving for a node takes the first successor whose cumulative
         # probability exceeds its uniform draw, else the last one; an infinite
         # last entry makes that fallback part of the scan
-        with np.errstate(invalid="ignore"):
-            cumulative = np.cumsum(probs, axis=1)
+        cumulative = np.cumsum(probs, axis=1)
         cumulative[self._last] = math.inf
         self._cumulative = cumulative.tolist()
         self._probs = probs
