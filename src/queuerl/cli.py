@@ -20,6 +20,7 @@ from .config import parse_hyperparams, parse_network_config
 from .errors import ConfigError, QueueRlError
 from .evaluation import (
     NoiseConfig,
+    check_window,
     convergence_train,
     detect_burn_in,
     evaluate_disruption,
@@ -109,6 +110,7 @@ def _run_evaluate(cfg: argparse.Namespace, env_config, params) -> int:
         raise ConfigError("--evaluator is required with --function evaluate")
 
     if cfg.evaluator == "startup":
+        check_window(cfg.window_size, cfg.consecutive_points)  # before training
         agent = make_agent(env_config, params)
         trace = train_with_blockage_exploration(agent, env_config, params)
         rewards = trace.episode_rewards[-1]
@@ -129,6 +131,7 @@ def _run_evaluate(cfg: argparse.Namespace, env_config, params) -> int:
     elif cfg.evaluator == "disruption":
         if cfg.node is None:
             raise ConfigError("--node is required for the disruption evaluator")
+        env_config.check_blockable(cfg.node)  # before training
         agent = _get_agent(cfg, env_config, params)
         report = evaluate_disruption(agent, env_config, cfg.node, steps=cfg.time_steps,
                                      seed=params.seed, events_per_step=params.events_per_step)

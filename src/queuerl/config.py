@@ -76,22 +76,23 @@ def parse_network_config(path: str) -> TopologyConfig:
     for i, edge in enumerate(edges):
         if not isinstance(edge, dict) or not {"source", "target", "edge_type"} <= set(edge):
             raise ParseError(f"{path}: edges[{i}] needs source, target and edge_type")
-        try:
-            src, dst, etype = int(edge["source"]), int(edge["target"]), int(edge["edge_type"])
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{path}: edges[{i}] has a non-integer field: {exc}") from exc
+        src, dst, etype = (_coerce_number(f"edges[{i}].{k}", edge[k], True)
+                           for k in ("source", "target", "edge_type"))
         if dst in edge_list.get(src, {}):
             raise ConfigError(f"duplicate edge {src} -> {dst}")
         edge_list.setdefault(src, {})[dst] = etype
 
     try:
         config = TopologyConfig(
-            num_nodes=int(doc["num_nodes"]),
+            num_nodes=_coerce_number("num_nodes", doc["num_nodes"], True),
             edge_list=edge_list,
-            entry_edges={int(e) for e in doc["entry_edges"]},
-            exit_edges={int(e) for e in doc["exit_edges"]},
-            arrival_rate=float(doc["arrival_rate"]),
-            service_rates={int(k): float(v) for k, v in dict(doc["service_rates"]).items()},
+            entry_edges={_coerce_number("entry_edges", e, True) for e in doc["entry_edges"]},
+            exit_edges={_coerce_number("exit_edges", e, True) for e in doc["exit_edges"]},
+            arrival_rate=_coerce_number("arrival_rate", doc["arrival_rate"], False),
+            service_rates={
+                _coerce_number("service_rates", k, True): _coerce_number("service_rates", v, False)
+                for k, v in dict(doc["service_rates"]).items()
+            },
         )
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc

@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Optional
 import numpy as np
 
 from .agent import AgentParams, DdpgAgent, make_agent
-from .errors import ConfigError, InsufficientData, UnknownNode
+from .errors import ConfigError, InsufficientData
 from .exploration import train_with_blockage_exploration
 from .netsim import TopologyConfig
 from .rl_env import RlEnv
@@ -48,6 +48,13 @@ def _trailing_ma(series: list[float], window: int) -> list[float]:
     return out
 
 
+def check_window(window_size: int, consecutive_points: int) -> None:
+    """The smoothing rule of detect_burn_in and convergence_train: both
+    widths must be at least 1."""
+    if window_size < 1 or consecutive_points < 1:
+        raise ConfigError("window_size and consecutive_points must be >= 1")
+
+
 def detect_burn_in(
     rewards: list[float], window_size: int, threshold: float, consecutive_points: int
 ) -> BurnInReport:
@@ -59,8 +66,7 @@ def detect_burn_in(
     original curve (the position of the first difference in the run, i.e.
     at least window_size - 1).
     """
-    if window_size < 1 or consecutive_points < 1:
-        raise ConfigError("window_size and consecutive_points must be >= 1")
+    check_window(window_size, consecutive_points)
     n = len(rewards)
     if n < window_size + consecutive_points:
         raise InsufficientData(
@@ -164,8 +170,7 @@ def convergence_train(
     series. The series (smoothed by a trailing moving average of width
     window_size) stops training at the first local maximum or plateau.
     """
-    if window_size < 1 or consecutive_points < 1:
-        raise ConfigError("window_size and consecutive_points must be >= 1")
+    check_window(window_size, consecutive_points)
     env = RlEnv(
         env_config,
         seed=agent_params.seed,
@@ -306,10 +311,7 @@ def evaluate_disruption(
 ) -> DisruptionReport:
     """Roll out, block a node, roll out again; report routing and throughput
     snapshots from both phases."""
-    if not 0 <= node < env_config.num_nodes:
-        raise UnknownNode(f"node {node} not in network")
-    if node not in env_config.blockable_nodes():
-        raise ConfigError(f"node {node} is not blockable")
+    env_config.check_blockable(node)
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
 

@@ -40,6 +40,8 @@ class Mlp:
     def __init__(self, layer_sizes: list[int], output_activation: str, rng: np.random.Generator):
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
+        if min(layer_sizes) < 1:
+            raise ValueError(f"layer sizes must be >= 1, got {list(layer_sizes)}")
         if output_activation not in ("identity", "sigmoid"):
             raise ValueError(f"unknown output activation {output_activation!r}")
         self.layer_sizes = list(layer_sizes)

@@ -22,11 +22,11 @@ golden tests pin:
 
 The simulator keeps no per-job log. A queue holds only the arrival times of
 the jobs on its edge, and each serviced edge keeps running aggregates of its
-traversals (counts and delay sums), so state and reward queries cost
-O(edges) and memory stays bounded however long a run goes. Exit edges keep
-only their exit counts. An edge is FIFO, so its k-th exit is its k-th
-arrival, and the exit count alone says which traversals a skip window
-covers.
+traversals (counts and delay sums), so memory stays bounded however long a
+run goes; exit edges keep only their exit counts. mean_delays and
+serviced_stats read every serviced edge's aggregates in one call. An edge is
+FIFO, so its k-th exit is its k-th arrival, and the skip rule is one test
+after an exit is counted: its delay joins the counted sum if n_exited > skip.
 """
 
 from __future__ import annotations
@@ -96,6 +96,14 @@ class TopologyConfig:
         eps = self.edge_endpoints()
         targets = {eps[e][1] for e in self.serviced_edges()}
         return sorted(targets - self.entry_sources() - self.exit_sinks())
+
+    def check_blockable(self, node: int) -> None:
+        """The blockage rule: UnknownNode for a node outside the network,
+        ConfigError for one that blockable_nodes leaves out."""
+        if not 0 <= node < self.num_nodes:
+            raise UnknownNode(f"node {node} not in network")
+        if node not in self.blockable_nodes():
+            raise ConfigError(f"node {node} is not blockable")
 
 
 def validate_config(config: TopologyConfig) -> None:
@@ -227,9 +235,10 @@ class QueueNetwork:
     """Live simulator state: a network at clock 0 with uniform routing and
     the first external arrivals scheduled. The config is validated first.
 
-    skip sets the window of edge_serviced_stats: per edge, the traversals at
-    arrival index skip or above. events counts the calendar events simulate
-    processed and cancelled the service completions a blockage cancelled.
+    mean_delays and serviced_stats read all serviced edges in one call;
+    serviced_stats counts an exit when n_exited > skip (skip >= 0) after it.
+    events counts the calendar events simulate processed, cancelled the
+    completions a blockage cancelled.
     """
 
     def __init__(
@@ -240,6 +249,8 @@ class QueueNetwork:
         skip: int = 0,
     ):
         validate_config(config)
+        if skip < 0:
+            raise ConfigError(f"reward_skip must be >= 0, got {skip}")
         self.config = config
         self.rng = random.Random(seed)
         self.interarrival_noise = interarrival_noise
@@ -259,7 +270,7 @@ class QueueNetwork:
         self._serviced = serviced
         self._edge_types = serviced + sorted(config.exit_edges)
         position = {e: i for i, e in enumerate(self._edge_types)}
-        self._index = {e: i for i, e in enumerate(serviced)}
+        self._index = {e: i for i, e in enumerate(serviced)}  # for inject_record
         # each queued job is its arrival time
         self._queues: list[deque[float]] = [deque() for _ in serviced]
         self.queues: dict[int, deque[float]] = dict(zip(serviced, self._queues))
@@ -277,8 +288,6 @@ class QueueNetwork:
         self._exited_sum = [0.0] * n
         self._inflight_sum = [0.0] * n
         self._counted_sum = [0.0] * n
-        # whether the skip rule in _count_exit already holds for the edge
-        self._counting = [False] * n
 
         # blockage lookups: the nodes that can be blocked, and the serviced
         # edges into each node, ascending
@@ -359,7 +368,7 @@ class QueueNetwork:
         n_records, n_exited = self._n_records, self._n_exited
         exited_sum, inflight_sum, counted_sum = (
             self._exited_sum, self._inflight_sum, self._counted_sum)
-        counting, count_exit = self._counting, self._count_exit
+        skip = self.skip
         target_row, cumulative, next_edges = (
             self._target_row, self._cumulative, self._next_edges)
         edge_types, n_serviced = self._edge_types, len(queues)
@@ -382,10 +391,8 @@ class QueueNetwork:
                     delay = clock - arrival
                     n_exited[i] += 1
                     exited_sum[i] += delay
-                    if counting[i]:
+                    if n_exited[i] > skip:
                         counted_sum[i] += delay
-                    else:
-                        count_exit(i, delay)
                     inflight_sum[i] -= arrival
                     if q and not halted[i]:
                         seq += 1
@@ -426,7 +433,8 @@ class QueueNetwork:
     def set_blockage(self, node: int) -> None:
         """Render a node's server non-functional: its incoming serviced edges
         never complete service until the blockage is cleared."""
-        self._check_blockable(node)
+        if node not in self._blockable:
+            self.config.check_blockable(node)  # raises: _blockable holds every blockable node
         if node in self.blocked_nodes:
             return
         self.blocked_nodes.add(node)
@@ -436,7 +444,8 @@ class QueueNetwork:
 
     def clear_blockage(self, node: int) -> None:
         """Undo set_blockage; restarts service at the head of affected queues."""
-        self._check_blockable(node)
+        if node not in self._blockable:
+            self.config.check_blockable(node)  # raises: _blockable holds every blockable node
         if node not in self.blocked_nodes:
             return
         self.blocked_nodes.remove(node)
@@ -448,37 +457,31 @@ class QueueNetwork:
                 heapq.heappush(
                     self._heap, (self.clock + duration, self._seq, _SERVICE, i, self._epoch[i]))
 
-    def _check_blockable(self, node: int) -> None:
-        if not 0 <= node < self.config.num_nodes:
-            raise UnknownNode(f"node {node} not in network")
-        if node not in self._blockable:
-            raise ConfigError(f"node {node} is not blockable")
+    def mean_delays(self) -> list[float]:
+        """Per serviced edge, in serviced_edge_types order, the mean
+        end-to-end delay over all its traversals, with the current clock
+        standing in for unfinished ones; 0.0 for an untouched edge."""
+        clock = self.clock
+        return [
+            (exited + (n - done) * clock - inflight) / n if n else 0.0
+            for n, done, exited, inflight in zip(
+                self._n_records, self._n_exited, self._exited_sum, self._inflight_sum)
+        ]
 
-    def edge_mean_delay(self, edge_type: int) -> float:
-        """Mean end-to-end delay over all traversals of an edge, with the
-        current clock standing in for unfinished ones. 0.0 for untouched edges."""
-        i = self._index[edge_type]
-        n = self._n_records[i]
-        if n == 0:
-            return 0.0
-        inflight = n - self._n_exited[i]
-        total = self._exited_sum[i] + inflight * self.clock - self._inflight_sum[i]
-        return total / n
-
-    def edge_serviced_stats(self, edge_type: int) -> tuple[int, float]:
-        """(count, delay sum) over the exited traversals of an edge whose
-        arrival index is at least the network's skip."""
-        i = self._index[edge_type]
-        return max(0, self._n_exited[i] - self.skip), self._counted_sum[i]
+    def serviced_stats(self) -> list[tuple[int, float]]:
+        """Per serviced edge, in serviced_edge_types order, (count, delay
+        sum) over its exited traversals at arrival index skip or above."""
+        skip = self.skip
+        return [(max(0, done - skip), counted)
+                for done, counted in zip(self._n_exited, self._counted_sum)]
 
     def inject_record(self, edge_type: int, arrival_time: float, exit_time: float = 0.0) -> None:
         """Add one synthetic traversal of a serviced edge to its aggregates.
 
         exit_time 0.0 leaves the traversal unfinished. A finished traversal
-        is the edge's next exit, and edge_serviced_stats counts it when at
-        least skip exits came before it, as for a simulated one; an unfinished
-        one never exits. For hand-built scenarios; does not touch queues or
-        the event calendar.
+        is the edge's next exit, and the skip rule counts it as it would a
+        simulated one; an unfinished one never exits. For hand-built
+        scenarios; does not touch queues or the event calendar.
         """
         i = self._index.get(edge_type)
         if i is None:
@@ -488,18 +491,10 @@ class QueueNetwork:
             delay = exit_time - arrival_time
             self._n_exited[i] += 1
             self._exited_sum[i] += delay
-            self._count_exit(i, delay)
+            if self._n_exited[i] > self.skip:
+                self._counted_sum[i] += delay
         else:
             self._inflight_sum[i] += arrival_time
-
-    def _count_exit(self, i: int, delay: float) -> None:
-        """The skip rule, for an exit of the edge at position i that
-        _n_exited already includes: its delay joins the counted sum when at
-        least skip exits came before it. Once the rule holds for an edge,
-        simulate adds the delays of its later exits itself."""
-        if self._n_exited[i] > self.skip:
-            self._counted_sum[i] += delay
-            self._counting[i] = True
 
 
 def mm1_topology(arrival_rate: float, service_rate: float) -> TopologyConfig:

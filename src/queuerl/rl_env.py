@@ -1,10 +1,10 @@
-"""RL view of a queueing network.
+"""RL view of a queueing network; the network owns the traversal aggregates.
 
-State: mean end-to-end delay per serviced edge (ascending edge-type order),
-with the current clock standing in for jobs still on an edge. Action: one
-weight in [0, 1] per serviced edge, in the same order; the network's
-set_routing normalises them per node into its transition map. Reward:
--(mean of per-edge serviced delays) divided by the network throughput ratio.
+State: the network's mean_delays, one mean end-to-end delay per serviced
+edge (ascending edge type). Action: one weight in [0, 1] per serviced edge,
+in the same order, which set_routing checks and normalises per node. Reward:
+-(mean of the per-edge serviced delays from serviced_stats) divided by the
+network throughput ratio. RlEnv keeps only that formula, the step and reset.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, NoArrivals
+from .errors import ConfigError, NoArrivals
 from .netsim import QueueNetwork, TopologyConfig
 
 R_FLOOR = 1e-3  # throughput-ratio clamp so the reward stays finite
@@ -32,14 +32,11 @@ class RlEnv:
     ):
         if events_per_step < 1:
             raise ConfigError("events_per_step must be >= 1")
-        if reward_skip < 0:
-            raise ConfigError("reward_skip must be >= 0")
         self.config = config
         self.events_per_step = events_per_step
         self.reward_skip = reward_skip
         self.interarrival_noise = interarrival_noise
         self.net = QueueNetwork(config, seed, interarrival_noise, reward_skip)
-
         self.serviced_edges = self.net.serviced_edge_types
 
     @property
@@ -56,17 +53,10 @@ class RlEnv:
         return self.get_state()
 
     def get_state(self) -> np.ndarray:
-        return np.array(
-            [self.net.edge_mean_delay(e) for e in self.serviced_edges], dtype=float
-        )
+        return np.array(self.net.mean_delays(), dtype=float)
 
     def get_next_state(self, action: np.ndarray) -> np.ndarray:
         """Install the action's routing, advance the simulation one step."""
-        action = np.asarray(action, dtype=float)
-        if action.shape != (self.action_dim,):
-            raise DimensionMismatch(
-                f"action has shape {action.shape}, expected ({self.action_dim},)"
-            )
         self.net.set_routing(action)
         self.net.simulate(self.events_per_step)
         return self.get_state()
@@ -84,12 +74,7 @@ class RlEnv:
             raise NoArrivals("no external arrival has occurred yet")
         exits = sum(self.net.exits_total.values())
 
-        edge_means = []
-        for etype in self.serviced_edges:
-            count, delay_sum = self.net.edge_serviced_stats(etype)
-            if count > 0:
-                edge_means.append(delay_sum / count)
-
+        edge_means = [total / count for count, total in self.net.serviced_stats() if count > 0]
         mean_delay = sum(edge_means) / len(edge_means) if edge_means else 0.0
         ratio = max(exits / arrivals, R_FLOOR)
         return -mean_delay / ratio

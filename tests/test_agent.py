@@ -470,3 +470,6 @@ def test_checkpoint_rejects_garbage_and_truncation(tmp_path):
     with pytest.raises(CheckpointError):
         load_agent(with_header("unknown_field.agent",
                                lambda doc: doc["params"].update(not_a_field=1)))
+    for dim in ("state_dim", "action_dim"):
+        with pytest.raises(CheckpointError):
+            load_agent(with_header(f"zero_{dim}.agent", lambda doc: doc.update({dim: 0})))

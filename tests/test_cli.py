@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import random
 from dataclasses import fields
 from pathlib import Path
@@ -9,7 +10,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from queuerl.agent import AgentParams
+from queuerl.agent import AgentParams, DdpgAgent
 from queuerl.cli import main
 from queuerl.config import (
     network_config_to_dict,
@@ -40,8 +41,8 @@ def write_fig_config(path: Path) -> Path:
     return path
 
 
-def write_chain_config(path: Path, **extra) -> Path:
-    doc = {
+def chain_doc() -> dict:
+    return {
         "num_nodes": 3,
         "edges": [
             {"source": 0, "target": 1, "edge_type": 1},
@@ -52,8 +53,10 @@ def write_chain_config(path: Path, **extra) -> Path:
         "arrival_rate": 0.5,
         "service_rates": {1: 1.0},
     }
-    doc.update(extra)
-    path.write_text(yaml.safe_dump(doc))
+
+
+def write_chain_config(path: Path, **extra) -> Path:
+    path.write_text(yaml.safe_dump({**chain_doc(), **extra}))
     return path
 
 
@@ -234,6 +237,34 @@ def test_any_hyperparameter_value_raises_only_typed_errors(tmp_path_factory, key
         pass
 
 
+_NETWORK_FIELDS = ["num_nodes", "edges", "entry_edges", "exit_edges", "arrival_rate",
+                   "service_rates"]
+# half the draws are numbers that an integer or float field cannot hold
+_NETWORK_VALUES = st.one_of(
+    st.sampled_from([math.inf, -math.inf, math.nan, 10**400, 1.7, -1, 0]), _VALUES)
+
+
+@settings(max_examples=100, deadline=None)
+@given(field=st.sampled_from(_NETWORK_FIELDS + ["source", "target", "edge_type", "edge"]),
+       value=_NETWORK_VALUES)
+def test_any_network_config_value_raises_only_typed_errors(tmp_path_factory, field, value):
+    # one generated value in a field of a valid network file, or in one edge
+    # entry, either parses or raises a QueueRlError
+    doc = chain_doc()
+    if field == "edge":
+        doc["edges"][0] = value
+    elif field in _NETWORK_FIELDS:
+        doc[field] = value
+    else:
+        doc["edges"][0][field] = value
+    path = tmp_path_factory.getbasetemp() / "fuzzed_network.yml"
+    path.write_text(yaml.safe_dump(doc))
+    try:
+        parse_network_config(str(path))
+    except QueueRlError:
+        pass
+
+
 # -- CLI end-to-end ---------------------------------------------------------------------
 
 
@@ -337,15 +368,29 @@ EVALUATE = ("--function", "evaluate", "--evaluator")
      EVALUATE + ("robustness", "--num_agents", "2", "--z", "nan"), 2, "z nan"),
     ({}, {"num_episodes": 1, "num_timesteps": 2},
      EVALUATE + ("robustness", "--num_agents", "2", "--workers", "0"), 2, "workers must be >= 1"),
+    ({}, {"num_episodes": 1, "num_timesteps": 2},
+     EVALUATE + ("disruption", "--node", "99"), 4, "node 99 not in network"),
+    ({}, {"num_episodes": 1, "num_timesteps": 2},
+     EVALUATE + ("disruption", "--node", "0"), 2, "node 0 is not blockable"),
+    ({"num_nodes": float("inf")}, {}, TRAIN, 2, "'num_nodes' must be an integer"),
+    ({"edges": [{"source": 0, "target": 1, "edge_type": float("inf")},
+                {"source": 1, "target": 2, "edge_type": 0}]},
+     {}, TRAIN, 2, "'edges[0].edge_type' must be an integer"),
+    ({"edges": [{"source": 0, "target": 1.7, "edge_type": 1},
+                {"source": 1, "target": 2, "edge_type": 0}]},
+     {}, TRAIN, 2, "'edges[0].target' must be an integer"),
 ], ids=["nan_arrival_rate", "inf_arrival_rate", "inf_service_rate", "nan_service_rate",
         "trials_abc", "range_low_abc", "hidden_sizes_strings", "hidden_sizes_scalar",
         "choices_scalar", "zero_time_steps", "negative_seed", "inf_epsilon", "inf_w1",
         "inf_w2", "inf_learning_rate", "inf_hidden_size", "fractional_hidden_size",
         "inf_range_high", "hidden_sizes_scalar_choice", "zero_window_size",
         "zero_consecutive_points", "nan_noise_variance", "nan_noise_mean", "nan_z",
-        "zero_workers"])
-def test_malformed_numeric_input_exit_codes(tmp_path, capsys, network, params, cli_args,
-                                            code, message):
+        "zero_workers", "unknown_disruption_node", "unblockable_disruption_node",
+        "inf_num_nodes", "inf_edge_type", "fractional_target"])
+def test_malformed_numeric_input_exit_codes(tmp_path, capsys, monkeypatch, network, params,
+                                            cli_args, code, message):
+    # every case is rejected before any agent trains
+    monkeypatch.setattr(DdpgAgent, "train", lambda *a, **kw: pytest.fail("an agent trained"))
     net = write_chain_config(tmp_path / "net.yml", **network)
     par = write_params(tmp_path / "params.yml", **params)
     assert run_cli(*cli_args, "--config_file", str(net), "--param_file", str(par),

@@ -131,6 +131,12 @@ class ReferenceNetwork:
         st = self._stats[edge]
         return max(0, st[1] - self.skip), st[4]
 
+    def mean_delays(self):
+        return [self.edge_mean_delay(e) for e in self.serviced_edge_types]
+
+    def serviced_stats(self):
+        return [self.edge_serviced_stats(e) for e in self.serviced_edge_types]
+
     def _enqueue(self, edge):
         rec = [self.clock, None]
         self.log[edge].append(rec)
@@ -190,6 +196,16 @@ def serviced_oracle(net, edge, skip):
     return len(exited), total
 
 
+def mean_delays(net):
+    """edge type -> the network's mean delay on it."""
+    return dict(zip(net.serviced_edge_types, net.mean_delays()))
+
+
+def serviced(net):
+    """edge type -> the network's (count, delay sum) on it."""
+    return dict(zip(net.serviced_edge_types, net.serviced_stats()))
+
+
 def snapshot(net):
     """Everything observable about a network, for exact comparisons."""
     return (
@@ -198,7 +214,8 @@ def snapshot(net):
         net.cancelled,
         dict(net.arrivals_total),
         dict(net.exits_total),
-        {e: (net.edge_mean_delay(e), net.edge_serviced_stats(e)) for e in net.serviced_edge_types},
+        net.mean_delays(),
+        net.serviced_stats(),
         {e: list(q) for e, q in net.queues.items()},
         net.transition_map,
     )
@@ -331,7 +348,7 @@ def test_mm1_sojourn_matches_theory(lam):
     target = 50_000
     while sum(net.exits_total.values()) < target:
         net.simulate(20_000)
-    count, delay_sum = net.edge_serviced_stats(1)
+    count, delay_sum = net.serviced_stats()[0]
     mean_sojourn = delay_sum / count
     assert mean_sojourn == pytest.approx(1.0 / (mu - lam), rel=0.05)
 
@@ -397,11 +414,10 @@ def test_mean_delay_accumulators_match_log_scan():
     ref = ReferenceNetwork(figure_topology(), seed=21)
     net.simulate(8_000)
     ref.simulate(8_000)
-    for edge in net.serviced_edge_types:
-        assert net.edge_mean_delay(edge) == pytest.approx(
-            mean_delay_oracle(ref, edge), rel=1e-12, abs=1e-12
-        )
-        assert net.edge_serviced_stats(edge) == serviced_oracle(ref, edge, 0)
+    for edge, delay, stats in zip(net.serviced_edge_types, net.mean_delays(),
+                                  net.serviced_stats()):
+        assert delay == pytest.approx(mean_delay_oracle(ref, edge), rel=1e-12, abs=1e-12)
+        assert stats == serviced_oracle(ref, edge, 0)
 
 
 @pytest.mark.parametrize("skip", [0, 1, 3, 10])
@@ -424,9 +440,9 @@ def test_skip_window_matches_log_rescan(skip):
         ref.set_routing(action)
         ref.simulate(100)
         means = []
-        for edge in net.serviced_edge_types:
+        for edge, stats in zip(net.serviced_edge_types, net.serviced_stats()):
             count, delay_sum = serviced_oracle(ref, edge, skip)
-            assert net.edge_serviced_stats(edge) == (count, delay_sum)
+            assert stats == (count, delay_sum)
             if count > 0:
                 means.append(delay_sum / count)
         ratio = max(sum(net.exits_total.values()) / sum(net.arrivals_total.values()), R_FLOOR)
@@ -501,9 +517,15 @@ def test_inject_record_unknown_edge():
         net.inject_record(42, arrival_time=1.0)
 
 
+def test_negative_skip_is_rejected():
+    with pytest.raises(ConfigError, match="reward_skip"):
+        QueueNetwork(mm1_topology(0.5, 1.0), seed=0, skip=-1)
+
+
 def test_untraversed_edge_has_no_serviced_stats():
     net = QueueNetwork(figure_topology(), seed=1)
-    assert net.edge_serviced_stats(12) == (0, 0.0)
+    assert serviced(net)[12] == (0, 0.0)
+    assert mean_delays(net)[12] == 0.0
 
 
 # -- blockage ---------------------------------------------------------------------
@@ -515,15 +537,16 @@ def test_blockage_suspends_incoming_edge_service():
     net.simulate(10_000)
     # edge 3 feeds node 3: its jobs never finish service
     assert len(net.queues[3]) > 0
-    assert net.edge_serviced_stats(3)[0] == 0
+    stats = serviced(net)
+    assert stats[3][0] == 0
     # nothing ever crosses node 3, so its outgoing edges stay silent
     for edge in (6, 7):
-        assert net.edge_serviced_stats(edge)[0] == 0
+        assert stats[edge][0] == 0
         assert not net.queues[edge]
     # traffic still exits through nodes 2 and 4
     assert sum(net.exits_total.values()) > 0
-    assert net.edge_serviced_stats(5)[0] > 0
-    assert net.edge_serviced_stats(8)[0] > 0
+    assert stats[5][0] > 0
+    assert stats[8][0] > 0
 
 
 def test_blockage_validation():
@@ -574,11 +597,12 @@ def test_clear_blockage_resumes_service():
     net.set_blockage(3)
     net.simulate(4_000)
     assert len(net.queues[3]) > 0
-    assert net.edge_serviced_stats(3)[0] == 0
+    assert serviced(net)[3][0] == 0
     net.clear_blockage(3)
     net.simulate(6_000)
-    assert net.edge_serviced_stats(3)[0] > 0
-    assert net.edge_serviced_stats(6)[0] + net.edge_serviced_stats(7)[0] > 0
+    stats = serviced(net)
+    assert stats[3][0] > 0
+    assert stats[6][0] + stats[7][0] > 0
 
 
 # -- generated topologies -----------------------------------------------------------
@@ -602,6 +626,5 @@ def test_inject_record_updates_stats():
     net.inject_record(1, arrival_time=2.0, exit_time=5.0)
     net.inject_record(1, arrival_time=3.0)
     net.clock = 7.0
-    assert net.edge_mean_delay(1) == pytest.approx((3.0 + 4.0) / 2)
-    count, total = net.edge_serviced_stats(1)
-    assert (count, total) == (1, 3.0)
+    assert net.mean_delays() == [pytest.approx((3.0 + 4.0) / 2)]
+    assert net.serviced_stats() == [(1, 3.0)]

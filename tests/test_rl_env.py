@@ -150,7 +150,8 @@ def test_jobs_split_as_the_installed_routing_says():
     net.set_routing(action)
     net.simulate(100_000)
     # with reward_skip 0 every exited traversal is counted
-    arrivals = {e: net.edge_serviced_stats(e)[0] + len(net.queues[e]) for e in probs}
+    counts = {e: count for e, (count, _) in zip(net.serviced_edge_types, net.serviced_stats())}
+    arrivals = {e: counts[e] + len(net.queues[e]) for e in probs}
     n = sum(arrivals.values())
     assert n > 10_000
     for edge, p in probs.items():
