@@ -201,13 +201,11 @@ class DdpgAgent:
 
         n = len(phi_s)
         dq = np.full((n, 1), -1.0 / n)
-        dx = self.critic.backward(dq)
+        dx = self.critic.input_gradient(dq)  # the critic is only a conduit here
         z = np.log(a / (1.0 - a))  # output pre-activations (sigmoid inverse)
         self.actor.backward(dx[:, self.state_dim :],
                             dout_pre=(2.0 * _ACTOR_PREACT_PULL / z.size) * z)
         self.actor_opt.step()
-        # the critic pass above was only a conduit for gradients
-        self.critic.grads[...] = 0.0
         return loss
 
     def soft_update_targets(self) -> None:

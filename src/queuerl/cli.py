@@ -82,6 +82,8 @@ def _get_agent(cfg: argparse.Namespace, env_config, params) -> DdpgAgent:
 
 
 def _run_train(cfg: argparse.Namespace, env_config, params) -> int:
+    if cfg.node is not None:
+        env_config.check_routed(cfg.node)  # before training
     agent = make_agent(env_config, params)
     tracker = StateTracker()
     trace = train_with_blockage_exploration(agent, env_config, params, tracker=tracker)

@@ -68,11 +68,14 @@ def parse_network_config(path: str) -> TopologyConfig:
     for key in ("num_nodes", "edges", "entry_edges", "exit_edges", "arrival_rate", "service_rates"):
         if key not in doc:
             raise ParseError(f"{path}: missing required key '{key}'")
+    for key, kind, name in (("edges", list, "a list"), ("entry_edges", list, "a list"),
+                            ("exit_edges", list, "a list"),
+                            ("service_rates", dict, "a mapping")):
+        if not isinstance(doc[key], kind):
+            raise ParseError(f"{path}: '{key}' must be {name}, got {doc[key]!r}")
 
     edge_list: dict[int, dict[int, int]] = {}
     edges = doc["edges"]
-    if not isinstance(edges, list):
-        raise ParseError(f"{path}: 'edges' must be a list")
     for i, edge in enumerate(edges):
         if not isinstance(edge, dict) or not {"source", "target", "edge_type"} <= set(edge):
             raise ParseError(f"{path}: edges[{i}] needs source, target and edge_type")
@@ -91,7 +94,7 @@ def parse_network_config(path: str) -> TopologyConfig:
             arrival_rate=_coerce_number("arrival_rate", doc["arrival_rate"], False),
             service_rates={
                 _coerce_number("service_rates", k, True): _coerce_number("service_rates", v, False)
-                for k, v in dict(doc["service_rates"]).items()
+                for k, v in doc["service_rates"].items()
             },
         )
     except (TypeError, ValueError) as exc:

@@ -2,9 +2,11 @@
 
 ReLU hidden layers; the output layer is sigmoid (actor) or identity
 (critic and the two predictor networks). Weights initialize uniformly in
-+-1/sqrt(fan_in). backward() computes both parameter gradients and the
-gradient with respect to the input, which the actor update needs to pull
-gradients through the critic.
++-1/sqrt(fan_in). backward() fills the parameter gradients and nothing else:
+it stops before layer 0's input gradient, which no update reads.
+input_gradient() computes only the gradient with respect to the input, by
+the float operations of a backpropagation down to the input, and leaves
+`grads` alone; the actor update pulls gradients through the critic with it.
 
 Each network keeps all its parameters in one float64 vector, `params`, laid
 out w0, b0, w1, b1, ... with each weight matrix row-major (fan_in, fan_out).
@@ -27,11 +29,11 @@ ADAM_EPS = 1e-8
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    # 1 / (1 + exp(-z)) where z >= 0 and exp(z) / (1 + exp(z)) elsewhere, so
+    # exp never overflows; minimum, unlike -abs, keeps a NaN's sign bit
+    e = np.exp(np.minimum(z, -z))
+    d = 1.0 + e
+    out = np.where(z >= 0, 1.0 / d, e / d)
     # keep outputs strictly inside (0, 1) even when z saturates in float64
     return np.clip(out, 1e-12, 1.0 - 1e-12)
 
@@ -109,29 +111,45 @@ class Mlp:
         self._cache_out = a
         return a[0] if single else a
 
-    def backward(self, dout: np.ndarray, dout_pre: np.ndarray | None = None) -> np.ndarray:
-        """Backpropagate dLoss/dOutput; fills grad_w/grad_b, returns dLoss/dInput.
+    def _output_delta(self, dout: np.ndarray) -> np.ndarray:
+        """dLoss/dOutput of the last forward, as rows, through the output
+        activation to its pre-activation."""
+        if self._cache_out is None:
+            raise RuntimeError("gradient asked for before forward")
+        d = np.atleast_2d(np.asarray(dout, dtype=float))
+        if self.output_activation == "sigmoid":
+            out = self._cache_out
+            d = d * out * (1.0 - out)
+        return d
+
+    def backward(self, dout: np.ndarray, dout_pre: np.ndarray | None = None) -> None:
+        """Backpropagate dLoss/dOutput of the last forward into grad_w/grad_b.
 
         dout_pre, when given, is an extra gradient applied directly to the
         output layer's pre-activation (bypassing the output nonlinearity).
         """
-        if self._cache_out is None:
-            raise RuntimeError("backward called before forward")
-        d = np.atleast_2d(np.asarray(dout, dtype=float))
-        single = np.asarray(dout).ndim == 1
-        if self.output_activation == "sigmoid":
-            out = self._cache_out
-            d = d * out * (1.0 - out)
+        d = self._output_delta(dout)
         if dout_pre is not None:
             d = d + np.atleast_2d(np.asarray(dout_pre, dtype=float))
-        for i in range(len(self.weights) - 1, -1, -1):
-            a_prev = self._cache_inputs[i]
-            if i < len(self.weights) - 1:
+        last = len(self.weights) - 1
+        for i in range(last, -1, -1):
+            if i < last:
                 d = d * (self._cache_inputs[i + 1] > 0.0)
-            np.matmul(a_prev.T, d, out=self.grad_w[i])
+            np.matmul(self._cache_inputs[i].T, d, out=self.grad_w[i])
             d.sum(axis=0, out=self.grad_b[i])
+            if i:
+                d = d @ self.weights[i].T
+
+    def input_gradient(self, dout: np.ndarray) -> np.ndarray:
+        """dLoss/dInput of the last forward for dLoss/dOutput dout; grads
+        are left as they are."""
+        d = self._output_delta(dout)
+        last = len(self.weights) - 1
+        for i in range(last, -1, -1):
+            if i < last:
+                d = d * (self._cache_inputs[i + 1] > 0.0)
             d = d @ self.weights[i].T
-        return d[0] if single else d
+        return d[0] if np.asarray(dout).ndim == 1 else d
 
     def copy(self) -> "Mlp":
         clone = Mlp.__new__(Mlp)

@@ -6,13 +6,17 @@ network instantly. External arrivals form Poisson streams into the entry
 edges. Routing is one weight per serviced edge; set_routing normalises the
 weights per node, and a job leaving an edge samples its successor from them.
 
-QueueNetwork.simulate is one loop over the event calendar. It pops an event
-and drops a service completion that a blockage cancelled. An external
-arrival joins its edge's queue and schedules the next arrival. A completion
-records the job's exit from its edge, starts the next job there, draws the
-job's successor and enqueues it (or counts its exit from the network). All
-random numbers come from one random.Random, drawn in this order, which the
-golden tests pin:
+QueueNetwork.simulate is one loop over the event calendar. A calendar entry
+is (time, seq, code): seq numbers the entries in push order, so (time, seq)
+is unique and alone decides the pop order; code is the edge position for a
+service completion and -1 - position for an external arrival. An edge has
+at most one live completion, and _pending holds its seq (0 for none): a
+popped completion whose seq is not its edge's _pending was cancelled by a
+blockage, and is dropped and counted. An external arrival joins its edge's
+queue and schedules the next arrival. A completion records the job's exit
+from its edge, starts the next job there, draws the job's successor and
+enqueues it (or counts its exit from the network). All random numbers come
+from one random.Random, drawn in this order, which the golden tests pin:
 
 - arrival: the service time, when the job finds its edge idle and
   unblocked; then the gap to the next arrival;
@@ -20,13 +24,18 @@ golden tests pin:
   and the edge is unblocked; then the routing uniform; then the service time
   downstream, when the job finds that edge idle and unblocked.
 
+simulate writes each exponential draw out as clock - log(1.0 - random()) /
+rate, the body of Random.expovariate, so it takes the same random() and
+gives the same float.
+
 The simulator keeps no per-job log. A queue holds only the arrival times of
 the jobs on its edge, and each serviced edge keeps running aggregates of its
 traversals (counts and delay sums), so memory stays bounded however long a
-run goes; exit edges keep only their exit counts. mean_delays and
-serviced_stats read every serviced edge's aggregates in one call. An edge is
-FIFO, so its k-th exit is its k-th arrival, and the skip rule is one test
-after an exit is counted: its delay joins the counted sum if n_exited > skip.
+run goes; exit edges keep only their exit counts. mean_delays,
+serviced_stats and counted_means read every serviced edge's aggregates in
+one call. An edge is FIFO, so its k-th exit is its k-th arrival, and the
+skip rule is one test after an exit is counted: its delay joins the counted
+sum if n_exited > skip.
 """
 
 from __future__ import annotations
@@ -41,11 +50,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, UnknownEdge, UnknownNode
-
-# Event kinds on the calendar. Service events carry a per-edge epoch so a
-# blockage can cancel them lazily.
-_ARRIVAL = 0
-_SERVICE = 1
 
 # A node whose outgoing weights sum below this routes uniformly.
 UNIFORM_FALLBACK_EPS = 1e-6
@@ -97,13 +101,24 @@ class TopologyConfig:
         targets = {eps[e][1] for e in self.serviced_edges()}
         return sorted(targets - self.entry_sources() - self.exit_sinks())
 
+    def _check_in_network(self, node: int) -> None:
+        if not 0 <= node < self.num_nodes:
+            raise UnknownNode(f"node {node} not in network")
+
     def check_blockable(self, node: int) -> None:
         """The blockage rule: UnknownNode for a node outside the network,
         ConfigError for one that blockable_nodes leaves out."""
-        if not 0 <= node < self.num_nodes:
-            raise UnknownNode(f"node {node} not in network")
+        self._check_in_network(node)
         if node not in self.blockable_nodes():
             raise ConfigError(f"node {node} is not blockable")
+
+    def check_routed(self, node: int) -> None:
+        """The routing rule, for a node whose routing is reported:
+        UnknownNode for a node outside the network, ConfigError for one with
+        no outgoing edge."""
+        self._check_in_network(node)
+        if not self.edge_list.get(node):
+            raise ConfigError(f"node {node} has no outgoing edges to route over")
 
 
 def validate_config(config: TopologyConfig) -> None:
@@ -235,8 +250,8 @@ class QueueNetwork:
     """Live simulator state: a network at clock 0 with uniform routing and
     the first external arrivals scheduled. The config is validated first.
 
-    mean_delays and serviced_stats read all serviced edges in one call;
-    serviced_stats counts an exit when n_exited > skip (skip >= 0) after it.
+    mean_delays, serviced_stats and counted_means read all serviced edges in
+    one call; an exit counts when n_exited > skip (skip >= 0) after it.
     events counts the calendar events simulate processed, cancelled the
     completions a blockage cancelled.
     """
@@ -259,12 +274,12 @@ class QueueNetwork:
         self.clock = 0.0
         self.events = 0
         self.cancelled = 0
-        self._heap: list[tuple[float, int, int, int, int]] = []
+        self._heap: list[tuple[float, int, int]] = []
         self._seq = 0
 
         # Per-edge tables are lists indexed by an edge's position: serviced
-        # edges ascending, then exit edges ascending. Calendar events carry
-        # that position.
+        # edges ascending, then exit edges ascending. Calendar entries carry
+        # that position in their code.
         serviced = config.serviced_edges()
         n = len(serviced)
         self._serviced = serviced
@@ -277,7 +292,7 @@ class QueueNetwork:
         self.arrivals_total: dict[int, int] = {e: 0 for e in sorted(config.entry_edges)}
         self.exits_total: dict[int, int] = {e: 0 for e in sorted(config.exit_edges)}
         self._rates = [config.service_rates[e] for e in serviced]
-        self._epoch = [0] * n
+        self._pending = [0] * n  # seq of the edge's live completion, 0 for none
         self._halted = [False] * n  # the edge's target node is blocked
         # Traversal aggregates. _counted_sum adds the delays of an edge's exits
         # after its first skip, in exit order (on a FIFO edge, the traversals
@@ -314,7 +329,7 @@ class QueueNetwork:
             if interarrival_noise is not None:
                 gap = interarrival_noise(gap)
             self._seq += 1
-            heapq.heappush(self._heap, (gap, self._seq, _ARRIVAL, position[etype], 0))
+            heapq.heappush(self._heap, (gap, self._seq, -1 - position[etype]))
 
     # -- public surface --------------------------------------------------------
 
@@ -362,9 +377,9 @@ class QueueNetwork:
         if num_events < 1:
             raise ValueError("num_events must be >= 1")
         heap, pop, push = self._heap, heapq.heappop, heapq.heappush
-        expovariate, uniform = self.rng.expovariate, self.rng.random
+        uniform, log = self.rng.random, math.log
         noise, arrival_rate = self.interarrival_noise, self.config.arrival_rate
-        queues, rates, epochs, halted = self._queues, self._rates, self._epoch, self._halted
+        queues, rates, pending, halted = self._queues, self._rates, self._pending, self._halted
         n_records, n_exited = self._n_records, self._n_exited
         exited_sum, inflight_sum, counted_sum = (
             self._exited_sum, self._inflight_sum, self._counted_sum)
@@ -379,9 +394,10 @@ class QueueNetwork:
             while processed < num_events:
                 if not heap:
                     raise RuntimeError("event calendar empty; network has no arrival stream")
-                time, _, kind, i, epoch = pop(heap)
-                if kind == _SERVICE:
-                    if epoch != epochs[i]:
+                time, event_seq, code = pop(heap)
+                if code >= 0:
+                    i = code
+                    if event_seq != pending[i]:
                         cancelled += 1  # a blockage cancelled this completion
                         continue
                     processed += 1
@@ -396,7 +412,8 @@ class QueueNetwork:
                     inflight_sum[i] -= arrival
                     if q and not halted[i]:
                         seq += 1
-                        push(heap, (clock + expovariate(rates[i]), seq, _SERVICE, i, epochs[i]))
+                        push(heap, (clock - log(1.0 - uniform()) / rates[i], seq, i))
+                        pending[i] = seq
                     u = uniform()
                     row = target_row[i]
                     cum = cumulative[row]
@@ -410,8 +427,8 @@ class QueueNetwork:
                 else:
                     processed += 1
                     clock = time
-                    arrivals_total[edge_types[i]] += 1
-                    j = i
+                    j = -1 - code
+                    arrivals_total[edge_types[j]] += 1
                 # the job joins edge j
                 n_records[j] += 1
                 inflight_sum[j] += clock
@@ -419,13 +436,14 @@ class QueueNetwork:
                 q.append(clock)
                 if len(q) == 1 and not halted[j]:
                     seq += 1
-                    push(heap, (clock + expovariate(rates[j]), seq, _SERVICE, j, epochs[j]))
-                if kind == _ARRIVAL:
-                    gap = expovariate(arrival_rate)
+                    push(heap, (clock - log(1.0 - uniform()) / rates[j], seq, j))
+                    pending[j] = seq
+                if code < 0:
+                    gap = -log(1.0 - uniform()) / arrival_rate
                     if noise is not None:
                         gap = noise(gap)
                     seq += 1
-                    push(heap, (clock + gap, seq, _ARRIVAL, i, 0))
+                    push(heap, (clock + gap, seq, code))
         finally:
             self.clock, self._seq, self.cancelled = clock, seq, cancelled
             self.events += processed
@@ -440,7 +458,7 @@ class QueueNetwork:
         self.blocked_nodes.add(node)
         for i in self._incoming.get(node, ()):
             self._halted[i] = True
-            self._epoch[i] += 1  # cancels pending completions
+            self._pending[i] = 0  # cancels the live completion
 
     def clear_blockage(self, node: int) -> None:
         """Undo set_blockage; restarts service at the head of affected queues."""
@@ -454,8 +472,8 @@ class QueueNetwork:
             if self._queues[i]:
                 self._seq += 1
                 duration = self.rng.expovariate(self._rates[i])
-                heapq.heappush(
-                    self._heap, (self.clock + duration, self._seq, _SERVICE, i, self._epoch[i]))
+                heapq.heappush(self._heap, (self.clock + duration, self._seq, i))
+                self._pending[i] = self._seq
 
     def mean_delays(self) -> list[float]:
         """Per serviced edge, in serviced_edge_types order, the mean
@@ -474,6 +492,14 @@ class QueueNetwork:
         skip = self.skip
         return [(max(0, done - skip), counted)
                 for done, counted in zip(self._n_exited, self._counted_sum)]
+
+    def counted_means(self) -> list[float]:
+        """The mean delay, sum / count of serviced_stats, of each serviced
+        edge whose count is positive, in serviced_edge_types order; an edge
+        with no counted exit is left out."""
+        skip = self.skip
+        return [total / (done - skip)
+                for done, total in zip(self._n_exited, self._counted_sum) if done > skip]
 
     def inject_record(self, edge_type: int, arrival_time: float, exit_time: float = 0.0) -> None:
         """Add one synthetic traversal of a serviced edge to its aggregates.

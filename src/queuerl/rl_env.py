@@ -3,8 +3,11 @@
 State: the network's mean_delays, one mean end-to-end delay per serviced
 edge (ascending edge type). Action: one weight in [0, 1] per serviced edge,
 in the same order, which set_routing checks and normalises per node. Reward:
--(mean of the per-edge serviced delays from serviced_stats) divided by the
-network throughput ratio. RlEnv keeps only that formula, the step and reset.
+-(mean of the per-edge serviced delays from counted_means) divided by the
+network throughput ratio. counted_means gives each counted edge's
+sum / count of serviced_stats in one pass, the same floats in the same order
+as dividing serviced_stats' pairs here. RlEnv keeps only that formula, the
+step and reset.
 """
 
 from __future__ import annotations
@@ -74,7 +77,7 @@ class RlEnv:
             raise NoArrivals("no external arrival has occurred yet")
         exits = sum(self.net.exits_total.values())
 
-        edge_means = [total / count for count, total in self.net.serviced_stats() if count > 0]
+        edge_means = self.net.counted_means()
         mean_delay = sum(edge_means) / len(edge_means) if edge_means else 0.0
         ratio = max(exits / arrivals, R_FLOOR)
         return -mean_delay / ratio

@@ -186,10 +186,12 @@ def test_actor_update_leaves_critic_untouched():
     agent = make_agent()
     rng = np.random.default_rng(6)
     batch = random_batch(rng, 4)
-    before = agent.critic.params.copy()
+    agent.update_critic_network(batch)  # leaves gradients in the critic
+    before, grads = agent.critic.params.copy(), agent.critic.grads.copy()
+    assert grads.any()
     agent.update_actor_network(batch)
     assert np.array_equal(before, agent.critic.params)
-    assert not agent.critic.grads.any()
+    assert np.array_equal(grads, agent.critic.grads)
 
 
 # -- targets ----------------------------------------------------------------------

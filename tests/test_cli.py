@@ -379,6 +379,13 @@ EVALUATE = ("--function", "evaluate", "--evaluator")
     ({"edges": [{"source": 0, "target": 1.7, "edge_type": 1},
                 {"source": 1, "target": 2, "edge_type": 0}]},
      {}, TRAIN, 2, "'edges[0].target' must be an integer"),
+    ({}, {}, TRAIN + ("--node", "99"), 4, "node 99 not in network"),
+    ({}, {}, TRAIN + ("--node", "-1"), 4, "node -1 not in network"),
+    ({}, {}, TRAIN + ("--node", "2"), 2, "node 2 has no outgoing edges"),
+    ({}, {}, TRAIN + ("--plot_curves", "True", "--node", "99"), 4, "node 99 not in network"),
+    ({"entry_edges": "12"}, {}, TRAIN, 3, "'entry_edges' must be a list"),
+    ({"exit_edges": {0: "x"}}, {}, TRAIN, 3, "'exit_edges' must be a list"),
+    ({"service_rates": [[1, 2.0]]}, {}, TRAIN, 3, "'service_rates' must be a mapping"),
 ], ids=["nan_arrival_rate", "inf_arrival_rate", "inf_service_rate", "nan_service_rate",
         "trials_abc", "range_low_abc", "hidden_sizes_strings", "hidden_sizes_scalar",
         "choices_scalar", "zero_time_steps", "negative_seed", "inf_epsilon", "inf_w1",
@@ -386,7 +393,9 @@ EVALUATE = ("--function", "evaluate", "--evaluator")
         "inf_range_high", "hidden_sizes_scalar_choice", "zero_window_size",
         "zero_consecutive_points", "nan_noise_variance", "nan_noise_mean", "nan_z",
         "zero_workers", "unknown_disruption_node", "unblockable_disruption_node",
-        "inf_num_nodes", "inf_edge_type", "fractional_target"])
+        "inf_num_nodes", "inf_edge_type", "fractional_target", "unknown_train_node",
+        "negative_train_node", "sink_train_node", "unknown_plot_node", "string_entry_edges",
+        "mapping_exit_edges", "list_service_rates"])
 def test_malformed_numeric_input_exit_codes(tmp_path, capsys, monkeypatch, network, params,
                                             cli_args, code, message):
     # every case is rejected before any agent trains

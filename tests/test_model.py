@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from queuerl.errors import DimensionMismatch
-from queuerl.model import Adam, Mlp
+from queuerl.model import Adam, Mlp, _sigmoid
 
 # the four network shapes of a default agent on a 4-edge environment
 AGENT_SHAPES = [
@@ -14,6 +14,33 @@ AGENT_SHAPES = [
     ("identity", [8, 64, 64, 4]),    # next-state predictor
     ("identity", [8, 64, 64, 1]),    # reward predictor
 ]
+
+
+def masked_sigmoid(z):
+    """The sigmoid as two boolean-mask passes, one per sign of z."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return np.clip(out, 1e-12, 1.0 - 1e-12)
+
+
+def full_backward(net, dout):
+    """Backpropagation down to the input in one pass: the parameter
+    gradients and dLoss/dInput of the last forward, computed with the
+    operations backward and input_gradient use."""
+    d = np.atleast_2d(np.asarray(dout, dtype=float))
+    if net.output_activation == "sigmoid":
+        out = net._cache_out
+        d = d * out * (1.0 - out)
+    grads = []
+    for i in range(len(net.weights) - 1, -1, -1):
+        if i < len(net.weights) - 1:
+            d = d * (net._cache_inputs[i + 1] > 0.0)
+        grads = [net._cache_inputs[i].T @ d, d.sum(axis=0)] + grads
+        d = d @ net.weights[i].T
+    return grads, d
 
 
 def projected_loss(net, x, proj):
@@ -79,7 +106,7 @@ def test_input_gradient_matches_finite_differences():
     x = rng.normal(size=(2, 6))
     proj = rng.normal(size=(2, 2))
     net.forward(x)
-    dx = net.backward(proj)
+    dx = net.input_gradient(proj)
     h = 1e-5
     for r in range(2):
         for c in range(6):
@@ -88,6 +115,40 @@ def test_input_gradient_matches_finite_differences():
             xm[r, c] -= h
             numeric = (projected_loss(net, xp, proj) - projected_loss(net, xm, proj)) / (2 * h)
             assert abs(numeric - dx[r, c]) / max(1.0, abs(numeric)) < 1e-4
+
+
+@pytest.mark.parametrize("activation,sizes", AGENT_SHAPES)
+def test_backward_and_input_gradient_match_one_full_pass(activation, sizes):
+    rng = np.random.default_rng(11)
+    net = Mlp(sizes, activation, rng)
+    net.forward(rng.normal(size=(5, net.in_dim)))
+    dout = rng.normal(size=(5, net.out_dim))
+    grads, dx = full_backward(net, dout)
+    flat = np.concatenate([g.ravel() for g in grads])
+
+    net.grads[...] = 7.0
+    got = net.input_gradient(dout)
+    assert got.tobytes() == dx.tobytes()
+    assert np.all(net.grads == 7.0)  # input_gradient leaves grads alone
+
+    assert net.backward(dout) is None
+    assert net.grads.tobytes() == flat.tobytes()
+    # a single sample comes back as a vector
+    net.forward(rng.normal(size=net.in_dim))
+    assert net.input_gradient(dout[0]).shape == (net.in_dim,)
+
+
+def test_sigmoid_bytes_match_masked_formula():
+    tiny = np.finfo(float).smallest_subnormal
+    edges = [0.0, np.inf, np.nan, tiny, 1e3 * tiny, np.finfo(float).tiny / 2,
+             709.0, 709.8, 746.0, 745.2, 1e308, 36.7, 1e-300]
+    z = np.array(edges + [-v for v in edges])
+    assert np.signbit(z[len(edges) + 2]) and np.isnan(z[len(edges) + 2])  # -nan kept
+    assert _sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
+    rng = np.random.default_rng(3)
+    for scale in (1e-3, 1.0, 40.0, 800.0):
+        z = rng.normal(scale=scale, size=(17, 9))
+        assert _sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
 
 
 def test_sigmoid_output_stays_in_unit_interval():

@@ -445,6 +445,7 @@ def test_skip_window_matches_log_rescan(skip):
             assert stats == (count, delay_sum)
             if count > 0:
                 means.append(delay_sum / count)
+        assert net.counted_means() == means
         ratio = max(sum(net.exits_total.values()) / sum(net.arrivals_total.values()), R_FLOOR)
         expected = -(sum(means) / len(means) if means else 0.0) / ratio
         assert env.get_reward() == expected
@@ -506,6 +507,45 @@ def test_blockage_cancels_one_completion_per_busy_edge():
     net.simulate(3_000)
     assert net.cancelled == len(busy)
     assert net.events == events + 3_000
+
+
+def test_repeated_toggles_cancel_stale_completions_like_reference():
+    # blocking and clearing a busy node twice with no event in between leaves
+    # two stale completions per busy incoming edge on the calendar
+    cfg = figure_topology(arrival_rate=1.5)
+    net, ref = QueueNetwork(cfg, seed=12), ReferenceNetwork(cfg, seed=12)
+    endpoints = cfg.edge_endpoints()
+    nodes = cfg.blockable_nodes()
+    stale = 0
+    for step in range(40):
+        for n in (net, ref):
+            n.simulate(60)
+        assert snapshot(net) == snapshot(ref), f"step {step}"
+        node = nodes[step % len(nodes)]
+        stale += 2 * sum(1 for e in net.serviced_edge_types
+                         if endpoints[e][1] == node and net.queues[e])
+        for n in (net, ref):
+            for _ in range(2):
+                n.set_blockage(node)
+                n.clear_blockage(node)
+        assert snapshot(net) == snapshot(ref), f"step {step}"
+    for n in (net, ref):
+        n.simulate(5_000)
+    assert snapshot(net) == snapshot(ref)
+    assert stale > 0
+    assert net.cancelled == stale
+
+
+@pytest.mark.parametrize("rate", [0.3, 2.0, 1e300])
+def test_inline_exponential_draw_matches_expovariate(rate):
+    # simulate writes Random.expovariate's body out as clock - log(1 - u) / rate
+    lib, inline = random.Random(31), random.Random(31)
+    for k in range(10_000):
+        draw = lib.expovariate(rate)
+        u = inline.random()
+        assert (-math.log(1.0 - u) / rate).hex() == draw.hex()
+        clock = k * 0.37
+        assert (clock - math.log(1.0 - u) / rate).hex() == (clock + draw).hex()
 
 
 # -- serviced stats ----------------------------------------------------------------
