@@ -183,21 +183,29 @@ class DdpgAgent:
 
         q = self.critic.forward(np.concatenate([self._phi(s), a], axis=1))[:, 0]
         err = q - y
-        loss = float(np.mean(err**2))
+        loss = float((err**2).sum() / err.size)
         self.critic.backward((2.0 / len(s)) * err[:, None])
         self.critic_opt.step()
         return loss
 
-    def update_actor_network(self, batch: Batch) -> float:
+    def update_actor_network(self, batch: Batch, actions: Optional[np.ndarray] = None) -> float:
         """One ascent step on mean Q(s, actor(s)); returns the loss -mean(Q).
 
         The applied gradient also carries the anti-saturation pull
         (_ACTOR_PREACT_PULL) on the actor's output pre-activations.
+        actions, when given, must be the array the actor's last forward
+        returned, on batch's states with the current parameters; that forward
+        is then reused instead of run again.
         """
         phi_s = self._phi(batch[0])
-        a = self.actor.forward(phi_s)
+        if actions is None:
+            a = self.actor.forward(phi_s)
+        elif actions is self.actor._cache_out:
+            a = actions
+        else:
+            raise RuntimeError("actions must be the actor's last forward output")
         q = self.critic.forward(np.concatenate([phi_s, a], axis=1))[:, 0]
-        loss = float(-np.mean(q))
+        loss = float(-(q.sum() / q.size))
 
         n = len(phi_s)
         dq = np.full((n, 1), -1.0 / n)
@@ -226,21 +234,23 @@ class DdpgAgent:
         bs = min(self.params.batch_size, n)
         ns_loss = reward_loss = 0.0
         for _ in range(self.params.num_epochs):
+            # one gather per epoch; each minibatch is then a contiguous slice
             perm = self.rng.permutation(n)
+            x_ep, y_next_ep, y_reward_ep = x[perm], y_next[perm], y_reward[perm]
             ns_batch, r_batch = [], []
             for start in range(0, n, bs):
-                idx = perm[start : start + bs]
-                xb = x[idx]
+                rows = slice(start, start + bs)
+                xb = x_ep[rows]
 
                 pred = self.next_state_model.forward(xb)
-                err = pred - y_next[idx]
-                ns_batch.append(float(np.mean(err**2)))
+                err = pred - y_next_ep[rows]
+                ns_batch.append(float((err**2).sum() / err.size))
                 self.next_state_model.backward((2.0 / err.size) * err)
                 self.next_state_opt.step()
 
                 pred_r = self.reward_model.forward(xb)
-                err_r = pred_r - y_reward[idx]
-                r_batch.append(float(np.mean(err_r**2)))
+                err_r = pred_r - y_reward_ep[rows]
+                r_batch.append(float((err_r**2).sum() / err_r.size))
                 self.reward_model.backward((2.0 / err_r.size) * err_r)
                 self.reward_opt.step()
             ns_loss = sum(ns_batch) / len(ns_batch)
@@ -252,6 +262,11 @@ class DdpgAgent:
 
         Returns (critic loss, actor loss) per planning step. Hallucinated
         experiences never enter the replay buffer.
+
+        The actor update reuses the noise-free forward that picked the
+        actions: the critic update in between changes neither the actor's
+        parameters nor its forward cache, so a second forward on the same
+        states would return the same array.
         """
         p = self.params
         if self.buffer.size < p.batch_size:
@@ -262,7 +277,8 @@ class DdpgAgent:
         for _ in range(p.planning_steps):
             states = self.buffer.sample_states(p.num_samples, self.rng)
             phi_s = self._phi(states)
-            actions = self.actor.forward(phi_s)
+            policy_actions = self.actor.forward(phi_s)
+            actions = policy_actions
             if p.epsilon > 0:
                 actions = actions + self.rng.normal(0.0, p.epsilon, size=actions.shape)
             actions = np.clip(actions, 0.0, 1.0)
@@ -273,7 +289,7 @@ class DdpgAgent:
 
             batch = (states, actions, rewards, next_states)
             closs = self.update_critic_network(batch)
-            aloss = self.update_actor_network(batch)
+            aloss = self.update_actor_network(batch, actions=policy_actions)
             losses.append((closs, aloss))
         return losses
 

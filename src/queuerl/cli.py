@@ -20,6 +20,7 @@ from .config import parse_hyperparams, parse_network_config
 from .errors import ConfigError, QueueRlError
 from .evaluation import (
     NoiseConfig,
+    check_steps,
     check_window,
     convergence_train,
     detect_burn_in,
@@ -125,6 +126,7 @@ def _run_evaluate(cfg: argparse.Namespace, env_config, params) -> int:
     elif cfg.evaluator == "noise":
         noise = NoiseConfig(cfg.noise_mean, cfg.noise_variance, cfg.noise_frequency)
         noise.validate()  # before training an agent for it
+        check_steps(cfg.time_steps)
         agent = _get_agent(cfg, env_config, params)
         report = evaluate_noise(agent, env_config, noise, mode=cfg.noise_mode,
                                 timesteps=cfg.time_steps, seed=params.seed,
@@ -134,6 +136,7 @@ def _run_evaluate(cfg: argparse.Namespace, env_config, params) -> int:
         if cfg.node is None:
             raise ConfigError("--node is required for the disruption evaluator")
         env_config.check_blockable(cfg.node)  # before training
+        check_steps(cfg.time_steps)
         agent = _get_agent(cfg, env_config, params)
         report = evaluate_disruption(agent, env_config, cfg.node, steps=cfg.time_steps,
                                      seed=params.seed, events_per_step=params.events_per_step)

@@ -88,6 +88,13 @@ def detect_burn_in(
 # -- shared rollout helpers --------------------------------------------------------
 
 
+def check_steps(steps: int) -> None:
+    """The rollout-length rule of every evaluator that rolls a policy out:
+    at least one step."""
+    if steps < 1:
+        raise ConfigError(f"time_steps must be >= 1, got {steps}")
+
+
 def _rollout(agent: DdpgAgent, env: RlEnv, steps: int) -> Iterator[np.ndarray]:
     """Step env `steps` times with the frozen (noise-free) policy, starting
     from its current state; yield each action after the env has stepped."""
@@ -99,7 +106,7 @@ def _rollout(agent: DdpgAgent, env: RlEnv, steps: int) -> Iterator[np.ndarray]:
 
 
 def _final_routing(agent: DdpgAgent, env: RlEnv, steps: int) -> dict[int, dict[int, float]]:
-    """Routing map of the last action of a `steps`-step rollout (steps >= 1)."""
+    """Routing map of the last action of a `steps`-step rollout (check_steps)."""
     for _ in _rollout(agent, env, steps):
         pass
     return env.net.transition_map
@@ -114,6 +121,7 @@ def evaluate_policy(
     reward_skip: int = 0,
 ) -> float:
     """Total reward of the frozen (noise-free) policy over a fresh rollout."""
+    check_steps(timesteps)
     env = RlEnv(env_config, seed=seed, events_per_step=events_per_step, reward_skip=reward_skip)
     total = 0.0
     for _ in _rollout(agent, env, timesteps):
@@ -263,6 +271,7 @@ def evaluate_noise(
     mode "evaluate" uses the agent as-is.
     """
     cfg.validate()
+    check_steps(timesteps)
     if mode not in ("evaluate", "retrain"):
         raise ConfigError(f"unknown noise mode {mode!r}")
     if mode == "retrain":
@@ -312,8 +321,7 @@ def evaluate_disruption(
     """Roll out, block a node, roll out again; report routing and throughput
     snapshots from both phases."""
     env_config.check_blockable(node)
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
+    check_steps(steps)
 
     env = RlEnv(env_config, seed=seed, events_per_step=events_per_step)
     pre_probas = _final_routing(agent, env, steps)
@@ -383,8 +391,7 @@ def robustness_evaluate(
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     required_runs(z, 0.0, margin)  # checks z and margin before any training
-    if time_steps < 1:
-        raise ConfigError(f"time_steps must be >= 1, got {time_steps}")
+    check_steps(time_steps)
     if seeds is None:
         seeds = [agent_params.seed + i for i in range(num_agents)]
     elif len(seeds) != num_agents:

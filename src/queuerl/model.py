@@ -14,6 +14,12 @@ That is the initializer's draw order and the checkpoint's byte order.
 `grads` has the same layout. `weights`, `biases`, `grad_w` and `grad_b` are
 lists of views into the two vectors, so writing through them (as backward
 does) updates the vectors, and Adam or a soft update acts on one array.
+
+forward, backward and input_gradient do their elementwise arithmetic (bias
+add, ReLU, ReLU mask, sigmoid clip) in place, on arrays each call has just
+made with a matmul or ufunc. Those are the same float operations as the
+out-of-place forms, and they never write a caller's input or dout, nor an
+activation already cached for backward.
 """
 
 from __future__ import annotations
@@ -34,8 +40,10 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     e = np.exp(np.minimum(z, -z))
     d = 1.0 + e
     out = np.where(z >= 0, 1.0 / d, e / d)
-    # keep outputs strictly inside (0, 1) even when z saturates in float64
-    return np.clip(out, 1e-12, 1.0 - 1e-12)
+    # keep outputs strictly inside (0, 1) even when z saturates in float64;
+    # maximum then minimum is np.clip's arithmetic, NaN included
+    np.maximum(out, 1e-12, out=out)
+    return np.minimum(out, 1.0 - 1e-12, out=out)
 
 
 class Mlp:
@@ -94,15 +102,17 @@ class Mlp:
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
-        a = np.atleast_2d(x)
-        if a.shape[1] != self.in_dim:
-            raise DimensionMismatch(f"input has {a.shape[1]} features, expected {self.in_dim}")
+        a = x.reshape(1, -1) if single else x
+        if a.ndim != 2 or a.shape[1] != self.in_dim:
+            raise DimensionMismatch(
+                f"input has shape {x.shape}, expected rows of {self.in_dim} features")
         self._cache_inputs = [a]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w + b
+            z = a @ w
+            z += b
             if i < last:
-                a = np.maximum(z, 0.0)
+                a = np.maximum(z, 0.0, out=z)
             elif self.output_activation == "sigmoid":
                 a = _sigmoid(z)
             else:
@@ -116,7 +126,12 @@ class Mlp:
         activation to its pre-activation."""
         if self._cache_out is None:
             raise RuntimeError("gradient asked for before forward")
-        d = np.atleast_2d(np.asarray(dout, dtype=float))
+        d = np.asarray(dout, dtype=float)
+        if d.ndim != 2:
+            d = np.atleast_2d(d)
+        if d.shape != self._cache_out.shape:
+            raise DimensionMismatch(
+                f"dout has shape {d.shape}, the last forward gave {self._cache_out.shape}")
         if self.output_activation == "sigmoid":
             out = self._cache_out
             d = d * out * (1.0 - out)
@@ -134,7 +149,7 @@ class Mlp:
         last = len(self.weights) - 1
         for i in range(last, -1, -1):
             if i < last:
-                d = d * (self._cache_inputs[i + 1] > 0.0)
+                d *= self._cache_inputs[i + 1] > 0.0  # d is the layer above's fresh d @ W.T
             np.matmul(self._cache_inputs[i].T, d, out=self.grad_w[i])
             d.sum(axis=0, out=self.grad_b[i])
             if i:
@@ -147,7 +162,7 @@ class Mlp:
         last = len(self.weights) - 1
         for i in range(last, -1, -1):
             if i < last:
-                d = d * (self._cache_inputs[i + 1] > 0.0)
+                d *= self._cache_inputs[i + 1] > 0.0
             d = d @ self.weights[i].T
         return d[0] if np.asarray(dout).ndim == 1 else d
 

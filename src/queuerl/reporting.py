@@ -11,6 +11,7 @@ import json
 from pathlib import Path
 
 from .agent import TrainingTrace
+from .errors import UnknownNode
 from .evaluation import (
     BurnInReport,
     ConvergenceReport,
@@ -49,11 +50,14 @@ def default_plot_node(tmap: dict[int, dict[int, float]]) -> int:
 
 def _write_transition_csv(path, trace: TrainingTrace, node: int | None) -> None:
     """Per-timestep routing probabilities out of one node (by default the
-    first branching node); writes nothing for an empty trace."""
+    first branching node); writes nothing for an empty trace. A node with no
+    routing row raises UnknownNode."""
     tmaps = trace.flat_tmaps()
     if not tmaps:
         return
     node = default_plot_node(tmaps[0]) if node is None else node
+    if node not in tmaps[0]:
+        raise UnknownNode(f"node {node} has no routing row to report")
     succs = sorted(tmaps[0][node])
     write_csv(
         path,

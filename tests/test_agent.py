@@ -253,6 +253,48 @@ def test_fit_model_learns_identity_environment():
     assert r_loss < 1e-3
 
 
+def reference_fit_model(agent):
+    """fit_model with a fancy-index gather per minibatch and np.mean losses."""
+    s, a, r, s2 = agent.buffer.stored()
+    x = np.concatenate([agent._phi(s), a], axis=1)
+    y_next = agent._phi(s2)
+    y_reward = r[:, None]
+    n = len(r)
+    bs = min(agent.params.batch_size, n)
+    for _ in range(agent.params.num_epochs):
+        perm = agent.rng.permutation(n)
+        ns_batch, r_batch = [], []
+        for start in range(0, n, bs):
+            idx = perm[start : start + bs]
+            xb = x[idx]
+            err = agent.next_state_model.forward(xb) - y_next[idx]
+            ns_batch.append(float(np.mean(err**2)))
+            agent.next_state_model.backward((2.0 / err.size) * err)
+            agent.next_state_opt.step()
+            err_r = agent.reward_model.forward(xb) - y_reward[idx]
+            r_batch.append(float(np.mean(err_r**2)))
+            agent.reward_model.backward((2.0 / err_r.size) * err_r)
+            agent.reward_opt.step()
+    return sum(ns_batch) / len(ns_batch), sum(r_batch) / len(r_batch)
+
+
+@pytest.mark.parametrize("num_epochs", [1, 3])
+def test_fit_model_matches_per_batch_gather(num_epochs):
+    agent = make_agent(num_epochs=num_epochs)
+    rng = np.random.default_rng(16)
+    for _ in range(11):  # the last minibatch is short
+        agent.buffer.push(*random_transition(rng))
+    reference = copy.deepcopy(agent)
+    for _ in range(2):
+        got = agent.fit_model()
+        want = reference_fit_model(reference)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+    for name in ("next_state_model", "reward_model"):
+        assert (agent.named_networks()[name].params.tobytes()
+                == reference.named_networks()[name].params.tobytes())
+    assert agent.rng.random() == reference.rng.random()
+
+
 def test_fit_model_losses_finite_on_random_buffer():
     agent = make_agent()
     rng = np.random.default_rng(11)
@@ -291,6 +333,58 @@ def test_plan_performs_exactly_planning_steps_updates():
     assert len(losses) == 3  # one (critic, actor) update pair per step
     assert all(len(pair) == 2 for pair in losses)
     assert agent.buffer.size == 6  # hallucinations never stored
+
+
+def reference_plan(agent):
+    """plan's loop with an actor update that runs its own forward."""
+    p = agent.params
+    losses = []
+    for _ in range(p.planning_steps):
+        states = agent.buffer.sample_states(p.num_samples, agent.rng)
+        phi_s = agent._phi(states)
+        actions = agent.actor.forward(phi_s)
+        if p.epsilon > 0:
+            actions = actions + agent.rng.normal(0.0, p.epsilon, size=actions.shape)
+        actions = np.clip(actions, 0.0, 1.0)
+        x = np.concatenate([phi_s, actions], axis=1)
+        rewards = agent.reward_model.forward(x)[:, 0]
+        next_states = np.expm1(np.clip(agent.next_state_model.forward(x), 0.0,
+                                       agent_module._PHI_CLIP))
+        batch = (states, actions, rewards, next_states)
+        closs = agent.update_critic_network(batch)
+        losses.append((closs, agent.update_actor_network(batch)))
+    return losses
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.1])
+def test_plan_matches_reference_loop(epsilon):
+    agent = make_agent(planning_steps=3, epsilon=epsilon)
+    rng = np.random.default_rng(17)
+    for _ in range(8):
+        agent.buffer.push(*random_transition(rng))
+    agent.fit_model()
+    reference = copy.deepcopy(agent)
+    for _ in range(2):
+        got, want = agent.plan(), reference_plan(reference)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+    ours, theirs = network_params_snapshot(agent), network_params_snapshot(reference)
+    assert len(ours) == 6
+    assert all(ours[name].tobytes() == theirs[name].tobytes() for name in ours)
+
+
+def test_actor_update_rejects_actions_not_from_the_last_forward():
+    agent = make_agent()
+    batch = random_batch(np.random.default_rng(18), 4)
+    actions = agent.actor.forward(agent._phi(batch[0]))
+    before = network_params_snapshot(agent)
+    with pytest.raises(RuntimeError, match="last forward"):
+        agent.update_actor_network(batch, actions=actions.copy())
+    assert params_equal(before, network_params_snapshot(agent))
+    agent.update_critic_network(batch)  # the critic forward leaves the actor's cache
+    agent.update_actor_network(batch, actions=actions)
+    agent.actor.forward(agent._phi(batch[0]))
+    with pytest.raises(RuntimeError, match="last forward"):
+        agent.update_actor_network(batch, actions=actions)
 
 
 def test_plan_with_fitted_models_moves_like_real_updates():
@@ -351,6 +445,22 @@ def test_train_runs_updates_and_records_losses():
     assert len(trace.critic_losses) == n_updating_steps * 3
     assert all(np.isfinite(v) for v in trace.actor_losses + trace.critic_losses)
     assert len(trace.flat_tmaps()) == 8
+
+
+def test_updating_train_step_runs_four_actor_forwards():
+    # one for the acted step, one for the real actor update, and one per
+    # planning step, whose actor update reuses it
+    cfg = mm1_topology(0.5, 1.0)
+    env = RlEnv(cfg, seed=0, events_per_step=50)
+    agent = DdpgAgent(env.state_dim, env.action_dim,
+                      small_params(num_episodes=1, num_timesteps=1, batch_size=1,
+                                   planning_steps=2))
+    calls = []
+    forward = agent.actor.forward
+    agent.actor.forward = lambda x: calls.append(1) or forward(x)
+    trace = agent.train(env)
+    assert len(trace.step_losses) == 1  # the one step updated
+    assert len(calls) == 4
 
 
 def test_train_is_reproducible():

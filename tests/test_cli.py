@@ -10,6 +10,8 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from queuerl import config as config_module
+from queuerl import reporting
 from queuerl.agent import AgentParams, DdpgAgent
 from queuerl.cli import main
 from queuerl.config import (
@@ -18,8 +20,9 @@ from queuerl.config import (
     parse_network_config,
     write_network_config,
 )
-from queuerl.errors import ConfigError, ParseError, QueueRlError
-from queuerl.netsim import figure_topology, mm1_topology
+from queuerl.errors import ConfigError, ParseError, QueueRlError, UnknownNode
+from queuerl.netsim import feed_forward_topology, figure_topology, mm1_topology
+from queuerl.rl_env import RlEnv
 from queuerl.tuning import RangeSpec, sample_params
 
 FIG_EDGES = [
@@ -135,6 +138,34 @@ def test_network_config_round_trip(tmp_path):
         parsed = parse_network_config(str(path))
         assert parsed == cfg
         assert network_config_to_dict(parsed) == network_config_to_dict(cfg)
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+def test_c_and_python_yaml_loaders_read_alike(tmp_path, monkeypatch):
+    assert config_module._YAML_LOADER is yaml.CSafeLoader
+    cases = []
+    for i, cfg in enumerate((figure_topology(), mm1_topology(0.5, 1.0),
+                             feed_forward_topology(40))):
+        write_network_config(cfg, str(tmp_path / f"net{i}.yml"))
+        cases.append((parse_network_config, tmp_path / f"net{i}.yml"))
+    params = write_params(tmp_path / "params.yml", alpha="2e-3", tau={"low": 0.01, "high": 0.2},
+                          hidden_sizes=[[4], [8, 8]], trials=3)
+    malformed = tmp_path / "malformed.yml"
+    malformed.write_text("num_nodes: [1, 2\nedges: {source: 0\n")
+    cases += [(parse_hyperparams, params), (parse_network_config, malformed),
+              (parse_hyperparams, malformed)]
+
+    def read(parse, path, loader):
+        monkeypatch.setattr(config_module, "_YAML_LOADER", loader)
+        try:
+            return parse(str(path))
+        except QueueRlError as exc:
+            return type(exc)
+
+    for parse, path in cases:
+        got = read(parse, path, yaml.CSafeLoader)
+        assert got == read(parse, path, yaml.SafeLoader), path.name
+    assert got is ParseError
 
 
 # -- hyperparameter parsing -----------------------------------------------------------
@@ -305,6 +336,16 @@ def test_train_writes_expected_outputs(tmp_path):
         assert steps == sorted(steps) and len(set(steps)) == len(steps)
 
 
+def test_transition_csvs_reject_a_node_without_routing_row(tmp_path):
+    cfg = mm1_topology(0.5, 1.0)
+    env = RlEnv(cfg, seed=0, events_per_step=20)
+    params = AgentParams(hidden_sizes=(4,), batch_size=8, num_episodes=1, num_timesteps=3)
+    trace = DdpgAgent(env.state_dim, env.action_dim, params).train(env)
+    for write in (reporting.write_training_csvs, reporting.write_plot_csvs):
+        with pytest.raises(UnknownNode, match="node 99"):
+            write(trace, tmp_path / "out", node=99)
+
+
 def test_train_runs_are_byte_identical(tmp_path):
     net = write_chain_config(tmp_path / "net.yml")
     par = write_params(tmp_path / "params.yml")
@@ -372,6 +413,11 @@ EVALUATE = ("--function", "evaluate", "--evaluator")
      EVALUATE + ("disruption", "--node", "99"), 4, "node 99 not in network"),
     ({}, {"num_episodes": 1, "num_timesteps": 2},
      EVALUATE + ("disruption", "--node", "0"), 2, "node 0 is not blockable"),
+    ({}, {"num_episodes": 1, "num_timesteps": 2},
+     EVALUATE + ("disruption", "--node", "1", "--time_steps", "0"), 2,
+     "time_steps must be >= 1"),
+    ({}, {"num_episodes": 1, "num_timesteps": 2},
+     EVALUATE + ("noise", "--time_steps", "0"), 2, "time_steps must be >= 1"),
     ({"num_nodes": float("inf")}, {}, TRAIN, 2, "'num_nodes' must be an integer"),
     ({"edges": [{"source": 0, "target": 1, "edge_type": float("inf")},
                 {"source": 1, "target": 2, "edge_type": 0}]},
@@ -393,6 +439,7 @@ EVALUATE = ("--function", "evaluate", "--evaluator")
         "inf_range_high", "hidden_sizes_scalar_choice", "zero_window_size",
         "zero_consecutive_points", "nan_noise_variance", "nan_noise_mean", "nan_z",
         "zero_workers", "unknown_disruption_node", "unblockable_disruption_node",
+        "zero_disruption_time_steps", "zero_noise_time_steps",
         "inf_num_nodes", "inf_edge_type", "fractional_target", "unknown_train_node",
         "negative_train_node", "sink_train_node", "unknown_plot_node", "string_entry_edges",
         "mapping_exit_edges", "list_service_rates"])

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from queuerl.agent import AgentParams, DdpgAgent
+from queuerl.agent import AgentParams, DdpgAgent, make_agent
 from queuerl.errors import ConfigError, InsufficientData, UnknownNode
 from queuerl.evaluation import (
     NoiseConfig,
@@ -240,6 +240,18 @@ def test_noise_changes_the_noisy_series():
                             timesteps=6, seed=11, events_per_step=40)
     assert report.standard_series != report.noisy_series
     assert len(report.standard_series) == len(report.noisy_series) == 6
+
+
+@pytest.mark.parametrize("steps", [0, -5])
+def test_rollout_evaluators_reject_empty_rollouts(steps, monkeypatch):
+    monkeypatch.setattr(DdpgAgent, "train", lambda *a, **kw: pytest.fail("an agent trained"))
+    cfg = figure_topology()
+    agent = make_agent(cfg, tiny_params())
+    with pytest.raises(ConfigError, match="time_steps must be >= 1"):
+        evaluate_policy(agent, cfg, timesteps=steps)
+    for mode in ("evaluate", "retrain"):
+        with pytest.raises(ConfigError, match="time_steps must be >= 1"):
+            evaluate_noise(agent, cfg, NoiseConfig(), mode=mode, timesteps=steps)
 
 
 # -- disruption ------------------------------------------------------------------------

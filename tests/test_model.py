@@ -175,6 +175,60 @@ def test_forward_shape_handling():
     assert batch.shape == (5, 2)
     with pytest.raises(DimensionMismatch):
         net.forward(np.zeros(3))
+    with pytest.raises(DimensionMismatch):
+        net.forward(np.zeros((2, 3, 4)))
+
+
+def reference_forward(net, x):
+    """forward's arithmetic out of place, as rows."""
+    a = np.atleast_2d(x)
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = a @ w + b
+        if i < len(net.weights) - 1:
+            a = np.maximum(z, 0.0)
+        elif net.output_activation == "sigmoid":
+            a = masked_sigmoid(z)
+        else:
+            a = z
+    return a
+
+
+@pytest.mark.parametrize("activation,sizes", AGENT_SHAPES + [("sigmoid", [3, 2])])
+def test_forward_matches_out_of_place_reference_and_keeps_input(activation, sizes):
+    rng = np.random.default_rng(14)
+    net = Mlp(sizes, activation, rng)
+    x = rng.normal(scale=3.0, size=(6, net.in_dim))
+    x[0, 0] = -0.0
+    kept = x.copy()
+    assert net.forward(x).tobytes() == reference_forward(net, x).tobytes()
+    assert net.forward(x[2]).tobytes() == reference_forward(net, x[2])[0].tobytes()
+    assert x.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("activation,sizes", AGENT_SHAPES + [("identity", [3, 2])])
+def test_gradients_write_no_caller_array_or_cached_activation(activation, sizes):
+    rng = np.random.default_rng(15)
+    net = Mlp(sizes, activation, rng)
+    x = rng.normal(size=(5, net.in_dim))
+    out = net.forward(x)
+    dout = rng.normal(size=(5, net.out_dim))
+    dout_pre = rng.normal(size=(5, net.out_dim))
+    cached = [c.copy() for c in net._cache_inputs]
+    kept = (x.copy(), out.copy(), dout.copy(), dout_pre.copy())
+
+    net.input_gradient(dout)
+    net.backward(dout)
+    net.backward(dout, dout_pre=dout_pre)
+
+    assert all(a.tobytes() == b.tobytes() for a, b in zip((x, out, dout, dout_pre), kept))
+    assert len(net._cache_inputs) == len(cached)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(net._cache_inputs, cached))
+    assert net._cache_out is net._cache_inputs[-1]
+    for wrong in (dout[:1], dout[:, :-1] if net.out_dim > 1 else dout[:2]):
+        with pytest.raises(DimensionMismatch):
+            net.backward(wrong)
+        with pytest.raises(DimensionMismatch):
+            net.input_gradient(wrong)
 
 
 def test_forward_is_pure():
