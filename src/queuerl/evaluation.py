@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterator, Optional
 
@@ -402,6 +401,10 @@ def robustness_evaluate(
         (replace(agent_params, seed=s), env_config, eval_seed, time_steps) for s in seeds
     ]
     if workers > 1:
+        # imported here: concurrent.futures pulls in multiprocessing, which
+        # every other caller of this module would pay for at import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             maps = list(pool.map(_train_and_snapshot, jobs))
     else:

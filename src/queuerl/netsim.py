@@ -6,17 +6,32 @@ network instantly. External arrivals form Poisson streams into the entry
 edges. Routing is one weight per serviced edge; set_routing normalises the
 weights per node, and a job leaving an edge samples its successor from them.
 
-QueueNetwork.simulate is one loop over the event calendar. A calendar entry
-is (time, seq, code): seq numbers the entries in push order, so (time, seq)
-is unique and alone decides the pop order; code is the edge position for a
-service completion and -1 - position for an external arrival. An edge has
-at most one live completion, and _pending holds its seq (0 for none): a
-popped completion whose seq is not its edge's _pending was cancelled by a
-blockage, and is dropped and counted. An external arrival joins its edge's
-queue and schedules the next arrival. A completion records the job's exit
-from its edge, starts the next job there, draws the job's successor and
-enqueues it (or counts its exit from the network). All random numbers come
-from one random.Random, drawn in this order, which the golden tests pin:
+QueueNetwork.simulate is one loop over the event calendar, two parallel
+lists: keys holds each entry's event time negated, in ascending order, so
+the next event is the last entry and pop() takes it in O(1); codes holds
+each entry's code at the same index. A code is the edge position for a
+service completion, -1 - position for an external arrival, and _CANCELLED
+for a completion that a blockage cancelled. An entry goes in at
+bisect_left of its key, in front of every entry with an equal key, so among
+equal times the entry pushed first pops first: the order of a heap on
+(time, push count), ties included. Times are computed as clock + duration
+and negated when stored; negation is exact both ways, so clock = -key keeps
+every bit of the time, the sign of a zero included.
+
+An edge has at most one live completion, on the calendar exactly while its
+queue is non-empty and its target node unblocked. set_blockage finds it by
+its code and overwrites the code with _CANCELLED; the entry keeps its place,
+and when it reaches the head it is dropped and counted in cancelled. The
+code, unlike the key, tells a cancelled completion from a live one at the
+same time. The calendar holds one arrival per entry edge, one completion
+per busy edge and the cancelled entries not yet popped, so the memory that
+list.insert moves stays small.
+
+An external arrival joins its edge's queue and schedules the next arrival.
+A completion records the job's exit from its edge, starts the next job
+there, draws the job's successor and enqueues it (or counts its exit from
+the network). All random numbers come from one random.Random, drawn in this
+order, which the golden tests pin:
 
 - arrival: the service time, when the job finds its edge idle and
   unblocked; then the gap to the next arrival;
@@ -40,9 +55,9 @@ sum if n_exited > skip.
 
 from __future__ import annotations
 
-import heapq
 import math
 import random
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -53,6 +68,17 @@ from .errors import ConfigError, DimensionMismatch, UnknownEdge, UnknownNode
 
 # A node whose outgoing weights sum below this routes uniformly.
 UNIFORM_FALLBACK_EPS = 1e-6
+
+# The calendar code of a service completion that a blockage cancelled.
+_CANCELLED = -(1 << 62)
+
+
+def _checked_gap(gap: float) -> float:
+    """An interarrival gap from the interarrival_noise hook, if it is finite
+    and >= 0; ConfigError otherwise."""
+    if not 0.0 <= gap < math.inf:
+        raise ConfigError(f"interarrival_noise returned gap {gap}; it must be finite and >= 0")
+    return gap
 
 
 @dataclass
@@ -253,7 +279,11 @@ class QueueNetwork:
     mean_delays, serviced_stats and counted_means read all serviced edges in
     one call; an exit counts when n_exited > skip (skip >= 0) after it.
     events counts the calendar events simulate processed, cancelled the
-    completions a blockage cancelled.
+    completions a blockage cancelled, counted as they reach the head of the
+    calendar. The calendar is the sorted key and code lists that the module
+    docstring describes. interarrival_noise, when given, maps each drawn
+    interarrival gap to the one used; a result that is not finite or is
+    below 0 raises ConfigError, and the network should then be discarded.
     """
 
     def __init__(
@@ -274,8 +304,10 @@ class QueueNetwork:
         self.clock = 0.0
         self.events = 0
         self.cancelled = 0
-        self._heap: list[tuple[float, int, int]] = []
-        self._seq = 0
+        # the event calendar: negated event times ascending, so the next event
+        # is the last entry, and each entry's code at the same index
+        self._keys: list[float] = []
+        self._codes: list[int] = []
 
         # Per-edge tables are lists indexed by an edge's position: serviced
         # edges ascending, then exit edges ascending. Calendar entries carry
@@ -292,7 +324,6 @@ class QueueNetwork:
         self.arrivals_total: dict[int, int] = {e: 0 for e in sorted(config.entry_edges)}
         self.exits_total: dict[int, int] = {e: 0 for e in sorted(config.exit_edges)}
         self._rates = [config.service_rates[e] for e in serviced]
-        self._pending = [0] * n  # seq of the edge's live completion, 0 for none
         self._halted = [False] * n  # the edge's target node is blocked
         # Traversal aggregates. _counted_sum adds the delays of an edge's exits
         # after its first skip, in exit order (on a FIFO edge, the traversals
@@ -327,9 +358,8 @@ class QueueNetwork:
         for etype in sorted(config.entry_edges):
             gap = self.rng.expovariate(config.arrival_rate)
             if interarrival_noise is not None:
-                gap = interarrival_noise(gap)
-            self._seq += 1
-            heapq.heappush(self._heap, (gap, self._seq, -1 - position[etype]))
+                gap = _checked_gap(interarrival_noise(gap))
+            self._schedule(self.clock + gap, -1 - position[etype])
 
     # -- public surface --------------------------------------------------------
 
@@ -376,10 +406,11 @@ class QueueNetwork:
         docstring describes."""
         if num_events < 1:
             raise ValueError("num_events must be >= 1")
-        heap, pop, push = self._heap, heapq.heappop, heapq.heappush
+        keys, codes = self._keys, self._codes
+        pop_key, pop_code, insert_key, insert_code = keys.pop, codes.pop, keys.insert, codes.insert
         uniform, log = self.rng.random, math.log
         noise, arrival_rate = self.interarrival_noise, self.config.arrival_rate
-        queues, rates, pending, halted = self._queues, self._rates, self._pending, self._halted
+        queues, rates, halted = self._queues, self._rates, self._halted
         n_records, n_exited = self._n_records, self._n_exited
         exited_sum, inflight_sum, counted_sum = (
             self._exited_sum, self._inflight_sum, self._counted_sum)
@@ -388,20 +419,20 @@ class QueueNetwork:
             self._target_row, self._cumulative, self._next_edges)
         edge_types, n_serviced = self._edge_types, len(queues)
         arrivals_total, exits_total = self.arrivals_total, self.exits_total
-        clock, seq, cancelled = self.clock, self._seq, self.cancelled
+        clock, cancelled = self.clock, self.cancelled
         processed = 0
         try:
             while processed < num_events:
-                if not heap:
-                    raise RuntimeError("event calendar empty; network has no arrival stream")
-                time, event_seq, code = pop(heap)
+                try:
+                    key = pop_key()
+                except IndexError:
+                    raise RuntimeError(
+                        "event calendar empty; network has no arrival stream") from None
+                code = pop_code()
                 if code >= 0:
-                    i = code
-                    if event_seq != pending[i]:
-                        cancelled += 1  # a blockage cancelled this completion
-                        continue
                     processed += 1
-                    clock = time
+                    clock = -key
+                    i = code
                     q = queues[i]
                     arrival = q.popleft()
                     delay = clock - arrival
@@ -411,9 +442,10 @@ class QueueNetwork:
                         counted_sum[i] += delay
                     inflight_sum[i] -= arrival
                     if q and not halted[i]:
-                        seq += 1
-                        push(heap, (clock - log(1.0 - uniform()) / rates[i], seq, i))
-                        pending[i] = seq
+                        key = -(clock - log(1.0 - uniform()) / rates[i])
+                        k = bisect_left(keys, key)
+                        insert_key(k, key)
+                        insert_code(k, i)
                     u = uniform()
                     row = target_row[i]
                     cum = cumulative[row]
@@ -424,9 +456,12 @@ class QueueNetwork:
                     if j >= n_serviced:
                         exits_total[edge_types[j]] += 1
                         continue
+                elif code == _CANCELLED:
+                    cancelled += 1
+                    continue
                 else:
                     processed += 1
-                    clock = time
+                    clock = -key
                     j = -1 - code
                     arrivals_total[edge_types[j]] += 1
                 # the job joins edge j
@@ -435,18 +470,29 @@ class QueueNetwork:
                 q = queues[j]
                 q.append(clock)
                 if len(q) == 1 and not halted[j]:
-                    seq += 1
-                    push(heap, (clock - log(1.0 - uniform()) / rates[j], seq, j))
-                    pending[j] = seq
+                    key = -(clock - log(1.0 - uniform()) / rates[j])
+                    k = bisect_left(keys, key)
+                    insert_key(k, key)
+                    insert_code(k, j)
                 if code < 0:
                     gap = -log(1.0 - uniform()) / arrival_rate
                     if noise is not None:
-                        gap = noise(gap)
-                    seq += 1
-                    push(heap, (clock + gap, seq, code))
+                        gap = _checked_gap(noise(gap))
+                    key = -(clock + gap)
+                    k = bisect_left(keys, key)
+                    insert_key(k, key)
+                    insert_code(k, code)
         finally:
-            self.clock, self._seq, self.cancelled = clock, seq, cancelled
+            self.clock, self.cancelled = clock, cancelled
             self.events += processed
+
+    def _schedule(self, time: float, code: int) -> None:
+        """Put an event on the calendar behind every entry at or before its
+        time."""
+        key = -time
+        k = bisect_left(self._keys, key)
+        self._keys.insert(k, key)
+        self._codes.insert(k, code)
 
     def set_blockage(self, node: int) -> None:
         """Render a node's server non-functional: its incoming serviced edges
@@ -456,9 +502,11 @@ class QueueNetwork:
         if node in self.blocked_nodes:
             return
         self.blocked_nodes.add(node)
+        codes = self._codes
         for i in self._incoming.get(node, ()):
             self._halted[i] = True
-            self._pending[i] = 0  # cancels the live completion
+            if self._queues[i]:  # the edge's one live completion: cancel it
+                codes[codes.index(i)] = _CANCELLED
 
     def clear_blockage(self, node: int) -> None:
         """Undo set_blockage; restarts service at the head of affected queues."""
@@ -470,10 +518,8 @@ class QueueNetwork:
         for i in self._incoming.get(node, ()):
             self._halted[i] = False
             if self._queues[i]:
-                self._seq += 1
                 duration = self.rng.expovariate(self._rates[i])
-                heapq.heappush(self._heap, (self.clock + duration, self._seq, i))
-                self._pending[i] = self._seq
+                self._schedule(self.clock + duration, i)
 
     def mean_delays(self) -> list[float]:
         """Per serviced edge, in serviced_edge_types order, the mean

@@ -1,7 +1,10 @@
 import csv
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -564,3 +567,14 @@ def test_evaluate_robustness_csv_schema(tmp_path):
     summary = json.loads((data / "robustness_summary.json").read_text())
     assert summary["num_agents"] == 2
     assert summary["required_runs"] >= 1
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # the process pool is imported only where robustness_evaluate uses one
+    src = Path(config_module.__file__).parents[1]
+    code = ("import sys, queuerl, queuerl.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import math
 import random
 import re
@@ -534,6 +535,79 @@ def test_repeated_toggles_cancel_stale_completions_like_reference():
     assert snapshot(net) == snapshot(ref)
     assert stale > 0
     assert net.cancelled == stale
+
+
+def scripted_random(script):
+    """A random.Random whose random() cycles through script. A 0.0 draw
+    gives a zero-length gap or service time, so many events share one
+    instant."""
+
+    class Scripted(random.Random):
+        def seed(self, a=None, version=2):
+            super().seed(a, version)
+            self._draws = itertools.cycle(script)
+
+        def random(self):
+            return next(self._draws)
+
+    return Scripted
+
+
+@pytest.mark.parametrize(
+    "script", [[0.0], [0.0, 0.0, 0.5], [0.0, 0.25, 0.0, 0.75, 0.0]],
+    ids=["all_zero", "zero_zero_half", "alternating"])
+def test_exact_ties_pop_in_push_order_like_reference(monkeypatch, script):
+    # events at one instant must pop in the order they were pushed, and a
+    # cancelled completion must stay apart from a live one at the same time
+    cfg = figure_topology(arrival_rate=1.5)
+    with monkeypatch.context() as m:
+        m.setattr(random, "Random", scripted_random(script))
+        net, ref = QueueNetwork(cfg, seed=5), ReferenceNetwork(cfg, seed=5)
+    actions = np.random.default_rng(5).random((60, len(cfg.serviced_edges())))
+    actions[::5] = 0.0
+    nodes = cfg.blockable_nodes()
+    for step, action in enumerate(actions):
+        node = nodes[step // 3 % len(nodes)]
+        for n in (net, ref):
+            n.set_routing(action)
+            if step % 3 == 0:
+                n.set_blockage(node)
+            elif step % 3 == 2:
+                n.set_blockage(nodes[0])  # a no-op when nodes[0] is blocked
+                n.clear_blockage(nodes[0])
+                n.clear_blockage(node)
+            n.simulate(7)
+        assert snapshot(net) == snapshot(ref), f"step {step}"
+        assert (np.array([net.clock] + net.mean_delays()).tobytes()
+                == np.array([ref.clock] + ref.mean_delays()).tobytes()), f"step {step}"
+    assert net.cancelled > 0
+
+
+def test_empty_calendar_raises_runtime_error():
+    net = QueueNetwork(mm1_topology(0.5, 1.0), seed=0)
+    net._keys.clear()
+    net._codes.clear()
+    with pytest.raises(RuntimeError, match="calendar empty"):
+        net.simulate(1)
+    assert net.events == 0
+
+
+@pytest.mark.parametrize("gap", [math.nan, -1.0, math.inf, -math.inf])
+def test_bad_noise_gap_raises_config_error(gap):
+    cfg = figure_topology()
+    with pytest.raises(ConfigError, match="interarrival_noise"):
+        QueueNetwork(cfg, seed=3, interarrival_noise=lambda base: gap)
+    # the first gap is fine, a later one is not
+    gaps = iter([0.5])
+    net = QueueNetwork(cfg, seed=3, interarrival_noise=lambda base: next(gaps, gap))
+    with pytest.raises(ConfigError, match="interarrival_noise"):
+        net.simulate(200)
+
+
+def test_zero_noise_gaps_are_accepted():
+    net = QueueNetwork(figure_topology(), seed=3, interarrival_noise=lambda base: 0.0)
+    net.simulate(50)
+    assert net.clock == 0.0
 
 
 @pytest.mark.parametrize("rate", [0.3, 2.0, 1e300])

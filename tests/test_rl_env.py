@@ -71,6 +71,17 @@ def test_state_dimension_is_stable_across_steps():
     assert dims == {12}
 
 
+@pytest.mark.parametrize("gap", [math.nan, -1.0, math.inf, -math.inf])
+def test_env_rejects_bad_noise_gaps(gap):
+    with pytest.raises(ConfigError, match="interarrival_noise"):
+        RlEnv(figure_topology(), seed=2, interarrival_noise=lambda base: gap)
+    # the first gap is fine; a later one fails the step that draws it
+    gaps = iter([0.5])
+    env = RlEnv(figure_topology(), seed=2, interarrival_noise=lambda base: next(gaps, gap))
+    with pytest.raises(ConfigError, match="interarrival_noise"):
+        env.get_next_state(np.full(env.action_dim, 0.5))
+
+
 # -- masking ---------------------------------------------------------------------
 
 
