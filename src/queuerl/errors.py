@@ -25,10 +25,6 @@ class UnknownNode(QueueRlError):
     exit_code = 4
 
 
-class UnknownEdge(QueueRlError):
-    exit_code = 4
-
-
 class DimensionMismatch(QueueRlError):
     exit_code = 5
 

@@ -232,8 +232,8 @@ class NoiseConfig:
 def noisy_interarrival(base: float, cfg: NoiseConfig, rng: random.Random) -> float:
     """Perturb an interarrival gap with probability cfg.frequency by a
     normal increment, floored at T_FLOOR."""
-    if base <= 0:
-        raise ConfigError("base interarrival time must be > 0")
+    if not base >= 0:
+        raise ConfigError(f"base interarrival time must be >= 0, got {base}")
     if rng.random() >= cfg.frequency:
         return base
     delta = rng.gauss(cfg.mean, math.sqrt(cfg.variance))

@@ -95,10 +95,6 @@ class Mlp:
     def in_dim(self) -> int:
         return self.layer_sizes[0]
 
-    @property
-    def out_dim(self) -> int:
-        return self.layer_sizes[-1]
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1

@@ -46,11 +46,11 @@ gives the same float.
 The simulator keeps no per-job log. A queue holds only the arrival times of
 the jobs on its edge, and each serviced edge keeps running aggregates of its
 traversals (counts and delay sums), so memory stays bounded however long a
-run goes; exit edges keep only their exit counts. mean_delays,
-serviced_stats and counted_means read every serviced edge's aggregates in
-one call. An edge is FIFO, so its k-th exit is its k-th arrival, and the
-skip rule is one test after an exit is counted: its delay joins the counted
-sum if n_exited > skip.
+run goes; exit edges keep only their exit counts. simulate is the only
+writer of these aggregates; mean_delays and counted_means read every
+serviced edge's aggregates in one call. An edge is FIFO, so its k-th exit
+is its k-th arrival, and the skip rule is one test after an exit is
+counted: its delay joins the counted sum if n_exited > skip.
 """
 
 from __future__ import annotations
@@ -64,13 +64,22 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatch, UnknownEdge, UnknownNode
+from .errors import ConfigError, DimensionMismatch, UnknownNode
 
 # A node whose outgoing weights sum below this routes uniformly.
 UNIFORM_FALLBACK_EPS = 1e-6
 
 # The calendar code of a service completion that a blockage cancelled.
 _CANCELLED = -(1 << 62)
+
+# The longest exponential draw at rate 1: random() is at most 1 - 2**-53.
+_LONGEST_UNIT_DRAW = -math.log(2.0 ** -53)
+
+
+def _drawable(rate: float) -> bool:
+    """Whether rate is finite and > 0 and every exponential draw at it is
+    finite."""
+    return math.isfinite(rate) and rate > 0 and math.isfinite(_LONGEST_UNIT_DRAW / rate)
 
 
 def _checked_gap(gap: float) -> float:
@@ -151,8 +160,9 @@ def validate_config(config: TopologyConfig) -> None:
     """Raise ConfigError on any violated topology invariant."""
     if config.num_nodes <= 0:
         raise ConfigError("num_nodes must be positive")
-    if not (math.isfinite(config.arrival_rate) and config.arrival_rate > 0):
-        raise ConfigError(f"arrival_rate must be finite and > 0, got {config.arrival_rate}")
+    if not _drawable(config.arrival_rate):
+        raise ConfigError("arrival_rate must be finite, > 0 and give finite exponential "
+                          f"draws, got {config.arrival_rate}")
 
     seen: dict[int, tuple[int, int]] = {}
     for src, succs in config.edge_list.items():
@@ -181,10 +191,9 @@ def validate_config(config: TopologyConfig) -> None:
         rate = config.service_rates.get(etype)
         if rate is None:
             raise ConfigError(f"edge type {etype} has no service rate and is not an exit edge")
-        if not (math.isfinite(rate) and rate > 0):
-            raise ConfigError(
-                f"service rate for edge type {etype} must be finite and > 0, got {rate}"
-            )
+        if not _drawable(rate):
+            raise ConfigError(f"service rate for edge type {etype} must be finite, > 0 and "
+                              f"give finite exponential draws, got {rate}")
         # jobs completing here are routed onward from dst
         if not config.edge_list.get(dst):
             raise ConfigError(f"node {dst} (target of edge type {etype}) has no outgoing edges")
@@ -276,8 +285,9 @@ class QueueNetwork:
     """Live simulator state: a network at clock 0 with uniform routing and
     the first external arrivals scheduled. The config is validated first.
 
-    mean_delays, serviced_stats and counted_means read all serviced edges in
-    one call; an exit counts when n_exited > skip (skip >= 0) after it.
+    simulate alone writes the traversal aggregates; mean_delays and
+    counted_means read all serviced edges in one call, and an exit counts
+    when n_exited > skip (skip >= 0) after it.
     events counts the calendar events simulate processed, cancelled the
     completions a blockage cancelled, counted as they reach the head of the
     calendar. The calendar is the sorted key and code lists that the module
@@ -317,7 +327,6 @@ class QueueNetwork:
         self._serviced = serviced
         self._edge_types = serviced + sorted(config.exit_edges)
         position = {e: i for i, e in enumerate(self._edge_types)}
-        self._index = {e: i for i, e in enumerate(serviced)}  # for inject_record
         # each queued job is its arrival time
         self._queues: list[deque[float]] = [deque() for _ in serviced]
         self.queues: dict[int, deque[float]] = dict(zip(serviced, self._queues))
@@ -532,41 +541,14 @@ class QueueNetwork:
                 self._n_records, self._n_exited, self._exited_sum, self._inflight_sum)
         ]
 
-    def serviced_stats(self) -> list[tuple[int, float]]:
-        """Per serviced edge, in serviced_edge_types order, (count, delay
-        sum) over its exited traversals at arrival index skip or above."""
-        skip = self.skip
-        return [(max(0, done - skip), counted)
-                for done, counted in zip(self._n_exited, self._counted_sum)]
-
     def counted_means(self) -> list[float]:
-        """The mean delay, sum / count of serviced_stats, of each serviced
-        edge whose count is positive, in serviced_edge_types order; an edge
-        with no counted exit is left out."""
+        """The mean delay over the counted exits, those after an edge's
+        first skip, of each serviced edge that has one, in
+        serviced_edge_types order; an edge with no counted exit is left
+        out."""
         skip = self.skip
         return [total / (done - skip)
                 for done, total in zip(self._n_exited, self._counted_sum) if done > skip]
-
-    def inject_record(self, edge_type: int, arrival_time: float, exit_time: float = 0.0) -> None:
-        """Add one synthetic traversal of a serviced edge to its aggregates.
-
-        exit_time 0.0 leaves the traversal unfinished. A finished traversal
-        is the edge's next exit, and the skip rule counts it as it would a
-        simulated one; an unfinished one never exits. For hand-built
-        scenarios; does not touch queues or the event calendar.
-        """
-        i = self._index.get(edge_type)
-        if i is None:
-            raise UnknownEdge(f"edge type {edge_type} is not a serviced edge of the network")
-        self._n_records[i] += 1
-        if exit_time > 0.0:
-            delay = exit_time - arrival_time
-            self._n_exited[i] += 1
-            self._exited_sum[i] += delay
-            if self._n_exited[i] > self.skip:
-                self._counted_sum[i] += delay
-        else:
-            self._inflight_sum[i] += arrival_time
 
 
 def mm1_topology(arrival_rate: float, service_rate: float) -> TopologyConfig:

@@ -3,16 +3,15 @@
 State: the network's mean_delays, one mean end-to-end delay per serviced
 edge (ascending edge type). Action: one weight in [0, 1] per serviced edge,
 in the same order, which set_routing checks and normalises per node. Reward:
--(mean of the per-edge serviced delays from counted_means) divided by the
-network throughput ratio. counted_means gives each counted edge's
-sum / count of serviced_stats in one pass, the same floats in the same order
-as dividing serviced_stats' pairs here. RlEnv keeps only that formula, the
-step and reset.
+the pure function reward of the network's arrival and exit counts and its
+counted_means, the mean serviced delay of each counted edge. The network's
+simulate is the only writer of those aggregates; RlEnv only reads them,
+steps and resets.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -20,6 +19,17 @@ from .errors import ConfigError, NoArrivals
 from .netsim import QueueNetwork, TopologyConfig
 
 R_FLOOR = 1e-3  # throughput-ratio clamp so the reward stays finite
+
+
+def reward(arrivals: int, exits: int, edge_means: Sequence[float]) -> float:
+    """-(mean of edge_means) / throughput ratio exits / arrivals, the ratio
+    clamped below at R_FLOOR; 0.0 delay when edge_means is empty.
+    NoArrivals when arrivals is 0."""
+    if arrivals == 0:
+        raise NoArrivals("no external arrival has occurred yet")
+    mean_delay = sum(edge_means) / len(edge_means) if edge_means else 0.0
+    ratio = max(exits / arrivals, R_FLOOR)
+    return -mean_delay / ratio
 
 
 class RlEnv:
@@ -65,19 +75,10 @@ class RlEnv:
         return self.get_state()
 
     def get_reward(self) -> float:
-        """-(mean serviced delay) / throughput ratio, over the whole run so far.
-
-        An edge's serviced delay is the mean over its exited traversals at
-        arrival index reward_skip or above, so each edge's first reward_skip
-        jobs are left out. Edges with no such traversal are left out of the
-        delay average; the throughput ratio is clamped below at R_FLOOR.
-        """
-        arrivals = sum(self.net.arrivals_total.values())
-        if arrivals == 0:
-            raise NoArrivals("no external arrival has occurred yet")
-        exits = sum(self.net.exits_total.values())
-
-        edge_means = self.net.counted_means()
-        mean_delay = sum(edge_means) / len(edge_means) if edge_means else 0.0
-        ratio = max(exits / arrivals, R_FLOOR)
-        return -mean_delay / ratio
+        """The reward over the whole run so far. An edge's serviced delay is
+        the mean over its exited traversals at arrival index reward_skip or
+        above, so each edge's first reward_skip jobs are left out, and edges
+        with no such traversal are left out of the delay average."""
+        net = self.net
+        return reward(sum(net.arrivals_total.values()), sum(net.exits_total.values()),
+                      net.counted_means())

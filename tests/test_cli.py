@@ -435,6 +435,10 @@ EVALUATE = ("--function", "evaluate", "--evaluator")
     ({"entry_edges": "12"}, {}, TRAIN, 3, "'entry_edges' must be a list"),
     ({"exit_edges": {0: "x"}}, {}, TRAIN, 3, "'exit_edges' must be a list"),
     ({"service_rates": [[1, 2.0]]}, {}, TRAIN, 3, "'service_rates' must be a mapping"),
+    ({"arrival_rate": 1e-320}, {}, TRAIN, 2,
+     "arrival_rate must be finite, > 0 and give finite exponential draws, got 1e-320"),
+    ({"service_rates": {1: 1e-320}}, {}, TRAIN, 2,
+     "edge type 1 must be finite, > 0 and give finite exponential draws, got 1e-320"),
 ], ids=["nan_arrival_rate", "inf_arrival_rate", "inf_service_rate", "nan_service_rate",
         "trials_abc", "range_low_abc", "hidden_sizes_strings", "hidden_sizes_scalar",
         "choices_scalar", "zero_time_steps", "negative_seed", "inf_epsilon", "inf_w1",
@@ -445,7 +449,7 @@ EVALUATE = ("--function", "evaluate", "--evaluator")
         "zero_disruption_time_steps", "zero_noise_time_steps",
         "inf_num_nodes", "inf_edge_type", "fractional_target", "unknown_train_node",
         "negative_train_node", "sink_train_node", "unknown_plot_node", "string_entry_edges",
-        "mapping_exit_edges", "list_service_rates"])
+        "mapping_exit_edges", "list_service_rates", "tiny_arrival_rate", "tiny_service_rate"])
 def test_malformed_numeric_input_exit_codes(tmp_path, capsys, monkeypatch, network, params,
                                             cli_args, code, message):
     # every case is rejected before any agent trains

@@ -217,8 +217,12 @@ def test_noise_config_validation():
                 NoiseConfig(variance=math.inf)):
         with pytest.raises(ConfigError, match="must be finite"):
             make_noise_hook(bad, seed=0)
-    with pytest.raises(ConfigError):
-        noisy_interarrival(0.0, NoiseConfig(), random.Random(0))
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ConfigError, match="base interarrival time"):
+            noisy_interarrival(bad, NoiseConfig(), random.Random(0))
+    # a zero gap is a legal exponential draw, of either sign
+    for zero in (0.0, -0.0):
+        assert noisy_interarrival(zero, NoiseConfig(frequency=0.0), random.Random(0)) == 0.0
 
 
 def test_zero_noise_rollouts_are_identical():

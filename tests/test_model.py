@@ -65,7 +65,7 @@ def check_param_gradients(net, rng, coords_per_array=40, h=1e-5, tol=1e-4):
     difference is no derivative; such a coordinate is replaced by another.
     """
     x = rng.normal(size=(3, net.in_dim))
-    proj = rng.normal(size=(3, net.out_dim))
+    proj = rng.normal(size=(3, net.layer_sizes[-1]))
     net.forward(x)
     net.backward(proj)
     grads = [g.copy() for g in net.grad_w + net.grad_b]
@@ -122,7 +122,7 @@ def test_backward_and_input_gradient_match_one_full_pass(activation, sizes):
     rng = np.random.default_rng(11)
     net = Mlp(sizes, activation, rng)
     net.forward(rng.normal(size=(5, net.in_dim)))
-    dout = rng.normal(size=(5, net.out_dim))
+    dout = rng.normal(size=(5, net.layer_sizes[-1]))
     grads, dx = full_backward(net, dout)
     flat = np.concatenate([g.ravel() for g in grads])
 
@@ -211,8 +211,8 @@ def test_gradients_write_no_caller_array_or_cached_activation(activation, sizes)
     net = Mlp(sizes, activation, rng)
     x = rng.normal(size=(5, net.in_dim))
     out = net.forward(x)
-    dout = rng.normal(size=(5, net.out_dim))
-    dout_pre = rng.normal(size=(5, net.out_dim))
+    dout = rng.normal(size=(5, net.layer_sizes[-1]))
+    dout_pre = rng.normal(size=(5, net.layer_sizes[-1]))
     cached = [c.copy() for c in net._cache_inputs]
     kept = (x.copy(), out.copy(), dout.copy(), dout_pre.copy())
 
@@ -224,7 +224,7 @@ def test_gradients_write_no_caller_array_or_cached_activation(activation, sizes)
     assert len(net._cache_inputs) == len(cached)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(net._cache_inputs, cached))
     assert net._cache_out is net._cache_inputs[-1]
-    for wrong in (dout[:1], dout[:, :-1] if net.out_dim > 1 else dout[:2]):
+    for wrong in (dout[:1], dout[:, :-1] if net.layer_sizes[-1] > 1 else dout[:2]):
         with pytest.raises(DimensionMismatch):
             net.backward(wrong)
         with pytest.raises(DimensionMismatch):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from queuerl.errors import ConfigError, DimensionMismatch, UnknownEdge, UnknownNode
+from queuerl.errors import ConfigError, DimensionMismatch, UnknownNode
 from queuerl.evaluation import NoiseConfig, make_noise_hook
 from queuerl.netsim import (
     UNIFORM_FALLBACK_EPS,
@@ -197,6 +197,16 @@ def serviced_oracle(net, edge, skip):
     return len(exited), total
 
 
+def serviced_stats(net):
+    """Per serviced edge, (count, delay sum) over its exited traversals at
+    arrival index skip or above: a QueueNetwork's exit counts and counted
+    sums, or a ReferenceNetwork's own."""
+    if isinstance(net, ReferenceNetwork):
+        return net.serviced_stats()
+    return [(max(0, done - net.skip), total)
+            for done, total in zip(net._n_exited, net._counted_sum)]
+
+
 def mean_delays(net):
     """edge type -> the network's mean delay on it."""
     return dict(zip(net.serviced_edge_types, net.mean_delays()))
@@ -204,7 +214,7 @@ def mean_delays(net):
 
 def serviced(net):
     """edge type -> the network's (count, delay sum) on it."""
-    return dict(zip(net.serviced_edge_types, net.serviced_stats()))
+    return dict(zip(net.serviced_edge_types, serviced_stats(net)))
 
 
 def snapshot(net):
@@ -216,7 +226,7 @@ def snapshot(net):
         dict(net.arrivals_total),
         dict(net.exits_total),
         net.mean_delays(),
-        net.serviced_stats(),
+        serviced_stats(net),
         {e: list(q) for e, q in net.queues.items()},
         net.transition_map,
     )
@@ -349,7 +359,7 @@ def test_mm1_sojourn_matches_theory(lam):
     target = 50_000
     while sum(net.exits_total.values()) < target:
         net.simulate(20_000)
-    count, delay_sum = net.serviced_stats()[0]
+    count, delay_sum = serviced_stats(net)[0]
     mean_sojourn = delay_sum / count
     assert mean_sojourn == pytest.approx(1.0 / (mu - lam), rel=0.05)
 
@@ -416,7 +426,7 @@ def test_mean_delay_accumulators_match_log_scan():
     net.simulate(8_000)
     ref.simulate(8_000)
     for edge, delay, stats in zip(net.serviced_edge_types, net.mean_delays(),
-                                  net.serviced_stats()):
+                                  serviced_stats(net)):
         assert delay == pytest.approx(mean_delay_oracle(ref, edge), rel=1e-12, abs=1e-12)
         assert stats == serviced_oracle(ref, edge, 0)
 
@@ -441,7 +451,7 @@ def test_skip_window_matches_log_rescan(skip):
         ref.set_routing(action)
         ref.simulate(100)
         means = []
-        for edge, stats in zip(net.serviced_edge_types, net.serviced_stats()):
+        for edge, stats in zip(net.serviced_edge_types, serviced_stats(net)):
             count, delay_sum = serviced_oracle(ref, edge, skip)
             assert stats == (count, delay_sum)
             if count > 0:
@@ -537,6 +547,12 @@ def test_repeated_toggles_cancel_stale_completions_like_reference():
     assert net.cancelled == stale
 
 
+def unit_draw(x):
+    """The uniform u for which the exponential draw -log(1 - u) / rate is
+    x / rate, to rounding."""
+    return -math.expm1(-x)
+
+
 def scripted_random(script):
     """A random.Random whose random() cycles through script. A 0.0 draw
     gives a zero-length gap or service time, so many events share one
@@ -610,6 +626,29 @@ def test_zero_noise_gaps_are_accepted():
     assert net.clock == 0.0
 
 
+def test_zero_draw_gap_passes_through_the_noise_hook(monkeypatch):
+    # random() == 0.0 makes the inline draw -log(1.0) / rate == -0.0, a
+    # legal zero gap that the noise hook must accept
+    hook = make_noise_hook(NoiseConfig(mean=0.0, variance=0.5, frequency=0.5), seed=3)
+    with monkeypatch.context() as m:
+        m.setattr(random, "Random", scripted_random([0.0]))
+        net = QueueNetwork(figure_topology(), seed=3, interarrival_noise=hook)
+    net.simulate(200)
+    assert net.events == 200
+    assert math.isfinite(net.clock) and net.clock > 0.0
+
+
+@pytest.mark.parametrize("arrival_rate, service_rate, message", [
+    (2e-307, 2.0, "arrival_rate"), (0.3, 2e-307, "edge type 1")])
+def test_rates_whose_draws_overflow_raise(arrival_rate, service_rate, message):
+    # the longest draw, -log(2**-53) / rate, is infinite below about 2e-307;
+    # the CLI's malformed-input cases check a rate far below that
+    with pytest.raises(ConfigError, match=message):
+        validate_config(mm1_topology(arrival_rate, service_rate))
+    validate_config(mm1_topology(3e-307, 3e-307))
+    assert math.isfinite(-math.log(2.0 ** -53) / 3e-307)
+
+
 @pytest.mark.parametrize("rate", [0.3, 2.0, 1e300])
 def test_inline_exponential_draw_matches_expovariate(rate):
     # simulate writes Random.expovariate's body out as clock - log(1 - u) / rate
@@ -623,12 +662,6 @@ def test_inline_exponential_draw_matches_expovariate(rate):
 
 
 # -- serviced stats ----------------------------------------------------------------
-
-
-def test_inject_record_unknown_edge():
-    net = QueueNetwork(mm1_topology(0.5, 1.0), seed=1)
-    with pytest.raises(UnknownEdge):
-        net.inject_record(42, arrival_time=1.0)
 
 
 def test_negative_skip_is_rejected():
@@ -735,10 +768,19 @@ def test_feed_forward_topology_valid_and_runs(n):
     assert sum(net.exits_total.values()) > 0
 
 
-def test_inject_record_updates_stats():
-    net = QueueNetwork(mm1_topology(0.5, 1.0), seed=0)
-    net.inject_record(1, arrival_time=2.0, exit_time=5.0)
-    net.inject_record(1, arrival_time=3.0)
-    net.clock = 7.0
-    assert net.mean_delays() == [pytest.approx((3.0 + 4.0) / 2)]
-    assert net.serviced_stats() == [(1, 3.0)]
+def test_aggregates_of_a_finished_and_an_inflight_job(monkeypatch):
+    # arrivals at 2 and 3; the first job's service ends at 5, the second's
+    # at 15, and the third arrival comes at 23
+    script = [unit_draw(1.0), unit_draw(3.0), unit_draw(0.5), unit_draw(10.0),
+              unit_draw(10.0), 0.5]
+    cfg = mm1_topology(0.5, 1.0)
+    with monkeypatch.context() as m:
+        m.setattr(random, "Random", scripted_random(script))
+        net, ref = QueueNetwork(cfg, seed=0), ReferenceNetwork(cfg, seed=0)
+    for n in (net, ref):
+        n.simulate(3)
+    assert snapshot(net) == snapshot(ref)
+    assert net.clock == pytest.approx(5.0)
+    assert list(net.queues[1]) == [pytest.approx(3.0)]
+    assert net.mean_delays() == [pytest.approx(((5.0 - 2.0) + (5.0 - 3.0)) / 2)]
+    assert serviced_stats(net) == [(1, pytest.approx(3.0))]

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from queuerl.errors import ConfigError, DimensionMismatch, NoArrivals
 from queuerl.netsim import TopologyConfig, figure_topology, mm1_topology
-from queuerl.rl_env import RlEnv
+from queuerl.rl_env import R_FLOOR, RlEnv, reward
+from test_netsim import scripted_random, serviced_stats, unit_draw
 
 
 def chain_topology(n_serviced: int, arrival_rate=0.5, service_rate=2.0) -> TopologyConfig:
@@ -33,15 +35,25 @@ def reward_oracle(per_edge_serviced_delays, exits, arrivals, r_floor=1e-3):
     return -dbar / max(ratio, r_floor)
 
 
+def scripted_env(monkeypatch, config, script, **kwargs):
+    """An RlEnv whose network draws random() from script, in turn."""
+    with monkeypatch.context() as m:
+        m.setattr(random, "Random", scripted_random(script))
+        return RlEnv(config, seed=0, **kwargs)
+
+
 # -- state -----------------------------------------------------------------------
 
 
-def test_state_hand_example_with_inflight_job():
-    env = RlEnv(mm1_topology(0.5, 1.0), seed=0)
-    env.net.inject_record(1, arrival_time=2.0, exit_time=5.0)
-    env.net.inject_record(1, arrival_time=3.0)
-    env.net.clock = 7.0
-    assert env.get_state() == pytest.approx([((5 - 2) + (7 - 3)) / 2])
+def test_state_hand_example_with_inflight_job(monkeypatch):
+    # arrivals at 2 and 3, the second waiting behind the first; the first
+    # leaves at 7, and the next event (the third arrival) comes at 9
+    script = [unit_draw(1.0), unit_draw(5.0), unit_draw(0.5), unit_draw(3.0),
+              unit_draw(10.0), 0.5]
+    env = scripted_env(monkeypatch, mm1_topology(0.5, 1.0), script)
+    env.net.simulate(3)
+    assert env.net.clock == pytest.approx(7.0)
+    assert env.get_state() == pytest.approx([((7 - 2) + (7 - 3)) / 2])
 
 
 def test_state_zero_for_untraversed_edges():
@@ -51,12 +63,18 @@ def test_state_zero_for_untraversed_edges():
     assert np.all(state == 0.0)
 
 
-def test_state_passes_through_exact_delays():
+def test_state_passes_through_exact_delays(monkeypatch):
+    # one job crosses the chain, taking values[k] on edge k + 1, and leaves
+    # before the next arrival at 201
     values = [1.46, 51.01, 1.01, 67.12, 3.72]
-    env = RlEnv(chain_topology(5), seed=0)
-    for etype, delay in zip(range(1, 6), values):
-        env.net.inject_record(etype, arrival_time=10.0, exit_time=10.0 + delay)
-    env.net.clock = 100.0
+    script = [unit_draw(0.01), unit_draw(values[0] * 0.1), unit_draw(2.0)]
+    for delay in values[1:]:
+        script += [0.5, unit_draw(delay * 0.1)]
+    script.append(0.5)
+    env = scripted_env(monkeypatch, chain_topology(5, arrival_rate=0.01, service_rate=0.1),
+                       script)
+    env.net.simulate(6)
+    assert env.net.clock == pytest.approx(1.0 + sum(values))
     assert env.get_state() == pytest.approx(values)
 
 
@@ -161,7 +179,7 @@ def test_jobs_split_as_the_installed_routing_says():
     net.set_routing(action)
     net.simulate(100_000)
     # with reward_skip 0 every exited traversal is counted
-    counts = {e: count for e, (count, _) in zip(net.serviced_edge_types, net.serviced_stats())}
+    counts = {e: count for e, (count, _) in zip(net.serviced_edge_types, serviced_stats(net))}
     arrivals = {e: counts[e] + len(net.queues[e]) for e in probs}
     n = sum(arrivals.values())
     assert n > 10_000
@@ -174,50 +192,49 @@ def test_jobs_split_as_the_installed_routing_says():
 
 
 def test_reward_hand_case():
-    env = RlEnv(mm1_topology(0.5, 1.0), seed=0)
-    env.net.inject_record(1, arrival_time=0.0, exit_time=1.0)
-    env.net.inject_record(1, arrival_time=0.0, exit_time=3.0)
-    env.net.arrivals_total[1] = 5
-    env.net.exits_total[0] = 4
-    assert env.get_reward() == pytest.approx(-2.5, rel=1e-12)
+    # one edge whose counted delays are 1 and 3
+    assert reward(5, 4, [(1.0 + 3.0) / 2]) == pytest.approx(-2.5, rel=1e-12)
+    assert reward(5, 4, [2.0]) == reward_oracle([[1.0, 3.0]], 4, 5)
 
 
 def test_reward_zero_delay_gives_zero():
-    env = RlEnv(mm1_topology(0.5, 1.0), seed=0)
-    env.net.inject_record(1, arrival_time=2.0, exit_time=2.0)
-    env.net.arrivals_total[1] = 1
-    env.net.exits_total[0] = 1
-    assert env.get_reward() == 0.0
+    assert reward(1, 1, [0.0]) == 0.0
 
 
 def test_reward_ratio_floor_when_no_exits():
-    env = RlEnv(mm1_topology(0.5, 1.0), seed=0)
-    env.net.inject_record(1, arrival_time=0.0, exit_time=2.0)
-    env.net.arrivals_total[1] = 3
-    assert env.get_reward() == pytest.approx(-2000.0, rel=1e-12)
+    assert reward(3, 0, [2.0]) == pytest.approx(-2000.0, rel=1e-12)
 
 
 def test_reward_requires_arrivals():
+    with pytest.raises(NoArrivals):
+        reward(0, 0, [])
     env = RlEnv(mm1_topology(0.5, 1.0), seed=0)
     with pytest.raises(NoArrivals):
         env.get_reward()
 
 
-def test_reward_skips_edges_without_serviced_jobs():
-    env = RlEnv(chain_topology(2), seed=0)
-    env.net.inject_record(1, arrival_time=0.0, exit_time=4.0)
-    env.net.inject_record(2, arrival_time=1.0)  # in flight, excluded
-    env.net.arrivals_total[1] = 2
-    env.net.exits_total[0] = 1
-    assert env.get_reward() == pytest.approx(-4.0 / 0.5, rel=1e-12)
+def test_reward_skips_edges_without_serviced_jobs(monkeypatch):
+    assert reward(2, 1, [4.0]) == pytest.approx(-4.0 / 0.5, rel=1e-12)
+    # arrivals at 1 and 3; the first job leaves edge 1 at 5 and is then in
+    # flight on edge 2, so only edge 1 has a counted exit
+    script = [unit_draw(0.5), unit_draw(8.0), unit_draw(1.0), unit_draw(30.0),
+              unit_draw(20.0), 0.5, unit_draw(30.0)]
+    env = scripted_env(monkeypatch, chain_topology(2), script)
+    env.net.simulate(3)
+    assert len(env.net.queues[2]) == 1
+    assert env.net.counted_means() == [pytest.approx(4.0)]
+    assert env.get_reward() == pytest.approx(-4.0 / R_FLOOR, rel=1e-12)
 
 
-def test_reward_skip_parameter_drops_early_records():
-    env = RlEnv(mm1_topology(0.5, 1.0), seed=0, reward_skip=1)
-    env.net.inject_record(1, arrival_time=0.0, exit_time=100.0)  # skipped
-    env.net.inject_record(1, arrival_time=0.0, exit_time=2.0)
-    env.net.arrivals_total[1] = 2
-    env.net.exits_total[0] = 2
+def test_reward_skip_parameter_drops_early_records(monkeypatch):
+    # one job at 1 that takes 100, then one at 150 that takes 2; the third
+    # arrival comes at 3150
+    script = [unit_draw(0.01), unit_draw(20.0), unit_draw(1.49), 0.5, unit_draw(0.4),
+              unit_draw(30.0), 0.5]
+    env = scripted_env(monkeypatch, mm1_topology(0.01, 0.2), script, reward_skip=1)
+    env.net.simulate(4)
+    assert env.net.arrivals_total == {1: 2} and env.net.exits_total == {0: 2}
+    assert env.net.mean_delays() == [pytest.approx((100.0 + 2.0) / 2)]
     assert env.get_reward() == pytest.approx(-2.0, rel=1e-12)
 
 
@@ -225,32 +242,22 @@ def test_reward_matches_oracle_on_random_logs():
     rng = np.random.default_rng(42)
     for trial in range(25):
         n_edges = int(rng.integers(1, 6))
-        env = RlEnv(chain_topology(n_edges), seed=0)
         delays = []
-        for etype in range(1, n_edges + 1):
+        for _ in range(n_edges):
             k = int(rng.integers(0, 5))
-            d = list(np.round(rng.uniform(0.0, 20.0, size=k), 6))
-            delays.append(d)
-            for delay in d:
-                env.net.inject_record(etype, arrival_time=1.0, exit_time=1.0 + delay)
-            for _ in range(int(rng.integers(0, 3))):
-                env.net.inject_record(etype, arrival_time=2.0)  # unfinished
+            delays.append(list(np.round(rng.uniform(0.0, 20.0, size=k), 6)))
         arrivals = int(rng.integers(1, 50))
         exits = int(rng.integers(0, arrivals + 1))
-        env.net.arrivals_total[1] = arrivals
-        env.net.exits_total[0] = exits
+        # counted_means' per-edge means: a running sum over the delays in order
+        means = [sum(d) / len(d) for d in delays if d]
         expected = reward_oracle(delays, exits, arrivals)
-        assert env.get_reward() == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        assert reward(arrivals, exits, means) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 def test_reward_monotone_in_delay_and_throughput():
     def build(delay_scale, exits):
-        env = RlEnv(mm1_topology(0.5, 1.0), seed=0)
-        for d in (1.0, 2.0, 3.0):
-            env.net.inject_record(1, arrival_time=0.0, exit_time=d * delay_scale)
-        env.net.arrivals_total[1] = 10
-        env.net.exits_total[0] = exits
-        return env.get_reward()
+        delays = [d * delay_scale for d in (1.0, 2.0, 3.0)]
+        return reward(10, exits, [sum(delays) / len(delays)])
 
     # higher delays at fixed throughput: strictly worse
     rewards = [build(scale, 5) for scale in (1.0, 2.0, 4.0)]

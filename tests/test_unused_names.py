@@ -1,0 +1,79 @@
+"""Every function, method and class in the package has a caller outside tests.
+
+A name counts as used when something in src/queuerl/ or perfbench/ names it
+(a Name, an Attribute, an import alias or an __all__ string) outside its own
+definition. Code that only tests call belongs in the tests.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "queuerl").glob("*.py"))
+BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def references(tree):
+    """Counter of the names a syntax tree refers to."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name.split(".")[-1]] += 1
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            names.update(elt.value for elt in ast.walk(node.value)
+                         if isinstance(elt, ast.Constant) and isinstance(elt.value, str))
+    return names
+
+
+def unused_names(package, others):
+    """(file, name) of each non-dunder definition in package that nothing in
+    package or others refers to, apart from its own definition."""
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in package}
+    used = Counter()
+    for tree in trees.values():
+        used.update(references(tree))
+    for path in others:
+        used.update(references(ast.parse(path.read_text(), str(path))))
+    unused = []
+    for path in package:
+        for node in ast.walk(trees[path]):
+            if not isinstance(node, DEFINITIONS):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            if used[node.name] == references(node)[node.name]:
+                unused.append((path.name, node.name))
+    return unused
+
+
+def test_unused_names_are_found(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "def used(): pass\n"
+        "def recursive(): return recursive()\n"
+        "class Box:\n"
+        "    def method(self): pass\n"
+        "    @property\n"
+        "    def size(self): return 1\n"
+        "    def __len__(self): return 0\n"
+        "__all__ = ['Box']\n"
+        "used()\n"
+    )
+    user = tmp_path / "user.py"
+    user.write_text("from module import recursive as alias\nprint(Box().size)\n")
+    assert unused_names([module], []) == [
+        ("module.py", "recursive"), ("module.py", "method"), ("module.py", "size")]
+    assert unused_names([module], [user]) == [("module.py", "method")]
+
+
+def test_package_has_no_unused_names():
+    assert PACKAGE and BENCHMARK
+    assert unused_names(PACKAGE, BENCHMARK) == []
