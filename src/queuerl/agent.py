@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, get_type_hints
@@ -56,6 +57,22 @@ class AgentParams:
     reward_skip: int = 0
 
     def validate(self) -> None:
+        """Raise ConfigError unless every field has its declared type and
+        lies in its domain. Integer fields and hidden_sizes entries take any
+        numbers.Integral (numpy integers too) and float fields any finite
+        numbers.Real, but never a bool."""
+        for name in sorted(INT_PARAM_FIELDS):
+            if not _is_integer(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in sorted(FLOAT_PARAM_FIELDS):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+            if not _is_finite(value):
+                raise ConfigError(f"{name} must be finite")
+        if not (isinstance(self.hidden_sizes, (tuple, list))
+                and all(_is_integer(h) for h in self.hidden_sizes)):
+            raise ConfigError(f"hidden_sizes must be integers, got {self.hidden_sizes!r}")
         checks = [
             (self.learning_rate > 0, "learning_rate must be > 0"),
             (self.num_epochs >= 1, "num_epochs must be >= 1"),
@@ -77,11 +94,21 @@ class AgentParams:
             (self.reward_skip >= 0, "reward_skip must be >= 0"),
             (self.seed >= 0, "seed must be >= 0"),
         ]
-        checks += [(math.isfinite(getattr(self, name)), f"{name} must be finite")
-                   for name in sorted(FLOAT_PARAM_FIELDS)]
         for ok, msg in checks:
             if not ok:
                 raise ConfigError(msg)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value: numbers.Real) -> bool:
+    """Whether value is a finite float; an int too large for one is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 _PARAM_TYPES = get_type_hints(AgentParams)
@@ -368,7 +395,9 @@ def make_agent(env_config: TopologyConfig, params: AgentParams) -> DdpgAgent:
 #
 # Checkpoints are for inference: they hold no Adam moments, replay buffer or
 # RNG state, so training a loaded agent on is not the run that training
-# straight through would have been.
+# straight through would have been. A loaded agent's optimizers allocate
+# fresh zero moments at its first update, as a new agent's do, so an agent
+# that is only rolled out holds no optimizer state.
 
 _MAGIC = b"QRLAGENT"
 _VERSION = 1
@@ -404,8 +433,11 @@ def save_agent(agent: DdpgAgent, path: str) -> None:
 def load_agent(path: str) -> DdpgAgent:
     """Rebuild an agent from a checkpoint. A malformed file, or one whose
     networks do not match its header, raises CheckpointError."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc.strerror or exc}") from exc
     if data[: len(_MAGIC)] != _MAGIC:
         raise CheckpointError(f"{path} is not an agent checkpoint")
     off = len(_MAGIC) + _PREAMBLE.size

@@ -149,8 +149,26 @@ def _run_evaluate(cfg: argparse.Namespace, env_config, params) -> int:
     return 0
 
 
+def _check_outputs(cfg: argparse.Namespace) -> None:
+    """Raise ConfigError unless every output directory the command writes
+    can be made, and --run_name is a plain file name: checked before
+    anything trains, so no run is lost at its end."""
+    dirs = [("--data_file", cfg.data_file)]
+    if cfg.function == "train" and cfg.plot_curves:
+        dirs.append(("--image_file", cfg.image_file))
+    for flag, path in dirs:
+        # the path, or its nearest existing ancestor, must be a directory
+        existing = next(p for p in (Path(path), *Path(path).parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"{flag} {path}: {existing} exists and is not a directory")
+    name = cfg.run_name
+    if name is not None and Path(name).name != name:
+        raise ConfigError(f"--run_name must be a plain file name, got {name!r}")
+
+
 def run(cfg: argparse.Namespace) -> int:
     """Run one command; cfg holds the options of build_parser."""
+    _check_outputs(cfg)
     env_config = parse_network_config(cfg.config_file)
     params, space = parse_hyperparams(cfg.param_file)
     if cfg.function == "train":

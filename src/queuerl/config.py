@@ -9,7 +9,6 @@ scalar AgentParams overrides; a field given as {low, high, scale} or
 from __future__ import annotations
 
 from dataclasses import fields
-from pathlib import Path
 
 import yaml
 
@@ -53,12 +52,16 @@ def _coerce_value(key: str, value):
 
 
 def _load_yaml(path: str):
-    p = Path(path)
-    if not p.exists():
-        raise ParseError(f"file not found: {path}")
+    """The document in a YAML file. A path that is missing, names a directory
+    or cannot be read, or bytes that are not YAML in a Unicode encoding
+    (PyYAML reads the stream as bytes and detects which), raise ParseError."""
     try:
-        with open(p) as fh:
+        with open(path, "rb") as fh:
             return yaml.load(fh, Loader=_YAML_LOADER)
+    except FileNotFoundError as exc:
+        raise ParseError(f"file not found: {path}") from exc
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except yaml.YAMLError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 

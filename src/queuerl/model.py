@@ -15,6 +15,14 @@ That is the initializer's draw order and the checkpoint's byte order.
 lists of views into the two vectors, so writing through them (as backward
 does) updates the vectors, and Adam or a soft update acts on one array.
 
+State that only training reads costs no resident memory until training
+runs. `grads` is np.zeros, whose pages, in a large vector, the OS maps in at
+their first write, which is backward's. copy() makes the agent's target
+networks, which are only forwarded and blended, so nothing ever writes their
+`grads`. Adam allocates its two moment vectors in its first step(). So a
+policy that is only rolled out, such as a loaded checkpoint, holds its
+parameters and no optimizer state.
+
 forward, backward and input_gradient do their elementwise arithmetic (bias
 add, ReLU, ReLU mask, sigmoid clip) in place, on arrays each call has just
 made with a matmul or ufunc. Those are the same float operations as the
@@ -167,7 +175,7 @@ class Mlp:
         clone.layer_sizes = list(self.layer_sizes)
         clone.output_activation = self.output_activation
         clone.params = self.params.copy()
-        clone.grads = np.zeros_like(self.grads)
+        clone.grads = np.zeros(self.grads.shape)  # zeros_like would write every page
         clone._bind()
         clone._cache_inputs = []
         clone._cache_out = None
@@ -180,16 +188,25 @@ class Mlp:
 
 
 class Adam:
-    """Per-parameter adaptive gradient steps (ADAM_BETA1, ADAM_BETA2, ADAM_EPS)."""
+    """Per-parameter adaptive gradient steps (ADAM_BETA1, ADAM_BETA2, ADAM_EPS).
+
+    The moments m and v are None until the first step() allocates them as
+    zeros shaped like the parameters, so an optimizer that never steps holds
+    no per-parameter state, and each step's floats are what moments zeroed
+    at construction would give.
+    """
 
     def __init__(self, net: Mlp, lr: float):
         self.net = net
         self.lr = lr
         self.t = 0
-        self.m = np.zeros_like(net.params)
-        self.v = np.zeros_like(net.params)
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
 
     def step(self) -> None:
+        if self.m is None:
+            self.m = np.zeros_like(self.net.params)
+            self.v = np.zeros_like(self.net.params)
         self.t += 1
         b1t = 1.0 - ADAM_BETA1**self.t
         b2t = 1.0 - ADAM_BETA2**self.t

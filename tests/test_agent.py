@@ -1,9 +1,15 @@
 import copy
 import json
+import math
+import numbers
+import re
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from queuerl import agent as agent_module
 from queuerl.agent import AgentParams, DdpgAgent, load_agent, save_agent
@@ -14,6 +20,7 @@ from queuerl.errors import (
     EmptyBuffer,
     InsufficientBuffer,
 )
+from queuerl.evaluation import evaluate_policy
 from queuerl.model import Mlp
 from queuerl.netsim import figure_topology, mm1_topology
 from queuerl.rl_env import RlEnv
@@ -463,6 +470,40 @@ def test_updating_train_step_runs_four_actor_forwards():
     assert len(calls) == 4
 
 
+def optimizers(agent):
+    return (agent.actor_opt, agent.critic_opt, agent.next_state_opt, agent.reward_opt)
+
+
+def test_optimizer_state_waits_for_the_first_update(tmp_path):
+    # a policy that is only rolled out holds no Adam moments; the first
+    # updating step gives every optimizer moments shaped like its parameters,
+    # and nothing ever writes the target networks' gradients
+    cfg = mm1_topology(0.5, 1.0)
+    env = RlEnv(cfg, seed=0, events_per_step=50)
+    fresh = DdpgAgent(env.state_dim, env.action_dim,
+                      small_params(num_episodes=1, num_timesteps=4, batch_size=4,
+                                   target_update_frequency=1))
+    path = tmp_path / "fresh.agent"
+    save_agent(fresh, str(path))
+    loaded = load_agent(str(path))
+    for agent in (fresh, loaded):
+        agent.select_action(np.ones(env.state_dim))
+        evaluate_policy(agent, cfg, timesteps=3, events_per_step=20)
+        assert all(opt.m is None and opt.v is None for opt in optimizers(agent))
+
+    targets = (fresh.target_actor, fresh.target_critic)
+    before = [t.params.copy() for t in targets]
+    trace = fresh.train(env)
+    assert len(trace.step_losses) == 1  # only the last step updated
+    for opt in optimizers(fresh):
+        assert opt.t >= 1
+        assert opt.m.shape == opt.v.shape == opt.net.params.shape
+    fresh.train(env, num_episodes=2)  # eight more updating steps
+    for target, start in zip(targets, before):
+        assert not np.array_equal(target.params, start)  # a soft update ran
+        assert not target.grads.any()
+
+
 def test_train_is_reproducible():
     cfg = mm1_topology(0.5, 1.0)
 
@@ -512,6 +553,25 @@ def test_agent_params_domain_checks():
         small_params(learning_rate=-1.0).validate()
     with pytest.raises(ConfigError):
         small_params(w1=0.0, w2=0.0).validate()
+
+    # integer fields and hidden_sizes take integers, float fields real
+    # numbers; no field takes a bool, and numpy numbers pass
+    for overrides, message in [
+        ({"num_timesteps": 2.5}, "num_timesteps must be an integer, got 2.5"),
+        ({"num_timesteps": 3.0}, "num_timesteps must be an integer, got 3.0"),
+        ({"batch_size": True}, "batch_size must be an integer, got True"),
+        ({"seed": "1"}, "seed must be an integer, got '1'"),
+        ({"hidden_sizes": (8, True)}, "hidden_sizes must be integers"),
+        ({"hidden_sizes": (2.5,)}, "hidden_sizes must be integers"),
+        ({"hidden_sizes": 8}, "hidden_sizes must be integers"),
+        ({"tau": True}, "tau must be a real number, got True"),
+        ({"learning_rate": "1e-3"}, "learning_rate must be a real number"),
+        ({"learning_rate": 10**400}, "learning_rate must be finite"),
+    ]:
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            small_params(**overrides).validate()
+    small_params(num_timesteps=np.int64(3), hidden_sizes=(np.int32(4),),
+                 tau=np.float64(0.5), discount=np.float32(0.5), w1=1).validate()
 
 
 # -- checkpointing -----------------------------------------------------------------
@@ -585,3 +645,54 @@ def test_checkpoint_rejects_garbage_and_truncation(tmp_path):
     for dim in ("state_dim", "action_dim"):
         with pytest.raises(CheckpointError):
             load_agent(with_header(f"zero_{dim}.agent", lambda doc: doc.update({dim: 0})))
+    for field, value in (("num_timesteps", 2.5), ("batch_size", True), ("tau", True)):
+        with pytest.raises(CheckpointError, match=f"{field} must be"):
+            load_agent(with_header(f"{field}.agent",
+                                   lambda doc: doc["params"].update({field: value})))
+
+    # paths that cannot be opened as a file
+    for path in (tmp_path / "missing.agent", tmp_path):
+        with pytest.raises(CheckpointError, match="cannot read checkpoint"):
+            load_agent(str(path))
+
+
+# hidden_sizes entries stay small: the loader builds every network before it
+# compares layer sizes with the header's
+_HEADER_ENTRIES = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 64),
+    st.sampled_from([2.5, math.inf, -math.inf, math.nan]), st.text(max_size=4),
+)
+_HEADER_VALUES = st.one_of(_HEADER_ENTRIES, st.just(10**400),
+                           st.lists(_HEADER_ENTRIES, max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(field=st.sampled_from(sorted(f.name for f in fields(AgentParams))),
+       value=_HEADER_VALUES)
+def test_any_checkpoint_param_loads_typed_or_raises_checkpoint_error(tmp_path_factory, field,
+                                                                      value):
+    # one generated value in a params field of a valid v1 header either loads
+    # into params of their declared types or raises CheckpointError
+    base = tmp_path_factory.getbasetemp()
+    path = base / "fuzzed_header.agent"
+    save_agent(make_agent(), str(path))
+    data = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", data, 12)
+    header = json.loads(data[16 : 16 + header_len])
+    header["params"][field] = value
+    blob = json.dumps(header, sort_keys=True).encode()
+    path.write_bytes(data[:8] + struct.pack("<II", 1, len(blob)) + blob
+                     + data[16 + header_len :])
+    try:
+        params = load_agent(str(path)).params
+    except CheckpointError:
+        return
+
+    def integer(v):
+        return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+    assert all(integer(getattr(params, name)) for name in agent_module.INT_PARAM_FIELDS)
+    assert all(isinstance(getattr(params, name), numbers.Real)
+               and not isinstance(getattr(params, name), bool)
+               for name in agent_module.FLOAT_PARAM_FIELDS)
+    assert isinstance(params.hidden_sizes, tuple) and all(map(integer, params.hidden_sizes))

@@ -372,6 +372,36 @@ def test_missing_config_file_exit_code(tmp_path, capsys):
     assert "missing.yml" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--config_file", "--param_file"])
+@pytest.mark.parametrize("content", [None, b"\xff"], ids=["directory", "undecodable"])
+def test_unreadable_input_file_exit_code(tmp_path, capsys, flag, content):
+    files = {"--config_file": write_chain_config(tmp_path / "net.yml"),
+             "--param_file": write_params(tmp_path / "params.yml")}
+    if content is None:
+        files[flag] = tmp_path
+    else:
+        files[flag].write_bytes(content)
+    code = run_cli("--function", "train", "--config_file", str(files["--config_file"]),
+                   "--param_file", str(files["--param_file"]),
+                   "--data_file", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error (ParseError)")
+    assert "Traceback" not in err
+
+
+def test_unreadable_agent_file_exit_code(tmp_path, capsys):
+    net = write_chain_config(tmp_path / "net.yml")
+    par = write_params(tmp_path / "params.yml", num_episodes=1, num_timesteps=2)
+    code = run_cli("--function", "evaluate", "--evaluator", "disruption", "--node", "1",
+                   "--agent_file", str(tmp_path / "nope.agent"), "--config_file", str(net),
+                   "--param_file", str(par), "--data_file", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == 6
+    assert err.startswith("error (CheckpointError)") and "nope.agent" in err
+    assert "Traceback" not in err
+
+
 TRAIN = ("--function", "train")
 TUNE = ("--function", "tune")
 EVALUATE = ("--function", "evaluate", "--evaluator")
@@ -460,6 +490,28 @@ def test_malformed_numeric_input_exit_codes(tmp_path, capsys, monkeypatch, netwo
                    "--data_file", str(tmp_path / "out")) == code
     err = capsys.readouterr().err
     assert err.startswith("error (")
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cli_args, message", [
+    (("--data_file", "taken"), "--data_file taken"),
+    (("--data_file", "taken/sub"), "--data_file taken/sub"),
+    (("--image_file", "taken", "--plot_curves", "True"), "--image_file taken"),
+    (("--run_name", "sub/x", "--save_file", "True"), "--run_name must be a plain file name"),
+    (("--run_name", "/x", "--save_file", "True"), "--run_name must be a plain file name"),
+], ids=["data_file_is_a_file", "data_file_under_a_file", "image_file_is_a_file",
+        "run_name_with_directory", "absolute_run_name"])
+def test_unusable_output_paths_exit_before_training(tmp_path, capsys, monkeypatch, cli_args,
+                                                    message):
+    monkeypatch.setattr(DdpgAgent, "train", lambda *a, **kw: pytest.fail("an agent trained"))
+    monkeypatch.chdir(tmp_path)
+    Path("taken").write_text("a file, not a directory\n")
+    net = write_chain_config(tmp_path / "net.yml")
+    par = write_params(tmp_path / "params.yml")
+    assert run_cli(*TRAIN, "--config_file", str(net), "--param_file", str(par), *cli_args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (ConfigError)")
     assert message in err
     assert "Traceback" not in err
 

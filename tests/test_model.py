@@ -239,10 +239,15 @@ def test_forward_is_pure():
 
 def test_copy_is_independent():
     net = Mlp([3, 4, 1], "identity", np.random.default_rng(3))
+    net.grads[...] = 1.0
     clone = net.copy()
     net.weights[0][0, 0] += 1.0
     assert clone.weights[0][0, 0] != net.weights[0][0, 0]
     assert np.shares_memory(clone.weights[0], clone.params)
+    # the clone's gradients are zeros of their own, bound to its views
+    assert clone.grads.shape == net.grads.shape and not clone.grads.any()
+    assert not np.shares_memory(clone.grads, net.grads)
+    assert all(np.shares_memory(g, clone.grads) for g in clone.grad_w + clone.grad_b)
 
 
 def test_params_vector_layout():
@@ -304,3 +309,24 @@ def test_adam_descends_on_regression():
         net.backward((2.0 / err.size) * err)
         opt.step()
     assert losses[-1] < 0.1 * losses[0]
+
+
+def test_adam_allocates_moments_at_its_first_step():
+    rng = np.random.default_rng(6)
+    net = Mlp([3, 5, 2], "identity", rng)
+    twin = net.copy()
+    opt, eager = Adam(net, lr=1e-2), Adam(twin, lr=1e-2)
+    assert opt.m is None and opt.v is None
+    eager.m, eager.v = np.zeros_like(twin.params), np.zeros_like(twin.params)
+    x, dout = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
+    for _ in range(3):
+        for n, o in ((net, opt), (twin, eager)):
+            n.forward(x)
+            n.backward(dout)
+            o.step()
+        assert opt.m.shape == opt.v.shape == net.params.shape
+        assert opt.m.dtype == opt.v.dtype == net.params.dtype
+        # the same floats as moments allocated before the first step
+        assert net.params.tobytes() == twin.params.tobytes()
+        assert opt.m.tobytes() == eager.m.tobytes() and opt.v.tobytes() == eager.v.tobytes()
+
