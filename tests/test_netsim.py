@@ -1,3 +1,4 @@
+import hashlib
 import heapq
 import itertools
 import math
@@ -766,6 +767,24 @@ def test_feed_forward_topology_valid_and_runs(n):
     net = QueueNetwork(cfg, seed=2)
     net.simulate(3_000)
     assert sum(net.exits_total.values()) > 0
+
+
+def test_feed_forward_topology_configs_are_pinned():
+    # every generated config for n = 3..120 and width = 1..6: the edge lists
+    # in insertion order (which fixes the layout rows and so the simulation),
+    # the entry and exit sets and the rates
+    digest = hashlib.sha256()
+    for n in range(3, 121):
+        for width in range(1, 7):
+            cfg = feed_forward_topology(n, width=width)
+            digest.update(repr((
+                n, width,
+                [(src, list(succs.items())) for src, succs in cfg.edge_list.items()],
+                sorted(cfg.entry_edges), sorted(cfg.exit_edges),
+                cfg.arrival_rate, sorted(cfg.service_rates.items()),
+            )).encode())
+    assert digest.hexdigest() == (
+        "9909dee9c2bbabcecc2f470f7fc5af7abad2f31e323057cc49c02db4d4a119df")
 
 
 def test_aggregates_of_a_finished_and_an_inflight_job(monkeypatch):
