@@ -9,14 +9,14 @@ weights per node, and a job leaving an edge samples its successor from them.
 QueueNetwork.simulate is one loop over the event calendar, two parallel
 lists: keys holds each entry's event time negated, in ascending order, so
 the next event is the last entry and pop() takes it in O(1); codes holds
-each entry's code at the same index. A code is the edge position for a
-service completion, -1 - position for an external arrival, and _CANCELLED
-for a completion that a blockage cancelled. An entry goes in at
-bisect_left of its key, in front of every entry with an equal key, so among
-equal times the entry pushed first pops first: the order of a heap on
-(time, push count), ties included. Times are computed as clock + duration
-and negated when stored; negation is exact both ways, so clock = -key keeps
-every bit of the time, the sign of a zero included.
+each entry's code at the same index. A code is the edge's position (see
+RoutingLayout) for a service completion, -1 - position for an external
+arrival, and _CANCELLED for a completion that a blockage cancelled. An entry
+goes in at bisect_left of its key, in front of every entry with an equal
+key, so among equal times the entry pushed first pops first: the order of a
+heap on (time, push count), ties included. Times are computed as clock +
+duration and negated when stored; negation is exact both ways, so clock =
+-key keeps every bit of the time, the sign of a zero included.
 
 An edge has at most one live completion, on the calendar exactly while its
 queue is non-empty and its target node unblocked. set_blockage finds it by
@@ -45,12 +45,13 @@ gives the same float.
 
 The simulator keeps no per-job log. A queue holds only the arrival times of
 the jobs on its edge, and each serviced edge keeps running aggregates of its
-traversals (counts and delay sums), so memory stays bounded however long a
-run goes; exit edges keep only their exit counts. simulate is the only
-writer of these aggregates; mean_delays and counted_means read every
-serviced edge's aggregates in one call. An edge is FIFO, so its k-th exit
-is its k-th arrival, and the skip rule is one test after an exit is
-counted: its delay joins the counted sum if n_exited > skip.
+traversals (exit count and delay sums; its traversal count is its exits plus
+its queue's length), so memory stays bounded however long a run goes; exit
+edges keep only their exit counts. simulate is the only writer of these
+aggregates; mean_delays and counted_means read every serviced edge's
+aggregates in one call. An edge is FIFO, so its k-th exit is its k-th
+arrival, and the skip rule is one test after an exit is counted: its delay
+joins the counted sum if n_exited > skip.
 """
 
 from __future__ import annotations
@@ -122,10 +123,6 @@ class TopologyConfig:
         eps = self.edge_endpoints()
         return {eps[e][0] for e in self.entry_edges if e in eps}
 
-    def exit_sinks(self) -> set[int]:
-        eps = self.edge_endpoints()
-        return {eps[e][1] for e in self.exit_edges if e in eps}
-
     def blockable_nodes(self) -> list[int]:
         """Nodes whose server can be rendered non-functional.
 
@@ -134,7 +131,8 @@ class TopologyConfig:
         """
         eps = self.edge_endpoints()
         targets = {eps[e][1] for e in self.serviced_edges()}
-        return sorted(targets - self.entry_sources() - self.exit_sinks())
+        exit_sinks = {eps[e][1] for e in self.exit_edges if e in eps}
+        return sorted(targets - self.entry_sources() - exit_sinks)
 
     def _check_in_network(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:
@@ -205,8 +203,6 @@ def validate_config(config: TopologyConfig) -> None:
             )
 
     # At least one entry source must reach an exit edge.
-    eps = seen
-    adjacency: dict[int, list[int]] = {src: list(succs) for src, succs in config.edge_list.items()}
     reachable: set[int] = set()
     frontier = list(config.entry_sources())
     while frontier:
@@ -214,38 +210,51 @@ def validate_config(config: TopologyConfig) -> None:
         if node in reachable:
             continue
         reachable.add(node)
-        frontier.extend(adjacency.get(node, []))
-    if not any(eps[e][0] in reachable for e in config.exit_edges):
+        frontier.extend(config.edge_list.get(node, ()))
+    if not any(seen[e][0] in reachable for e in config.exit_edges):
         raise ConfigError("no directed path from an entry source to any exit edge")
 
 
 class RoutingLayout:
-    """Where each node's routing weights sit, built once per topology.
+    """The edge positions of a topology and where each node's routing
+    weights sit, built once per topology.
 
-    Nodes come in edge_list order, each with its successors ascending and
-    the edges to them. slots is a (nodes x largest out-degree) matrix of
-    positions in a weight vector; weighted marks the entries that hold a
-    serviced edge's position, and the others (exit edges, and the padding of
-    nodes with fewer successors) weigh 0.0.
+    An edge's position is its index in edge_types: the serviced edges
+    ascending, then the exit edges ascending. A weight vector and every
+    per-edge table of QueueNetwork are indexed by position, so the serviced
+    edges are positions 0 to n_serviced - 1.
+
+    Rows are the nodes in edge_list order, each with its successors
+    ascending. next_edges[row] holds the positions of the row's edges to
+    those successors, and target_row[i] the row of serviced edge i's target
+    node (validate_config gives every such node an outgoing edge). slots is
+    a (rows x largest out-degree) matrix of positions in a weight vector;
+    weighted marks the entries that hold a serviced edge's position, and the
+    others (exit edges, and the padding of rows with fewer successors) weigh
+    0.0.
     """
 
     def __init__(self, config: TopologyConfig):
-        position = {e: i for i, e in enumerate(config.serviced_edges())}
+        serviced = config.serviced_edges()
+        self.n_serviced = len(serviced)
+        self.edge_types = serviced + sorted(config.exit_edges)
+        position = {e: i for i, e in enumerate(self.edge_types)}
         self.nodes = list(config.edge_list)
         self.successors = [sorted(config.edge_list[node]) for node in self.nodes]
-        self.edges = [
-            [config.edge_list[node][succ] for succ in succs]
+        self.next_edges = [
+            [position[config.edge_list[node][succ]] for succ in succs]
             for node, succs in zip(self.nodes, self.successors)
         ]
+        rows = {node: r for r, node in enumerate(self.nodes)}
+        endpoints = config.edge_endpoints()
+        self.target_row = [rows[endpoints[e][1]] for e in serviced]
         self.degree = np.array([len(succs) for succs in self.successors])
         width = max(1, int(self.degree.max()))
-        self.slots = np.zeros((len(self.nodes), width), dtype=int)
-        self.weighted = np.zeros((len(self.nodes), width), dtype=bool)
-        for row, edges in enumerate(self.edges):
-            for k, e in enumerate(edges):
-                if e in position:
-                    self.slots[row, k] = position[e]
-                    self.weighted[row, k] = True
+        padded = np.full((len(self.nodes), width), self.n_serviced)
+        for row, positions in enumerate(self.next_edges):
+            padded[row, : len(positions)] = positions
+        self.weighted = padded < self.n_serviced
+        self.slots = np.where(self.weighted, padded, 0)
         real = np.arange(width) < self.degree[:, None]
         self._uniform = np.where(real, 1.0 / np.maximum(self.degree, 1)[:, None], 0.0)
 
@@ -319,14 +328,11 @@ class QueueNetwork:
         self._keys: list[float] = []
         self._codes: list[int] = []
 
-        # Per-edge tables are lists indexed by an edge's position: serviced
-        # edges ascending, then exit edges ascending. Calendar entries carry
-        # that position in their code.
-        serviced = config.serviced_edges()
-        n = len(serviced)
-        self._serviced = serviced
-        self._edge_types = serviced + sorted(config.exit_edges)
-        position = {e: i for i, e in enumerate(self._edge_types)}
+        # Per-edge tables are lists indexed by an edge's position in the
+        # routing layout; calendar entries carry that position in their code.
+        self.routing_layout = layout = RoutingLayout(config)
+        n = layout.n_serviced
+        self._serviced = serviced = layout.edge_types[:n]
         # each queued job is its arrival time
         self._queues: list[deque[float]] = [deque() for _ in serviced]
         self.queues: dict[int, deque[float]] = dict(zip(serviced, self._queues))
@@ -334,11 +340,11 @@ class QueueNetwork:
         self.exits_total: dict[int, int] = {e: 0 for e in sorted(config.exit_edges)}
         self._rates = [config.service_rates[e] for e in serviced]
         self._halted = [False] * n  # the edge's target node is blocked
-        # Traversal aggregates. _counted_sum adds the delays of an edge's exits
-        # after its first skip, in exit order (on a FIFO edge, the traversals
-        # at arrival index skip or above); it is its own running sum, not the
-        # total minus a prefix, which would round differently.
-        self._n_records = [0] * n
+        # Traversal aggregates; an edge's traversal count is its exits plus
+        # the jobs in its queue. _counted_sum adds the delays of an edge's
+        # exits after its first skip, in exit order (on a FIFO edge, the
+        # traversals at arrival index skip or above); it is its own running
+        # sum, not the total minus a prefix, which would round differently.
         self._n_exited = [0] * n
         self._exited_sum = [0.0] * n
         self._inflight_sum = [0.0] * n
@@ -346,20 +352,12 @@ class QueueNetwork:
 
         # blockage lookups: the nodes that can be blocked, and the serviced
         # edges into each node, ascending
-        endpoints = config.edge_endpoints()
         self.blocked_nodes: set[int] = set()
         self._blockable = set(config.blockable_nodes())
         self._incoming: dict[int, list[int]] = {}
-        for i, e in enumerate(serviced):
-            self._incoming.setdefault(endpoints[e][1], []).append(i)
+        for i, row in enumerate(layout.target_row):
+            self._incoming.setdefault(layout.nodes[row], []).append(i)
 
-        # routing: per layout row the positions of its successor edges, and
-        # per serviced edge the row of its target node
-        self.routing_layout = RoutingLayout(config)
-        layout = self.routing_layout
-        rows = {node: r for r, node in enumerate(layout.nodes)}
-        self._next_edges = [[position[e] for e in edges] for edges in layout.edges]
-        self._target_row = [rows[endpoints[e][1]] for e in serviced]
         routed = np.flatnonzero(layout.degree)
         self._last = (routed, layout.degree[routed] - 1)
         self.set_routing(np.zeros(n))
@@ -368,7 +366,7 @@ class QueueNetwork:
             gap = self.rng.expovariate(config.arrival_rate)
             if interarrival_noise is not None:
                 gap = _checked_gap(interarrival_noise(gap))
-            self._schedule(self.clock + gap, -1 - position[etype])
+            self._schedule(self.clock + gap, -1 - layout.edge_types.index(etype))
 
     # -- public surface --------------------------------------------------------
 
@@ -420,13 +418,13 @@ class QueueNetwork:
         uniform, log = self.rng.random, math.log
         noise, arrival_rate = self.interarrival_noise, self.config.arrival_rate
         queues, rates, halted = self._queues, self._rates, self._halted
-        n_records, n_exited = self._n_records, self._n_exited
-        exited_sum, inflight_sum, counted_sum = (
-            self._exited_sum, self._inflight_sum, self._counted_sum)
+        n_exited, exited_sum, inflight_sum, counted_sum = (
+            self._n_exited, self._exited_sum, self._inflight_sum, self._counted_sum)
         skip = self.skip
+        layout = self.routing_layout
         target_row, cumulative, next_edges = (
-            self._target_row, self._cumulative, self._next_edges)
-        edge_types, n_serviced = self._edge_types, len(queues)
+            layout.target_row, self._cumulative, layout.next_edges)
+        edge_types, n_serviced = layout.edge_types, len(queues)
         arrivals_total, exits_total = self.arrivals_total, self.exits_total
         clock, cancelled = self.clock, self.cancelled
         processed = 0
@@ -474,7 +472,6 @@ class QueueNetwork:
                     j = -1 - code
                     arrivals_total[edge_types[j]] += 1
                 # the job joins edge j
-                n_records[j] += 1
                 inflight_sum[j] += clock
                 q = queues[j]
                 q.append(clock)
@@ -533,12 +530,13 @@ class QueueNetwork:
     def mean_delays(self) -> list[float]:
         """Per serviced edge, in serviced_edge_types order, the mean
         end-to-end delay over all its traversals, with the current clock
-        standing in for unfinished ones; 0.0 for an untouched edge."""
+        standing in for unfinished ones, the jobs in its queue; 0.0 for an
+        untouched edge."""
         clock = self.clock
         return [
-            (exited + (n - done) * clock - inflight) / n if n else 0.0
-            for n, done, exited, inflight in zip(
-                self._n_records, self._n_exited, self._exited_sum, self._inflight_sum)
+            (exited + waiting * clock - inflight) / (done + waiting) if done or waiting else 0.0
+            for waiting, done, exited, inflight in zip(
+                map(len, self._queues), self._n_exited, self._exited_sum, self._inflight_sum)
         ]
 
     def counted_means(self) -> list[float]:
@@ -598,8 +596,12 @@ def feed_forward_topology(
     """Generate a layered feed-forward network with `num_nodes` nodes.
 
     Node 0 is the entry source, the last node the exit sink; interior nodes
-    sit in layers of at most `width`, each wired to up to two nodes of the
-    next layer. Edge count grows linearly with node count.
+    sit in layers of at most `width`, only the last one partial. Each node of
+    a layer feeds up to two nodes of the next, which covers all of them, and
+    the last layer feeds the sink through exit edges. Edge count grows
+    linearly with node count. Node 0 feeds only the first node of layer 0,
+    so no job reaches the other layer-0 nodes, a node that only they feed,
+    or the serviced edges out of them.
     """
     if num_nodes < 3:
         raise ConfigError("feed-forward topology needs at least 3 nodes")
@@ -618,36 +620,17 @@ def feed_forward_topology(
     entry_type = next_type
     next_type += 1
     # node 0 reaches only the first node of layer 0; that node fans out
-    for k, layer in enumerate(layers):
-        targets = layers[k + 1] if k + 1 < len(layers) else None
+    for layer, targets in zip(layers, layers[1:]):
         for j, node in enumerate(layer):
-            if targets is None:
-                continue
             picked = {targets[j % len(targets)], targets[(j + 1) % len(targets)]}
             for dst in sorted(picked):
                 add_edge(node, dst, next_type)
-                next_type += 1
-    # ensure every interior node (beyond the entry target) has an inbound edge
-    covered = {layers[0][0]}
-    for succs in edge_list.values():
-        covered.update(succs)
-    for k, layer in enumerate(layers[1:], start=1):
-        for node in layer:
-            if node not in covered:
-                add_edge(layers[k - 1][0], node, next_type)
-                covered.add(node)
                 next_type += 1
     # last layer feeds the sink through exit edges
     for node in layers[-1]:
         add_edge(node, sink, next_type)
         exit_types.add(next_type)
         next_type += 1
-    # first-layer nodes without outgoing edges also go straight to the sink
-    for node in interior:
-        if not edge_list.get(node):
-            add_edge(node, sink, next_type)
-            exit_types.add(next_type)
-            next_type += 1
 
     service_rates = {
         etype: service_rate
