@@ -20,6 +20,7 @@ from .config import parse_hyperparams, parse_network_config
 from .errors import ConfigError, QueueRlError
 from .evaluation import (
     NoiseConfig,
+    check_burn_in_length,
     check_steps,
     check_window,
     convergence_train,
@@ -114,6 +115,7 @@ def _run_evaluate(cfg: argparse.Namespace, env_config, params) -> int:
 
     if cfg.evaluator == "startup":
         check_window(cfg.window_size, cfg.consecutive_points)  # before training
+        check_burn_in_length(params.num_timesteps, cfg.window_size, cfg.consecutive_points)
         agent = make_agent(env_config, params)
         trace = train_with_blockage_exploration(agent, env_config, params)
         rewards = trace.episode_rewards[-1]

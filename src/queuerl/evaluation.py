@@ -54,6 +54,13 @@ def check_window(window_size: int, consecutive_points: int) -> None:
         raise ConfigError("window_size and consecutive_points must be >= 1")
 
 
+def check_burn_in_length(n: int, window_size: int, consecutive_points: int) -> None:
+    """The length rule of detect_burn_in: a curve of n rewards needs at least
+    window_size + consecutive_points of them; InsufficientData otherwise."""
+    if n < window_size + consecutive_points:
+        raise InsufficientData(f"need at least {window_size + consecutive_points} rewards, got {n}")
+
+
 def detect_burn_in(
     rewards: list[float], window_size: int, threshold: float, consecutive_points: int
 ) -> BurnInReport:
@@ -66,11 +73,7 @@ def detect_burn_in(
     at least window_size - 1).
     """
     check_window(window_size, consecutive_points)
-    n = len(rewards)
-    if n < window_size + consecutive_points:
-        raise InsufficientData(
-            f"need at least {window_size + consecutive_points} rewards, got {n}"
-        )
+    check_burn_in_length(len(rewards), window_size, consecutive_points)
     smoothed = _trailing_ma(rewards, window_size)[window_size - 1 :]
     derivative = [b - a for a, b in zip(smoothed, smoothed[1:])]
 

@@ -77,12 +77,42 @@ def sample_params(space: SearchSpace, base: AgentParams, rng: random.Random) -> 
             value = math.exp(rng.uniform(math.log(spec.low), math.log(spec.high)))
         else:
             value = rng.uniform(spec.low, spec.high)
-        if name in INT_PARAM_FIELDS:
-            value = int(round(value))
-        elif name == "hidden_sizes":
-            value = tuple(value)
-        overrides[name] = value
+        overrides[name] = _field_value(name, value)
     return replace(base, **overrides)
+
+
+def _field_value(name: str, value):
+    """A drawn value as its field holds it: integer fields rounded,
+    hidden_sizes a tuple."""
+    if name in INT_PARAM_FIELDS:
+        return int(round(value))
+    if name == "hidden_sizes":
+        return tuple(value)
+    return value
+
+
+def _check_sampleable(space: SearchSpace, base: AgentParams) -> None:
+    """Raise ConfigError if a value that sample_params can draw fails
+    AgentParams.validate on top of the base params: each choice, and each
+    end of each range as sample_params returns it, rounded for an integer
+    field. A float range's upper end is checked as the float just below
+    high, so a half-open domain such as discount: {low: 0.5, high: 1.0}
+    passes.
+
+    Each value is checked alone, against the base values of the other
+    fields, so two gaps remain for the trial's own validate to catch: a
+    rule that joins two sampled fields, such as w1 + w2 > 0 when the space
+    holds both, and a float draw that rounds up to high itself.
+    """
+    for name, spec in space.specs.items():
+        if isinstance(spec, ChoiceSpec):
+            values = spec.choices
+        elif name in FLOAT_PARAM_FIELDS:
+            values = [spec.low, math.nextafter(spec.high, -math.inf)]
+        else:
+            values = [spec.low, spec.high]
+        for value in values:
+            replace(base, **{name: _field_value(name, value)}).validate()
 
 
 @dataclass
@@ -102,6 +132,7 @@ def random_search(
     back sorted by objective, best first. Each trial gets its own training
     seed derived from `seed`, so the search is reproducible end to end."""
     space.validate()
+    _check_sampleable(space, base_params)
     rng = random.Random(seed)
     results = []
     for trial in range(space.trials):

@@ -469,6 +469,16 @@ EVALUATE = ("--function", "evaluate", "--evaluator")
      "arrival_rate must be finite, > 0 and give finite exponential draws, got 1e-320"),
     ({"service_rates": {1: 1e-320}}, {}, TRAIN, 2,
      "edge type 1 must be finite, > 0 and give finite exponential draws, got 1e-320"),
+    ({}, {}, EVALUATE + ("startup", "--window_size", "20"), 8,
+     "need at least 23 rewards, got 10"),
+    ({}, {"num_episodes": 1, "num_timesteps": 2}, EVALUATE + ("disruption",), 2,
+     "--node is required for the disruption evaluator"),
+    # at seed 4 the first trial draws a valid value, so a search that checked
+    # each trial alone would train
+    ({}, {"num_samples": {"choices": [0, 4]}, "trials": 6, "seed": 4}, TUNE, 2,
+     "num_samples must be >= 1"),
+    ({}, {"tau": {"low": 0.5, "high": 2.0}, "trials": 6, "seed": 4}, TUNE, 2,
+     "tau must be in (0, 1]"),
 ], ids=["nan_arrival_rate", "inf_arrival_rate", "inf_service_rate", "nan_service_rate",
         "trials_abc", "range_low_abc", "hidden_sizes_strings", "hidden_sizes_scalar",
         "choices_scalar", "zero_time_steps", "negative_seed", "inf_epsilon", "inf_w1",
@@ -479,7 +489,9 @@ EVALUATE = ("--function", "evaluate", "--evaluator")
         "zero_disruption_time_steps", "zero_noise_time_steps",
         "inf_num_nodes", "inf_edge_type", "fractional_target", "unknown_train_node",
         "negative_train_node", "sink_train_node", "unknown_plot_node", "string_entry_edges",
-        "mapping_exit_edges", "list_service_rates", "tiny_arrival_rate", "tiny_service_rate"])
+        "mapping_exit_edges", "list_service_rates", "tiny_arrival_rate", "tiny_service_rate",
+        "startup_curve_shorter_than_window", "disruption_without_node",
+        "unsampleable_choice", "unsampleable_range_end"])
 def test_malformed_numeric_input_exit_codes(tmp_path, capsys, monkeypatch, network, params,
                                             cli_args, code, message):
     # every case is rejected before any agent trains

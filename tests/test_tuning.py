@@ -1,10 +1,11 @@
 import math
 import random
+import re
 
 import pytest
 from scipy import stats
 
-from queuerl.agent import FLOAT_PARAM_FIELDS, INT_PARAM_FIELDS, AgentParams
+from queuerl.agent import FLOAT_PARAM_FIELDS, INT_PARAM_FIELDS, AgentParams, DdpgAgent
 from queuerl.errors import ConfigError
 from queuerl.netsim import mm1_topology
 from queuerl.tuning import ChoiceSpec, RangeSpec, SearchSpace, random_search, sample_params
@@ -128,3 +129,25 @@ def test_sampled_integer_fields_are_rounded():
     space = SearchSpace({"seed": RangeSpec(0.0, 100.0), "batch_size": RangeSpec(2.0, 9.0)})
     params = sample_params(space, tiny_base(), random.Random(0))
     assert isinstance(params.seed, int) and isinstance(params.batch_size, int)
+
+
+@pytest.mark.parametrize("specs, message", [
+    ({"num_samples": ChoiceSpec([0, 4])}, "num_samples must be >= 1"),
+    ({"tau": RangeSpec(0.5, 2.0)}, "tau must be in"),
+    ({"w1": RangeSpec(-0.01, 1.0)}, "w1 and w2 must be >= 0"),
+    ({"batch_size": RangeSpec(0.2, 8.0)}, "batch_size must be >= 1"),  # rounds to 0
+], ids=["choice", "float_range_high", "float_range_low", "rounded_int_range_low"])
+def test_unsampleable_values_raise_before_any_trial(monkeypatch, specs, message):
+    # at seed 4 the first trial draws a valid value in every case, so a
+    # search that checked each trial alone would train
+    monkeypatch.setattr(DdpgAgent, "train", lambda *a, **kw: pytest.fail("an agent trained"))
+    space = SearchSpace(specs, trials=6)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        random_search(space, mm1_topology(0.5, 1.0), tiny_base(), seed=4)
+
+
+def test_half_open_float_range_is_sampleable():
+    # discount must be < 1.0, and a linear draw from [0.5, 1.0) is
+    space = SearchSpace({"discount": RangeSpec(0.5, 1.0)}, trials=1)
+    (result,) = random_search(space, mm1_topology(0.5, 1.0), tiny_base(), seed=3)
+    assert 0.5 <= result.params.discount < 1.0
