@@ -650,6 +650,19 @@ def test_checkpoint_rejects_garbage_and_truncation(tmp_path):
             load_agent(with_header(f"{field}.agent",
                                    lambda doc: doc["params"].update({field: value})))
 
+    # a version this loader does not read
+    future = tmp_path / "v2.agent"
+    future.write_bytes(data[:8] + struct.pack("<II", 2, header_len) + data[16:])
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 2"):
+        load_agent(str(future))
+    # a network whose header disagrees with the one the params build
+    with pytest.raises(CheckpointError, match=r"actor layer sizes \[4, 9, 4\] do not match"):
+        load_agent(with_header("layers.agent", lambda doc: doc["networks"]["actor"].update(
+            layer_sizes=[4, 9, 4])))
+    with pytest.raises(CheckpointError, match="critic output activation mismatch"):
+        load_agent(with_header("activation.agent", lambda doc: doc["networks"]["critic"].update(
+            output_activation="sigmoid")))
+
     # paths that cannot be opened as a file
     for path in (tmp_path / "missing.agent", tmp_path):
         with pytest.raises(CheckpointError, match="cannot read checkpoint"):

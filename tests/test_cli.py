@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from queuerl import config as config_module
 from queuerl import reporting
 from queuerl.agent import AgentParams, DdpgAgent
-from queuerl.cli import main
+from queuerl.cli import _str2bool, main
 from queuerl.config import (
     network_config_to_dict,
     parse_hyperparams,
@@ -115,6 +116,16 @@ def test_parse_network_missing_file():
         parse_network_config("no/such/file.yml")
 
 
+@pytest.mark.parametrize("key", sorted(chain_doc()))
+def test_parse_network_missing_key(tmp_path, key):
+    doc = chain_doc()
+    del doc[key]
+    path = tmp_path / "net.yml"
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(ParseError, match=f"missing required key '{key}'"):
+        parse_network_config(str(path))
+
+
 def test_parse_network_duplicate_edge_type(tmp_path):
     doc = {
         "num_nodes": 4,
@@ -198,6 +209,31 @@ def test_parse_hyperparams_domain_errors(tmp_path):
     path.write_text(yaml.safe_dump({"mystery_knob": 1}))
     with pytest.raises(ConfigError, match="mystery_knob"):
         parse_hyperparams(str(path))
+
+
+@pytest.mark.parametrize("text", ["- 1\n- 2\n", "7\n"], ids=["list", "scalar"])
+def test_parse_hyperparams_rejects_a_non_mapping_document(tmp_path, text):
+    path = tmp_path / "p.yml"
+    path.write_text(text)
+    with pytest.raises(ParseError, match="expected a mapping at the top level"):
+        parse_hyperparams(str(path))
+
+
+@pytest.mark.parametrize("text, value", [
+    ("True", True), (" yes ", True), ("1", True), ("False", False), ("no", False), ("0", False),
+])
+def test_str2bool_reads_both_truth_values(text, value):
+    assert _str2bool(text) is value
+
+
+def test_invalid_boolean_flag_exits_with_usage_error(tmp_path, capsys):
+    with pytest.raises(argparse.ArgumentTypeError, match="expected True or False, got 'maybe'"):
+        _str2bool("maybe")
+    with pytest.raises(SystemExit) as exc:
+        main([*TRAIN, "--config_file", "net.yml", "--param_file", "p.yml",
+              "--plot_curves", "maybe"])
+    assert exc.value.code == 2
+    assert "expected True or False, got 'maybe'" in capsys.readouterr().err
 
 
 def test_parse_hyperparams_range_builds_search_space(tmp_path):
@@ -479,6 +515,11 @@ EVALUATE = ("--function", "evaluate", "--evaluator")
      "num_samples must be >= 1"),
     ({}, {"tau": {"low": 0.5, "high": 2.0}, "trials": 6, "seed": 4}, TUNE, 2,
      "tau must be in (0, 1]"),
+    ({}, {"tau": {"low": 0.1}}, TUNE, 3, "'tau' needs either choices or low/high"),
+    ({"edges": [{"source": 0, "target": 1, "edge_type": 1},
+                {"source": 0, "target": 1, "edge_type": 2},
+                {"source": 1, "target": 2, "edge_type": 0}]},
+     {}, TRAIN, 2, "duplicate edge 0 -> 1"),
 ], ids=["nan_arrival_rate", "inf_arrival_rate", "inf_service_rate", "nan_service_rate",
         "trials_abc", "range_low_abc", "hidden_sizes_strings", "hidden_sizes_scalar",
         "choices_scalar", "zero_time_steps", "negative_seed", "inf_epsilon", "inf_w1",
@@ -491,7 +532,8 @@ EVALUATE = ("--function", "evaluate", "--evaluator")
         "negative_train_node", "sink_train_node", "unknown_plot_node", "string_entry_edges",
         "mapping_exit_edges", "list_service_rates", "tiny_arrival_rate", "tiny_service_rate",
         "startup_curve_shorter_than_window", "disruption_without_node",
-        "unsampleable_choice", "unsampleable_range_end"])
+        "unsampleable_choice", "unsampleable_range_end", "range_without_high",
+        "duplicate_edge"])
 def test_malformed_numeric_input_exit_codes(tmp_path, capsys, monkeypatch, network, params,
                                             cli_args, code, message):
     # every case is rejected before any agent trains

@@ -246,6 +246,27 @@ def test_noise_changes_the_noisy_series():
     assert len(report.standard_series) == len(report.noisy_series) == 6
 
 
+def test_retrain_mode_trains_the_agent_in_the_noisy_environment():
+    cfg = mm1_topology(0.5, 1.0)
+    noise = NoiseConfig(mean=0.0, variance=4.0, frequency=1.0)
+    agent, by_hand, plain = (make_agent(cfg, tiny_params()) for _ in range(3))
+    untrained = agent.actor.params.copy()
+    report = evaluate_noise(agent, cfg, noise, mode="retrain", timesteps=6, seed=11,
+                            events_per_step=40)
+    assert report.mode == "retrain"
+    assert len(report.standard_series) == len(report.noisy_series) == 6
+
+    # the same training written out: one run in a noisy environment seeded
+    # from the agent's params, the noise drawn from its own stream
+    p = by_hand.params
+    env_args = dict(seed=p.seed, events_per_step=p.events_per_step, reward_skip=p.reward_skip)
+    by_hand.train(RlEnv(cfg, interarrival_noise=make_noise_hook(noise, p.seed + 1), **env_args))
+    plain.train(RlEnv(cfg, **env_args))
+    assert np.array_equal(agent.actor.params, by_hand.actor.params)
+    assert not np.array_equal(agent.actor.params, untrained)
+    assert not np.array_equal(agent.actor.params, plain.actor.params)
+
+
 @pytest.mark.parametrize("steps", [0, -5])
 def test_rollout_evaluators_reject_empty_rollouts(steps, monkeypatch):
     monkeypatch.setattr(DdpgAgent, "train", lambda *a, **kw: pytest.fail("an agent trained"))

@@ -337,6 +337,21 @@ def test_duplicate_edge_type_raises():
         validate_config(cfg)
 
 
+@pytest.mark.parametrize("edge_list, entry, exits, rates, message", [
+    ({0: {1: 1}, 1: {2: 0}}, {5}, {0}, {1: 1.0}, "edge type 5 not present in edge_list"),
+    ({0: {1: 1}, 1: {2: 0}}, {1}, {0, 1}, {}, "an edge cannot be both entry and exit"),
+    ({0: {1: 1}, 1: {2: 0}, 3: {4: 2}}, {1}, {0}, {1: 1.0, 2: 1.0},
+     "node 4 (target of edge type 2) has no outgoing edges"),
+    ({0: {1: 1}, 1: {2: 0, 3: 2}, 3: {2: 3}}, {1}, {0, 3}, {1: 1.0, 2: 1.0},
+     "node 1 mixes exit and serviced outgoing edges"),
+], ids=["absent_entry_edge", "entry_and_exit", "dead_end_target", "mixed_successors"])
+def test_malformed_edge_roles_raise(edge_list, entry, exits, rates, message):
+    cfg = TopologyConfig(num_nodes=5, edge_list=edge_list, entry_edges=entry, exit_edges=exits,
+                         arrival_rate=0.5, service_rates=rates)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        validate_config(cfg)
+
+
 def test_unreachable_exit_raises():
     cfg = TopologyConfig(
         num_nodes=5,
@@ -705,6 +720,11 @@ def test_blockage_validation():
         net.set_blockage(0)  # entry source
     with pytest.raises(ConfigError):
         net.set_blockage(10)  # exit sink
+    # clearing follows the same rule
+    with pytest.raises(UnknownNode):
+        net.clear_blockage(42)
+    with pytest.raises(ConfigError, match="node 0 is not blockable"):
+        net.clear_blockage(0)
     # a node no serviced edge enters is not blockable either, as the config says
     chain = TopologyConfig(
         num_nodes=5,
