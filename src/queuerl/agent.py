@@ -143,6 +143,16 @@ class TrainingTrace:
         return [self.routing_layout.transition_map(p) for p in probs]
 
 
+def _regress(net: Mlp, opt: Adam, x: np.ndarray, y: np.ndarray) -> float:
+    """One mean-squared-error step of net towards targets y (same shape as
+    its output) on inputs x; returns the loss before the step."""
+    err = net.forward(x) - y
+    loss = float((err**2).sum() / err.size)
+    net.backward((2.0 / err.size) * err)
+    opt.step()
+    return loss
+
+
 class DdpgAgent:
     def __init__(self, state_dim: int, action_dim: int, params: AgentParams):
         params.validate()
@@ -207,13 +217,8 @@ class DdpgAgent:
         a2 = self.target_actor.forward(phi_s2)
         q2 = self.target_critic.forward(np.concatenate([phi_s2, a2], axis=1))[:, 0]
         y = r + self.params.discount * q2
-
-        q = self.critic.forward(np.concatenate([self._phi(s), a], axis=1))[:, 0]
-        err = q - y
-        loss = float((err**2).sum() / err.size)
-        self.critic.backward((2.0 / len(s)) * err[:, None])
-        self.critic_opt.step()
-        return loss
+        x = np.concatenate([self._phi(s), a], axis=1)
+        return _regress(self.critic, self.critic_opt, x, y[:, None])
 
     def update_actor_network(self, batch: Batch, actions: Optional[np.ndarray] = None) -> float:
         """One ascent step on mean Q(s, actor(s)); returns the loss -mean(Q).
@@ -268,18 +273,10 @@ class DdpgAgent:
             for start in range(0, n, bs):
                 rows = slice(start, start + bs)
                 xb = x_ep[rows]
-
-                pred = self.next_state_model.forward(xb)
-                err = pred - y_next_ep[rows]
-                ns_batch.append(float((err**2).sum() / err.size))
-                self.next_state_model.backward((2.0 / err.size) * err)
-                self.next_state_opt.step()
-
-                pred_r = self.reward_model.forward(xb)
-                err_r = pred_r - y_reward_ep[rows]
-                r_batch.append(float((err_r**2).sum() / err_r.size))
-                self.reward_model.backward((2.0 / err_r.size) * err_r)
-                self.reward_opt.step()
+                ns_batch.append(_regress(self.next_state_model, self.next_state_opt, xb,
+                                         y_next_ep[rows]))
+                r_batch.append(_regress(self.reward_model, self.reward_opt, xb,
+                                        y_reward_ep[rows]))
             ns_loss = sum(ns_batch) / len(ns_batch)
             reward_loss = sum(r_batch) / len(r_batch)
         return ns_loss, reward_loss
