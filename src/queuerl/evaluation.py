@@ -58,7 +58,8 @@ def check_burn_in_length(n: int, window_size: int, consecutive_points: int) -> N
     """The length rule of detect_burn_in: a curve of n rewards needs at least
     window_size + consecutive_points of them; InsufficientData otherwise."""
     if n < window_size + consecutive_points:
-        raise InsufficientData(f"need at least {window_size + consecutive_points} rewards, got {n}")
+        raise InsufficientData(
+            f"need at least {window_size + consecutive_points} rewards, got {n}")
 
 
 def detect_burn_in(

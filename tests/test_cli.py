@@ -1,4 +1,3 @@
-import argparse
 import csv
 import json
 import math
@@ -226,9 +225,7 @@ def test_str2bool_reads_both_truth_values(text, value):
     assert _str2bool(text) is value
 
 
-def test_invalid_boolean_flag_exits_with_usage_error(tmp_path, capsys):
-    with pytest.raises(argparse.ArgumentTypeError, match="expected True or False, got 'maybe'"):
-        _str2bool("maybe")
+def test_invalid_boolean_flag_exits_with_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([*TRAIN, "--config_file", "net.yml", "--param_file", "p.yml",
               "--plot_curves", "maybe"])
