@@ -92,18 +92,13 @@ def _field_value(name: str, value):
 
 
 def _check_sampleable(space: SearchSpace, base: AgentParams) -> None:
-    """Raise ConfigError if a value that sample_params can draw fails
-    AgentParams.validate on top of the base params: each choice, and each
-    end of each range as sample_params returns it, rounded for an integer
-    field. A float range's upper end is checked as the float just below
-    high, so a half-open domain such as discount: {low: 0.5, high: 1.0}
-    passes.
-
-    Each value is checked alone, against the base values of the other
-    fields, so two gaps remain for the trial's own validate to catch: a
-    rule that joins two sampled fields, such as w1 + w2 > 0 when the space
-    holds both, and a float draw that rounds up to high itself.
-    """
+    """Raise ConfigError unless each value sample_params can draw passes
+    AgentParams.validate on top of base: each choice, and each end of each
+    range, rounded for an integer field. A float range's high end is checked
+    as the float just below it, so discount: {low: 0.5, high: 1.0} passes.
+    Fields are checked one at a time, so a rule that joins two sampled
+    fields, such as w1 + w2 > 0, is left to each trial's own validate, as is
+    a float draw that rounds up to high itself."""
     for name, spec in space.specs.items():
         if isinstance(spec, ChoiceSpec):
             values = spec.choices
