@@ -135,13 +135,6 @@ class TrainingTrace:
     def avg_reward_per_episode(self) -> list[float]:
         return [sum(r) / len(r) for r in self.episode_rewards]
 
-    def flat_tmaps(self) -> list[dict[int, dict[int, float]]]:
-        """The transition map installed at each step, over all episodes."""
-        if self.routing_layout is None:
-            return []
-        probs = self.routing_layout.probabilities(np.concatenate(self.episode_weights))
-        return [self.routing_layout.transition_map(p) for p in probs]
-
 
 def _regress(net: Mlp, opt: Adam, x: np.ndarray, y: np.ndarray) -> float:
     """One mean-squared-error step of net towards targets y (same shape as
@@ -179,14 +172,7 @@ class DdpgAgent:
         self.update_counter = 0
 
     def named_networks(self) -> dict[str, Mlp]:
-        return {
-            "actor": self.actor,
-            "critic": self.critic,
-            "target_actor": self.target_actor,
-            "target_critic": self.target_critic,
-            "next_state_model": self.next_state_model,
-            "reward_model": self.reward_model,
-        }
+        return {name: getattr(self, name) for name in _NET_ORDER}
 
     @staticmethod
     def _phi(states: np.ndarray) -> np.ndarray:
@@ -200,14 +186,15 @@ class DdpgAgent:
             raise DimensionMismatch(f"state has shape {state.shape}, expected ({self.state_dim},)")
         return self.actor.forward(self._phi(state))
 
-    def explore_action(
-        self, state: np.ndarray, noise_scale: float, rng: Optional[np.random.Generator] = None
-    ) -> np.ndarray:
-        action = self.select_action(state)
-        if noise_scale > 0:
-            rng = self.rng if rng is None else rng
-            action = action + rng.normal(0.0, noise_scale, size=action.shape)
-        return np.clip(action, 0.0, 1.0)
+    def explore_action(self, state: np.ndarray) -> np.ndarray:
+        return self._explore(self.select_action(state))
+
+    def _explore(self, actions: np.ndarray) -> np.ndarray:
+        """actions plus N(0, epsilon) noise from self.rng, clipped to [0, 1]."""
+        eps = self.params.epsilon
+        if eps > 0:
+            actions = actions + self.rng.normal(0.0, eps, size=actions.shape)
+        return np.clip(actions, 0.0, 1.0)
 
     # -- updates ----------------------------------------------------------------
 
@@ -302,10 +289,7 @@ class DdpgAgent:
             states = self.buffer.sample_states(p.num_samples, self.rng)
             phi_s = self._phi(states)
             policy_actions = self.actor.forward(phi_s)
-            actions = policy_actions
-            if p.epsilon > 0:
-                actions = actions + self.rng.normal(0.0, p.epsilon, size=actions.shape)
-            actions = np.clip(actions, 0.0, 1.0)
+            actions = self._explore(policy_actions)
 
             x = np.concatenate([phi_s, actions], axis=1)
             rewards = self.reward_model.forward(x)[:, 0]
@@ -343,7 +327,7 @@ class DdpgAgent:
             rewards: list[float] = []
             weights = np.empty((p.num_timesteps, self.action_dim))
             for t in range(p.num_timesteps):
-                action = self.explore_action(state, p.epsilon)
+                action = self.explore_action(state)
                 next_state = env.get_next_state(action)
                 weights[t] = action
                 reward = env.get_reward()
@@ -423,8 +407,8 @@ def save_agent(agent: DdpgAgent, path: str) -> None:
         fh.write(_MAGIC)
         fh.write(_PREAMBLE.pack(_VERSION, len(blob)))
         fh.write(blob)
-        for name in _NET_ORDER:
-            fh.write(nets[name].params.astype("<f8", copy=False).tobytes())
+        for net in nets.values():
+            fh.write(net.params.astype("<f8", copy=False).tobytes())
 
 
 def load_agent(path: str) -> DdpgAgent:
@@ -449,8 +433,8 @@ def load_agent(path: str) -> DdpgAgent:
         raw_params["hidden_sizes"] = tuple(raw_params["hidden_sizes"])
         agent = DdpgAgent(header["state_dim"], header["action_dim"], AgentParams(**raw_params))
         nets = agent.named_networks()
-        for name in _NET_ORDER:
-            meta, net = header["networks"][name], nets[name]
+        for name, net in nets.items():
+            meta = header["networks"][name]
             if meta["layer_sizes"] != net.layer_sizes:
                 raise CheckpointError(
                     f"{name} layer sizes {meta['layer_sizes']} do not match {net.layer_sizes}"
@@ -461,8 +445,8 @@ def load_agent(path: str) -> DdpgAgent:
         raise CheckpointError(f"corrupt checkpoint header: {exc!r}") from exc
     off += header_len
 
-    for name in _NET_ORDER:
-        params = nets[name].params
+    for net in nets.values():
+        params = net.params
         if off + params.nbytes > len(data):
             raise CheckpointError("checkpoint truncated")
         params[...] = np.frombuffer(data, dtype="<f8", count=params.size, offset=off)

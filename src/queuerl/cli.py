@@ -79,7 +79,7 @@ def _get_agent(cfg: argparse.Namespace, env_config, params) -> DdpgAgent:
     if cfg.agent_file:
         return load_agent(cfg.agent_file)
     agent = make_agent(env_config, params)
-    train_with_blockage_exploration(agent, env_config, params)
+    train_with_blockage_exploration(agent, env_config)
     return agent
 
 
@@ -88,7 +88,7 @@ def _run_train(cfg: argparse.Namespace, env_config, params) -> int:
         env_config.check_routed(cfg.node)  # before training
     agent = make_agent(env_config, params)
     tracker = StateTracker()
-    trace = train_with_blockage_exploration(agent, env_config, params, tracker=tracker)
+    trace = train_with_blockage_exploration(agent, env_config, tracker=tracker)
 
     reporting.write_training_csvs(trace, cfg.data_file, node=cfg.node)
     reporting.write_tracker_csvs(tracker, cfg.data_file)
@@ -117,7 +117,7 @@ def _run_evaluate(cfg: argparse.Namespace, env_config, params) -> int:
         check_window(cfg.window_size, cfg.consecutive_points)  # before training
         check_burn_in_length(params.num_timesteps, cfg.window_size, cfg.consecutive_points)
         agent = make_agent(env_config, params)
-        trace = train_with_blockage_exploration(agent, env_config, params)
+        trace = train_with_blockage_exploration(agent, env_config)
         rewards = trace.episode_rewards[-1]
         report = detect_burn_in(rewards, cfg.window_size, cfg.threshold, cfg.consecutive_points)
         reporting.write_burn_in(report, rewards, cfg.data_file)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .agent import AgentParams, DdpgAgent, make_agent
 from .errors import ConfigError, InsufficientData
-from .exploration import train_with_blockage_exploration
+from .exploration import train_with_blockage_exploration, training_env
 from .netsim import TopologyConfig
 from .rl_env import RlEnv
 
@@ -145,6 +145,14 @@ EVAL_INTERVAL = 10  # episodes between policy evaluations
 EVAL_TIMESTEPS = 100
 
 
+def score_policy(agent: DdpgAgent, env_config: TopologyConfig) -> float:
+    """evaluate_policy over EVAL_TIMESTEPS steps, in an environment seeded
+    and stepped as the agent's own training environment is."""
+    p = agent.params
+    return evaluate_policy(agent, env_config, timesteps=EVAL_TIMESTEPS, seed=p.seed,
+                           events_per_step=p.events_per_step, reward_skip=p.reward_skip)
+
+
 @dataclass
 class ConvergenceReport:
     evaluations: list[tuple[int, float]]  # (episodes trained, total eval reward)
@@ -182,13 +190,8 @@ def convergence_train(
     window_size) stops training at the first local maximum or plateau.
     """
     check_window(window_size, consecutive_points)
-    env = RlEnv(
-        env_config,
-        seed=agent_params.seed,
-        events_per_step=agent_params.events_per_step,
-        reward_skip=agent_params.reward_skip,
-    )
-    agent = DdpgAgent(env.state_dim, env.action_dim, agent_params)
+    env = training_env(env_config, agent_params)
+    agent = make_agent(env_config, agent_params)
 
     evaluations: list[tuple[int, float]] = []
     series: list[float] = []
@@ -198,14 +201,7 @@ def convergence_train(
         chunk = min(EVAL_INTERVAL, agent_params.num_episodes - episodes_done)
         agent.train(env, num_episodes=chunk, episode_seed=agent_params.seed + episodes_done)
         episodes_done += chunk
-        score = evaluate_policy(
-            agent,
-            env_config,
-            timesteps=EVAL_TIMESTEPS,
-            seed=agent_params.seed,
-            events_per_step=agent_params.events_per_step,
-            reward_skip=agent_params.reward_skip,
-        )
+        score = score_policy(agent, env_config)
         evaluations.append((episodes_done, score))
         series.append(score)
         stop = _tail_stop(_trailing_ma(series, window_size), threshold, consecutive_points)
@@ -278,14 +274,8 @@ def evaluate_noise(
     if mode not in ("evaluate", "retrain"):
         raise ConfigError(f"unknown noise mode {mode!r}")
     if mode == "retrain":
-        noisy_train_env = RlEnv(
-            env_config,
-            seed=agent.params.seed,
-            events_per_step=agent.params.events_per_step,
-            reward_skip=agent.params.reward_skip,
-            interarrival_noise=make_noise_hook(cfg, agent.params.seed + 1),
-        )
-        agent.train(noisy_train_env)
+        agent.train(training_env(env_config, agent.params,
+                                 make_noise_hook(cfg, agent.params.seed + 1)))
 
     standard_env = RlEnv(env_config, seed=seed, events_per_step=events_per_step)
     noisy_env = RlEnv(
@@ -367,7 +357,7 @@ def required_runs(z: float, sigma: float, margin: float) -> int:
 def _train_and_snapshot(args) -> dict[int, dict[int, float]]:
     params, env_config, eval_seed, time_steps = args
     agent = make_agent(env_config, params)
-    train_with_blockage_exploration(agent, env_config, params)
+    train_with_blockage_exploration(agent, env_config)
 
     eval_env = RlEnv(env_config, seed=eval_seed, events_per_step=params.events_per_step)
     return _final_routing(agent, eval_env, time_steps)

@@ -1,21 +1,21 @@
 """Blockage-exploration training regime.
 
 Each episode starts either under normal conditions or with one interior
-node's server blocked; the w1/w2 weights set the split. A StateTracker
-keeps the highest-reward-impact states and visit counts of coarse state
-signatures as training telemetry.
+node's server blocked; the w1/w2 weights of the agent's params set the
+split. A StateTracker keeps the highest-reward-impact states and visit
+counts of coarse state signatures as training telemetry.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .agent import AgentParams, DdpgAgent, TrainingTrace
-from .errors import NoBlockableNodes
+from .errors import ConfigError, NoBlockableNodes
 from .netsim import TopologyConfig
 from .rl_env import RlEnv
 
@@ -32,6 +32,8 @@ class StateTracker:
     """Bounded record of key states (by |reward|) and visit counts."""
 
     def __init__(self, key_capacity: int = 32, peripheral_capacity: int = 1024):
+        if key_capacity < 1:
+            raise ConfigError(f"key_capacity must be >= 1, got {key_capacity}")
         self.key_capacity = key_capacity
         self.peripheral_capacity = peripheral_capacity
         self.key_states: list[tuple[np.ndarray, float]] = []  # sorted by |reward| desc
@@ -64,7 +66,7 @@ def choose_start_mode(
     """Normal with probability w1/(w1+w2); otherwise block a uniformly
     drawn interior node."""
     if w1 < 0 or w2 < 0 or w1 + w2 <= 0:
-        raise ValueError("w1 and w2 must be nonnegative with a positive sum")
+        raise ConfigError("w1 and w2 must be nonnegative with a positive sum")
     blockable = topology.blockable_nodes()
     if w2 > 0 and not blockable:
         raise NoBlockableNodes("topology has no interior node to block")
@@ -73,27 +75,30 @@ def choose_start_mode(
     return StartMode(node=blockable[rng.randrange(len(blockable))])
 
 
+def training_env(env_config: TopologyConfig, params: AgentParams,
+                 interarrival_noise: Optional[Callable[[float], float]] = None) -> RlEnv:
+    """The environment a training run under params steps: seeded with
+    params.seed, with its events_per_step and reward_skip."""
+    return RlEnv(env_config, seed=params.seed, events_per_step=params.events_per_step,
+                 reward_skip=params.reward_skip, interarrival_noise=interarrival_noise)
+
+
 def train_with_blockage_exploration(
     agent: DdpgAgent,
     env_config: TopologyConfig,
-    params: AgentParams,
     tracker: Optional[StateTracker] = None,
 ) -> TrainingTrace:
-    """agent.train with per-episode start modes drawn from w1/w2.
+    """agent.train with per-episode start modes drawn from the w1/w2 of
+    agent.params.
 
     Blocked episodes apply the blockage right after the reset and feed
-    (state, reward) visits into the tracker. With w2 = 0 this reduces to
-    plain training.
+    (state, reward) visits into the tracker. With w2 = 0 every episode
+    starts normal, so this reduces to plain training.
     """
-    env = RlEnv(
-        env_config,
-        seed=params.seed,
-        events_per_step=params.events_per_step,
-        reward_skip=params.reward_skip,
+    p = agent.params
+    mode_rng = random.Random(p.seed ^ 0x5EED)
+    return agent.train(
+        training_env(env_config, p),
+        start_mode_chooser=lambda: choose_start_mode(p.w1, p.w2, env_config, mode_rng),
+        tracker=tracker,
     )
-    mode_rng = random.Random(params.seed ^ 0x5EED)
-    if params.w2 > 0:
-        chooser = lambda: choose_start_mode(params.w1, params.w2, env_config, mode_rng)
-    else:
-        chooser = None
-    return agent.train(env, start_mode_chooser=chooser, tracker=tracker)

@@ -605,6 +605,8 @@ def feed_forward_topology(
     """
     if num_nodes < 3:
         raise ConfigError("feed-forward topology needs at least 3 nodes")
+    if width < 1:
+        raise ConfigError("width must be >= 1")
     interior = list(range(1, num_nodes - 1))
     layers = [interior[i : i + width] for i in range(0, len(interior), width)]
     sink = num_nodes - 1

@@ -10,6 +10,8 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .agent import TrainingTrace
 from .errors import UnknownNode
 from .evaluation import (
@@ -20,6 +22,7 @@ from .evaluation import (
     RobustnessReport,
 )
 from .exploration import StateTracker
+from .netsim import RoutingLayout
 
 
 def write_csv(path, header: list[str], rows) -> None:
@@ -37,12 +40,10 @@ def write_summary(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def default_plot_node(tmap: dict[int, dict[int, float]]) -> int:
+def default_plot_node(layout: RoutingLayout) -> int:
     """First node with more than one successor, else the first node."""
-    for node in sorted(tmap):
-        if len(tmap[node]) > 1:
-            return node
-    return min(tmap)
+    branching = [n for n, succs in zip(layout.nodes, layout.successors) if len(succs) > 1]
+    return min(branching or layout.nodes)
 
 
 # -- training outputs -----------------------------------------------------------
@@ -52,18 +53,17 @@ def _write_transition_csv(path, trace: TrainingTrace, node: int | None) -> None:
     """Per-timestep routing probabilities out of one node (by default the
     first branching node); writes nothing for an empty trace. A node with no
     routing row raises UnknownNode."""
-    tmaps = trace.flat_tmaps()
-    if not tmaps:
+    layout = trace.routing_layout
+    if layout is None:
         return
-    node = default_plot_node(tmaps[0]) if node is None else node
-    if node not in tmaps[0]:
+    node = default_plot_node(layout) if node is None else node
+    if node not in layout.nodes:
         raise UnknownNode(f"node {node} has no routing row to report")
-    succs = sorted(tmaps[0][node])
-    write_csv(
-        path,
-        ["timestep"] + [f"to_node_{s}" for s in succs],
-        [(t, *[tm[node][s] for s in succs]) for t, tm in enumerate(tmaps)],
-    )
+    row = layout.nodes.index(node)
+    succs = layout.successors[row]
+    probs = layout.probabilities(np.concatenate(trace.episode_weights))[:, row, : len(succs)]
+    write_csv(path, ["timestep"] + [f"to_node_{s}" for s in succs],
+              [(t, *p) for t, p in enumerate(probs.tolist())])
 
 
 def write_training_csvs(trace: TrainingTrace, out_dir, node: int | None = None) -> None:

@@ -15,11 +15,9 @@ from typing import Union
 
 from .agent import FLOAT_PARAM_FIELDS, INT_PARAM_FIELDS, AgentParams, make_agent
 from .errors import ConfigError
-from .evaluation import evaluate_policy
+from .evaluation import score_policy
 from .exploration import train_with_blockage_exploration
 from .netsim import TopologyConfig
-
-EVAL_TIMESTEPS = 100
 
 
 @dataclass
@@ -136,15 +134,8 @@ def random_search(
         params.validate()
 
         agent = make_agent(env_config, params)
-        train_with_blockage_exploration(agent, env_config, params)
-        score = evaluate_policy(
-            agent,
-            env_config,
-            timesteps=EVAL_TIMESTEPS,
-            seed=params.seed,
-            events_per_step=params.events_per_step,
-            reward_skip=params.reward_skip,
-        )
+        train_with_blockage_exploration(agent, env_config)
+        score = score_policy(agent, env_config)
         results.append(TrialResult(params=params, objective=score, trial_index=trial))
     results.sort(key=lambda r: r.objective, reverse=True)
     return results

@@ -99,19 +99,18 @@ def test_select_action_dimension_mismatch():
 
 
 def test_explore_action_zero_noise_equals_select():
-    agent = make_agent()
+    agent = make_agent(epsilon=0.0)
     state = np.array([1.0, 2.0, 3.0, 4.0])
-    assert np.array_equal(agent.explore_action(state, 0.0), agent.select_action(state))
+    assert np.array_equal(agent.explore_action(state), agent.select_action(state))
 
 
 def test_explore_action_clamps_to_unit_interval():
-    agent = make_agent()
-    rng = np.random.default_rng(0)
+    agent = make_agent(epsilon=10.0)
     state = np.array([1.0, 2.0, 3.0, 4.0])
     at_bounds = 0
     total = 0
     for _ in range(1000):
-        a = agent.explore_action(state, 10.0, rng)
+        a = agent.explore_action(state)
         assert np.all((a >= 0.0) & (a <= 1.0))
         at_bounds += int(np.sum((a == 0.0) | (a == 1.0)))
         total += a.size
@@ -451,7 +450,8 @@ def test_train_runs_updates_and_records_losses():
     assert len(trace.actor_losses) == n_updating_steps * 3
     assert len(trace.critic_losses) == n_updating_steps * 3
     assert all(np.isfinite(v) for v in trace.actor_losses + trace.critic_losses)
-    assert len(trace.flat_tmaps()) == 8
+    # one installed routing row per step: 2 episodes x 4 timesteps
+    assert len(np.concatenate(trace.episode_weights)) == 8
 
 
 def test_updating_train_step_runs_four_actor_forwards():

@@ -382,6 +382,30 @@ def test_transition_csvs_reject_a_node_without_routing_row(tmp_path):
             write(trace, tmp_path / "out", node=99)
 
 
+def test_transition_csv_rows_are_the_installed_routing_maps(tmp_path):
+    # every routed node of the figure topology: node 1 (the default, three
+    # successors), node 3 (two) and the single-successor nodes
+    cfg = figure_topology()
+    env = RlEnv(cfg, seed=0, events_per_step=20)
+    params = AgentParams(hidden_sizes=(4,), batch_size=8, num_episodes=2, num_timesteps=3,
+                         epsilon=0.3)
+    trace = DdpgAgent(env.state_dim, env.action_dim, params).train(env)
+    layout = trace.routing_layout
+    tmaps = [layout.transition_map(layout.probabilities(w))
+             for weights in trace.episode_weights for w in weights]
+    assert len(tmaps) == 6
+    assert sorted(tmaps[0]) == list(range(10))
+    assert reporting.default_plot_node(layout) == 1
+    for node in [None, *sorted(tmaps[0])]:
+        out = tmp_path / f"node_{node}"
+        reporting.write_training_csvs(trace, out, node=node)
+        shown = 1 if node is None else node
+        succs = sorted(tmaps[0][shown])
+        assert read_csv(out / "transition_proba.csv") == (
+            [["timestep"] + [f"to_node_{s}" for s in succs]]
+            + [[str(t)] + [repr(tm[shown][s]) for s in succs] for t, tm in enumerate(tmaps)])
+
+
 def test_train_runs_are_byte_identical(tmp_path):
     net = write_chain_config(tmp_path / "net.yml")
     par = write_params(tmp_path / "params.yml")

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from queuerl.agent import AgentParams, DdpgAgent
-from queuerl.errors import NoBlockableNodes
+from queuerl.errors import ConfigError, NoBlockableNodes
 from queuerl.exploration import (
     StartMode,
     StateTracker,
@@ -81,7 +81,7 @@ def test_no_blockable_nodes_raises():
 
 
 def test_weight_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         choose_start_mode(0.0, 0.0, figure_topology(), random.Random(0))
 
 
@@ -119,6 +119,11 @@ def test_tracker_counts_repeat_visits():
     assert tracker.peripheral_states[tracker.signature(state)] == 3
 
 
+def test_tracker_rejects_zero_key_capacity():
+    with pytest.raises(ConfigError, match="key_capacity"):
+        StateTracker(key_capacity=0)
+
+
 def test_tracker_capacities_never_exceeded():
     tracker = StateTracker(key_capacity=3, peripheral_capacity=5)
     rng = np.random.default_rng(0)
@@ -136,7 +141,7 @@ def test_w2_zero_reduces_to_plain_training():
     params = tiny_params(w1=1.0, w2=0.0)
 
     agent_a = DdpgAgent(1, 1, params)
-    trace_a = train_with_blockage_exploration(agent_a, cfg, params)
+    trace_a = train_with_blockage_exploration(agent_a, cfg)
 
     env = RlEnv(cfg, seed=params.seed, events_per_step=params.events_per_step)
     agent_b = DdpgAgent(1, 1, params)
@@ -144,6 +149,11 @@ def test_w2_zero_reduces_to_plain_training():
 
     assert trace_a.episode_rewards == trace_b.episode_rewards
     assert trace_a.episode_modes == trace_b.episode_modes == ["normal"] * 4
+    assert len(trace_a.step_losses) > 0
+    assert trace_a.step_losses == trace_b.step_losses
+    nets_b = agent_b.named_networks()
+    for name, net in agent_a.named_networks().items():
+        assert np.array_equal(net.params, nets_b[name].params), name
 
 
 def test_blocked_episodes_apply_blockage_and_track_visits():
@@ -152,7 +162,7 @@ def test_blocked_episodes_apply_blockage_and_track_visits():
     env = RlEnv(cfg, seed=0, events_per_step=params.events_per_step)
     agent = DdpgAgent(env.state_dim, env.action_dim, params)
     tracker = StateTracker()
-    trace = train_with_blockage_exploration(agent, cfg, params, tracker=tracker)
+    trace = train_with_blockage_exploration(agent, cfg, tracker=tracker)
     assert all(m.startswith("blocked:") for m in trace.episode_modes)
     assert len(tracker.key_states) > 0
     # the last episode's blockage is still installed on the env the run used
@@ -166,6 +176,6 @@ def test_episode_label_frequency_tracks_weights():
                          batch_size=10_000)  # no updates, just labels
     env = RlEnv(cfg, seed=0, events_per_step=10)
     agent = DdpgAgent(env.state_dim, env.action_dim, params)
-    trace = train_with_blockage_exploration(agent, cfg, params)
+    trace = train_with_blockage_exploration(agent, cfg)
     normal_frac = trace.episode_modes.count("normal") / len(trace.episode_modes)
     assert abs(normal_frac - 0.5) < 0.05

@@ -52,7 +52,7 @@ def golden_run():
     params = AgentParams(seed=SEED, num_episodes=3, num_timesteps=30)
     dim = len(cfg.serviced_edges())
     agent = DdpgAgent(dim, dim, params)
-    trace = train_with_blockage_exploration(agent, cfg, params)
+    trace = train_with_blockage_exploration(agent, cfg)
     return cfg, agent, trace
 
 

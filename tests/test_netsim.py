@@ -807,6 +807,12 @@ def test_feed_forward_topology_configs_are_pinned():
         "9909dee9c2bbabcecc2f470f7fc5af7abad2f31e323057cc49c02db4d4a119df")
 
 
+@pytest.mark.parametrize("width", [0, -1])
+def test_feed_forward_topology_rejects_a_width_below_one(width):
+    with pytest.raises(ConfigError, match="width must be >= 1"):
+        feed_forward_topology(10, width=width)
+
+
 def test_aggregates_of_a_finished_and_an_inflight_job(monkeypatch):
     # arrivals at 2 and 3; the first job's service ends at 5, the second's
     # at 15, and the third arrival comes at 23
