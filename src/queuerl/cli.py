@@ -58,7 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--save_file", type=_str2bool, default=False)
     p.add_argument("--run_name", default=None, help="checkpoint name; defaults to a timestamp")
     p.add_argument("--evaluator", choices=EVALUATORS)
-    p.add_argument("--agent_file", help="checkpoint to evaluate; trains a fresh agent if omitted")
+    p.add_argument("--agent_file", help="checkpoint to evaluate, rolled out at its own params "
+                   "(seed, events_per_step, reward_skip); trains a fresh agent if omitted")
     p.add_argument("--node", type=int, help="node to disrupt / plot transition probabilities for")
     p.add_argument("--window_size", type=int, default=5)
     p.add_argument("--threshold", type=float, default=0.01)
@@ -131,8 +132,7 @@ def _run_evaluate(cfg: argparse.Namespace, env_config, params) -> int:
         check_steps(cfg.time_steps)
         agent = _get_agent(cfg, env_config, params)
         report = evaluate_noise(agent, env_config, noise, mode=cfg.noise_mode,
-                                timesteps=cfg.time_steps, seed=params.seed,
-                                events_per_step=params.events_per_step)
+                                timesteps=cfg.time_steps, seed=agent.params.seed)
         reporting.write_noise(report, cfg.data_file)
     elif cfg.evaluator == "disruption":
         if cfg.node is None:
@@ -141,7 +141,7 @@ def _run_evaluate(cfg: argparse.Namespace, env_config, params) -> int:
         check_steps(cfg.time_steps)
         agent = _get_agent(cfg, env_config, params)
         report = evaluate_disruption(agent, env_config, cfg.node, steps=cfg.time_steps,
-                                     seed=params.seed, events_per_step=params.events_per_step)
+                                     seed=agent.params.seed)
         reporting.write_disruption(report, cfg.data_file)
     else:
         report = robustness_evaluate(params, env_config, num_agents=cfg.num_agents,

@@ -16,7 +16,7 @@ import numpy as np
 
 from .agent import AgentParams, DdpgAgent, make_agent
 from .errors import ConfigError, InsufficientData
-from .exploration import train_with_blockage_exploration, training_env
+from .exploration import rollout_env, train_with_blockage_exploration
 from .netsim import TopologyConfig
 from .rl_env import RlEnv
 
@@ -190,7 +190,7 @@ def convergence_train(
     window_size) stops training at the first local maximum or plateau.
     """
     check_window(window_size, consecutive_points)
-    env = training_env(env_config, agent_params)
+    env = rollout_env(env_config, agent_params, agent_params.seed)
     agent = make_agent(env_config, agent_params)
 
     evaluations: list[tuple[int, float]] = []
@@ -262,9 +262,9 @@ def evaluate_noise(
     mode: str = "evaluate",
     timesteps: int = 100,
     seed: int = 0,
-    events_per_step: int = 100,
 ) -> NoiseReport:
-    """Matched rollouts in a standard and a noise-perturbed environment.
+    """Matched rollouts in a standard and a noise-perturbed environment,
+    both seeded with seed and stepped at agent.params.events_per_step.
 
     mode "retrain" first trains the agent inside the noisy environment;
     mode "evaluate" uses the agent as-is.
@@ -273,17 +273,12 @@ def evaluate_noise(
     check_steps(timesteps)
     if mode not in ("evaluate", "retrain"):
         raise ConfigError(f"unknown noise mode {mode!r}")
+    p = agent.params
     if mode == "retrain":
-        agent.train(training_env(env_config, agent.params,
-                                 make_noise_hook(cfg, agent.params.seed + 1)))
+        agent.train(rollout_env(env_config, p, p.seed, make_noise_hook(cfg, p.seed + 1)))
 
-    standard_env = RlEnv(env_config, seed=seed, events_per_step=events_per_step)
-    noisy_env = RlEnv(
-        env_config,
-        seed=seed,
-        events_per_step=events_per_step,
-        interarrival_noise=make_noise_hook(cfg, seed + 1),
-    )
+    standard_env = rollout_env(env_config, p, seed)
+    noisy_env = rollout_env(env_config, p, seed, make_noise_hook(cfg, seed + 1))
     return NoiseReport(
         standard_series=_throughput_rollout(agent, standard_env, timesteps),
         noisy_series=_throughput_rollout(agent, noisy_env, timesteps),
@@ -309,14 +304,14 @@ def evaluate_disruption(
     node: int,
     steps: int = 50,
     seed: int = 0,
-    events_per_step: int = 100,
 ) -> DisruptionReport:
     """Roll out, block a node, roll out again; report routing and throughput
-    snapshots from both phases."""
+    snapshots from both phases. The environment is seeded with seed and
+    stepped at agent.params.events_per_step."""
     env_config.check_blockable(node)
     check_steps(steps)
 
-    env = RlEnv(env_config, seed=seed, events_per_step=events_per_step)
+    env = rollout_env(env_config, agent.params, seed)
     pre_probas = _final_routing(agent, env, steps)
     pre_exits = sum(env.net.exits_total.values())
     pre_clock = env.net.clock
@@ -358,9 +353,7 @@ def _train_and_snapshot(args) -> dict[int, dict[int, float]]:
     params, env_config, eval_seed, time_steps = args
     agent = make_agent(env_config, params)
     train_with_blockage_exploration(agent, env_config)
-
-    eval_env = RlEnv(env_config, seed=eval_seed, events_per_step=params.events_per_step)
-    return _final_routing(agent, eval_env, time_steps)
+    return _final_routing(agent, rollout_env(env_config, params, eval_seed), time_steps)
 
 
 def robustness_evaluate(
@@ -370,7 +363,6 @@ def robustness_evaluate(
     time_steps: int = 50,
     z: float = 1.96,
     margin: float = 0.1,
-    seeds: Optional[list[int]] = None,
     workers: int = 1,
 ) -> RobustnessReport:
     """Train independent agents, replay them under identical initial
@@ -385,11 +377,7 @@ def robustness_evaluate(
         raise ConfigError(f"workers must be >= 1, got {workers}")
     required_runs(z, 0.0, margin)  # checks z and margin before any training
     check_steps(time_steps)
-    if seeds is None:
-        seeds = [agent_params.seed + i for i in range(num_agents)]
-    elif len(seeds) != num_agents:
-        raise ConfigError("seeds length must equal num_agents")
-
+    seeds = [agent_params.seed + i for i in range(num_agents)]
     eval_seed = agent_params.seed
     jobs = [
         (replace(agent_params, seed=s), env_config, eval_seed, time_steps) for s in seeds
@@ -417,5 +405,5 @@ def robustness_evaluate(
         z=z,
         margin=margin,
         required_runs=required_runs(z, sigma, margin),
-        agent_seeds=list(seeds),
+        agent_seeds=seeds,
     )

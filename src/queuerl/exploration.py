@@ -8,6 +8,7 @@ counts of coarse state signatures as training telemetry.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -65,8 +66,8 @@ def choose_start_mode(
 ) -> StartMode:
     """Normal with probability w1/(w1+w2); otherwise block a uniformly
     drawn interior node."""
-    if w1 < 0 or w2 < 0 or w1 + w2 <= 0:
-        raise ConfigError("w1 and w2 must be nonnegative with a positive sum")
+    if not (math.isfinite(w1) and math.isfinite(w2) and w1 >= 0 and w2 >= 0 and w1 + w2 > 0):
+        raise ConfigError("w1 and w2 must be finite and nonnegative with a positive sum")
     blockable = topology.blockable_nodes()
     if w2 > 0 and not blockable:
         raise NoBlockableNodes("topology has no interior node to block")
@@ -75,11 +76,12 @@ def choose_start_mode(
     return StartMode(node=blockable[rng.randrange(len(blockable))])
 
 
-def training_env(env_config: TopologyConfig, params: AgentParams,
-                 interarrival_noise: Optional[Callable[[float], float]] = None) -> RlEnv:
-    """The environment a training run under params steps: seeded with
-    params.seed, with its events_per_step and reward_skip."""
-    return RlEnv(env_config, seed=params.seed, events_per_step=params.events_per_step,
+def rollout_env(env_config: TopologyConfig, params: AgentParams, seed: int,
+                interarrival_noise: Optional[Callable[[float], float]] = None) -> RlEnv:
+    """The environment an agent under params trains or is evaluated in:
+    seeded with seed, stepped at params.events_per_step and rewarded with
+    params.reward_skip."""
+    return RlEnv(env_config, seed=seed, events_per_step=params.events_per_step,
                  reward_skip=params.reward_skip, interarrival_noise=interarrival_noise)
 
 
@@ -98,7 +100,7 @@ def train_with_blockage_exploration(
     p = agent.params
     mode_rng = random.Random(p.seed ^ 0x5EED)
     return agent.train(
-        training_env(env_config, p),
+        rollout_env(env_config, p, p.seed),
         start_mode_chooser=lambda: choose_start_mode(p.w1, p.w2, env_config, mode_rng),
         tracker=tracker,
     )

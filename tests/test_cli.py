@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from queuerl import config as config_module
 from queuerl import reporting
-from queuerl.agent import AgentParams, DdpgAgent
+from queuerl.agent import AgentParams, DdpgAgent, load_agent
 from queuerl.cli import _str2bool, main
 from queuerl.config import (
     network_config_to_dict,
@@ -24,6 +24,7 @@ from queuerl.config import (
     write_network_config,
 )
 from queuerl.errors import ConfigError, ParseError, QueueRlError, UnknownNode
+from queuerl.evaluation import NoiseConfig, evaluate_disruption, evaluate_noise
 from queuerl.netsim import feed_forward_topology, figure_topology, mm1_topology
 from queuerl.rl_env import RlEnv
 from queuerl.tuning import RangeSpec, sample_params
@@ -679,6 +680,40 @@ def test_evaluate_disruption(tmp_path):
     assert rows[0] == ["node", "successor", "pre_proba", "post_proba"]
     summary = json.loads((data / "disruption_summary.json").read_text())
     assert summary["affected_node"] == 3
+
+
+def test_evaluate_a_checkpoint_at_its_own_params(tmp_path):
+    # the checkpoint was trained at seed 5 and 40 events a step; the param
+    # file given at evaluation says seed 9 and 15 events a step
+    net = write_fig_config(tmp_path / "net.yml")
+    train_par = write_params(tmp_path / "train.yml", num_episodes=1, num_timesteps=2,
+                             events_per_step=40, seed=5)
+    eval_par = write_params(tmp_path / "eval.yml", events_per_step=15, seed=9)
+    data = tmp_path / "train_out"
+    assert run_cli("--function", "train", "--config_file", str(net),
+                   "--param_file", str(train_par), "--data_file", str(data),
+                   "--save_file", "True", "--run_name", "ck") == 0
+    checkpoint = str(data / "ck.agent")
+    cfg = parse_network_config(str(net))
+    agent = load_agent(checkpoint)
+    assert (agent.params.seed, agent.params.events_per_step) == (5, 40)
+
+    for evaluator, extra, summary in [("disruption", ["--node", "3"], "disruption_summary.json"),
+                                      ("noise", [], "noise_summary.json")]:
+        out = tmp_path / evaluator
+        assert run_cli("--function", "evaluate", "--evaluator", evaluator,
+                       "--config_file", str(net), "--param_file", str(eval_par),
+                       "--agent_file", checkpoint, "--data_file", str(out),
+                       "--time_steps", "4", *extra) == 0
+        expected = tmp_path / f"{evaluator}_expected"
+        if evaluator == "disruption":
+            reporting.write_disruption(
+                evaluate_disruption(agent, cfg, node=3, steps=4, seed=5), expected)
+        else:
+            reporting.write_noise(
+                evaluate_noise(agent, cfg, NoiseConfig(), timesteps=4, seed=5), expected)
+        assert (json.loads((out / summary).read_text())
+                == json.loads((expected / summary).read_text()))
 
 
 def test_evaluate_robustness_csv_schema(tmp_path):

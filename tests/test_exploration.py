@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -81,8 +82,9 @@ def test_no_blockable_nodes_raises():
 
 
 def test_weight_validation():
-    with pytest.raises(ConfigError):
-        choose_start_mode(0.0, 0.0, figure_topology(), random.Random(0))
+    for w1, w2 in [(0.0, 0.0), (-1.0, 1.0), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0)]:
+        with pytest.raises(ConfigError, match="w1 and w2"):
+            choose_start_mode(w1, w2, figure_topology(), random.Random(0))
 
 
 def test_start_mode_labels():
