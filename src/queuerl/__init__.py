@@ -5,13 +5,12 @@ from .netsim import (
     TopologyConfig,
     feed_forward_topology,
     figure_topology,
-    mm1_topology,
 )
 from .rl_env import RlEnv
 from .buffer import ReplayBuffer
 from .model import Adam, Mlp
 from .agent import AgentParams, DdpgAgent, TrainingTrace, load_agent, save_agent
-from .exploration import StartMode, StateTracker, choose_start_mode, train_with_blockage_exploration
+from .exploration import StateTracker, choose_start_mode, train_with_blockage_exploration
 
 __all__ = [
     "Adam",
@@ -21,7 +20,6 @@ __all__ = [
     "QueueNetwork",
     "ReplayBuffer",
     "RlEnv",
-    "StartMode",
     "StateTracker",
     "TopologyConfig",
     "TrainingTrace",
@@ -29,7 +27,6 @@ __all__ = [
     "feed_forward_topology",
     "figure_topology",
     "load_agent",
-    "mm1_topology",
     "save_agent",
     "train_with_blockage_exploration",
 ]

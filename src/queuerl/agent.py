@@ -303,23 +303,24 @@ class DdpgAgent:
 
     # -- training loop -----------------------------------------------------------
 
-    def train(self, env, start_mode_chooser: Optional[Callable[[], object]] = None,
+    def train(self, env, choose_blocked_node: Optional[Callable[[], Optional[int]]] = None,
               tracker=None, num_episodes: Optional[int] = None,
               episode_seed: Optional[int] = None) -> TrainingTrace:
         """Run the full Dyna-DDPG loop against an RlEnv.
 
-        start_mode_chooser, when given, is called once per episode and may
-        return a mode with a `node` attribute; a non-None node is blocked in
-        the freshly reset environment before the first step. num_episodes
-        and episode_seed override the params so callers can train in chunks.
+        choose_blocked_node, when given, is called once per episode and
+        returns a node to block in the freshly reset environment before the
+        first step, or None for a normal start; the episode is labelled
+        blocked:<node> or normal. The tracker, when given, records the
+        (state, reward) visits of blocked episodes. num_episodes and
+        episode_seed override the params so callers can train in chunks.
         """
         p = self.params
         trace = TrainingTrace()
         episode_seeds = np.random.default_rng(p.seed if episode_seed is None else episode_seed)
         for _ in range(p.num_episodes if num_episodes is None else num_episodes):
             ep_seed = int(episode_seeds.integers(0, 2**63 - 1))
-            mode = start_mode_chooser() if start_mode_chooser is not None else None
-            blocked_node = getattr(mode, "node", None)
+            blocked_node = choose_blocked_node() if choose_blocked_node is not None else None
             state = env.reset(ep_seed)
             if blocked_node is not None:
                 env.net.set_blockage(blocked_node)
@@ -353,7 +354,8 @@ class DdpgAgent:
                 state = next_state
 
             trace.episode_rewards.append(rewards)
-            trace.episode_modes.append("normal" if mode is None else str(mode))
+            trace.episode_modes.append(
+                "normal" if blocked_node is None else f"blocked:{blocked_node}")
             trace.episode_weights.append(weights)
             trace.routing_layout = env.net.routing_layout
         return trace

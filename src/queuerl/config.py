@@ -91,20 +91,21 @@ def parse_network_config(path: str) -> TopologyConfig:
             raise ConfigError(f"duplicate edge {src} -> {dst}")
         edge_list.setdefault(src, {})[dst] = etype
 
-    try:
-        config = TopologyConfig(
-            num_nodes=_coerce_number("num_nodes", doc["num_nodes"], True),
-            edge_list=edge_list,
-            entry_edges={_coerce_number("entry_edges", e, True) for e in doc["entry_edges"]},
-            exit_edges={_coerce_number("exit_edges", e, True) for e in doc["exit_edges"]},
-            arrival_rate=_coerce_number("arrival_rate", doc["arrival_rate"], False),
-            service_rates={
-                _coerce_number("service_rates", k, True): _coerce_number("service_rates", v, False)
-                for k, v in doc["service_rates"].items()
-            },
-        )
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    service_rates: dict[int, float] = {}
+    for k, v in doc["service_rates"].items():
+        etype = _coerce_number("service_rates", k, True)
+        if etype in service_rates:
+            raise ConfigError(f"service_rates gives edge type {etype} twice")
+        service_rates[etype] = _coerce_number("service_rates", v, False)
+
+    config = TopologyConfig(
+        num_nodes=_coerce_number("num_nodes", doc["num_nodes"], True),
+        edge_list=edge_list,
+        entry_edges={_coerce_number("entry_edges", e, True) for e in doc["entry_edges"]},
+        exit_edges={_coerce_number("exit_edges", e, True) for e in doc["exit_edges"]},
+        arrival_rate=_coerce_number("arrival_rate", doc["arrival_rate"], False),
+        service_rates=service_rates,
+    )
     validate_config(config)
     return config
 
@@ -145,6 +146,7 @@ def parse_hyperparams(path: str) -> tuple[AgentParams, SearchSpace | None]:
         raise ParseError(f"{path}: expected a mapping at the top level")
 
     known = {f.name for f in fields(AgentParams)}
+    given: dict[str, str] = {}  # field -> the key that set it
     scalars: dict = {}
     specs: dict = {}
     trials = 10
@@ -157,6 +159,9 @@ def parse_hyperparams(path: str) -> tuple[AgentParams, SearchSpace | None]:
             continue
         if key != "trials" and key not in known:
             raise ConfigError(f"unknown hyperparameter '{raw_key}'")
+        if key in given:
+            raise ConfigError(f"'{given[key]}' and '{raw_key}' both set '{key}'")
+        given[key] = raw_key
 
         if key == "trials":
             trials = _coerce_value(key, value)
@@ -181,10 +186,7 @@ def parse_hyperparams(path: str) -> tuple[AgentParams, SearchSpace | None]:
         else:
             scalars[key] = _coerce_value(key, value)
 
-    try:
-        params = AgentParams(**scalars)
-    except TypeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    params = AgentParams(**scalars)
     params.validate()
 
     if not specs:

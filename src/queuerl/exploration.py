@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,22 +20,17 @@ from .netsim import TopologyConfig
 from .rl_env import RlEnv
 
 
-@dataclass(frozen=True)
-class StartMode:
-    node: Optional[int] = None  # None means a normal start
-
-    def __str__(self) -> str:
-        return "normal" if self.node is None else f"blocked:{self.node}"
+KEY_CAPACITY = 32
+PERIPHERAL_CAPACITY = 1024
 
 
 class StateTracker:
-    """Bounded record of key states (by |reward|) and visit counts."""
+    """Bounded record of the KEY_CAPACITY visited states with the largest
+    |reward| and of visit counts for up to PERIPHERAL_CAPACITY coarse state
+    signatures; a signature first seen once that many are held is not
+    counted."""
 
-    def __init__(self, key_capacity: int = 32, peripheral_capacity: int = 1024):
-        if key_capacity < 1:
-            raise ConfigError(f"key_capacity must be >= 1, got {key_capacity}")
-        self.key_capacity = key_capacity
-        self.peripheral_capacity = peripheral_capacity
+    def __init__(self):
         self.key_states: list[tuple[np.ndarray, float]] = []  # sorted by |reward| desc
         self.peripheral_states: dict[tuple[float, ...], int] = {}
 
@@ -48,11 +42,11 @@ class StateTracker:
         sig = self.signature(state)
         if sig in self.peripheral_states:
             self.peripheral_states[sig] += 1
-        elif len(self.peripheral_states) < self.peripheral_capacity:
+        elif len(self.peripheral_states) < PERIPHERAL_CAPACITY:
             self.peripheral_states[sig] = 1
 
         entry = (np.array(state, dtype=float), float(reward))
-        if len(self.key_states) < self.key_capacity:
+        if len(self.key_states) < KEY_CAPACITY:
             self.key_states.append(entry)
         elif abs(reward) > abs(self.key_states[-1][1]):
             self.key_states[-1] = entry
@@ -63,17 +57,17 @@ class StateTracker:
 
 def choose_start_mode(
     w1: float, w2: float, topology: TopologyConfig, rng: random.Random
-) -> StartMode:
-    """Normal with probability w1/(w1+w2); otherwise block a uniformly
-    drawn interior node."""
+) -> Optional[int]:
+    """The node an episode starts with blocked: None (a normal start) with
+    probability w1/(w1+w2), otherwise a uniformly drawn interior node."""
     if not (math.isfinite(w1) and math.isfinite(w2) and w1 >= 0 and w2 >= 0 and w1 + w2 > 0):
         raise ConfigError("w1 and w2 must be finite and nonnegative with a positive sum")
     blockable = topology.blockable_nodes()
     if w2 > 0 and not blockable:
         raise NoBlockableNodes("topology has no interior node to block")
     if rng.random() < w1 / (w1 + w2):
-        return StartMode()
-    return StartMode(node=blockable[rng.randrange(len(blockable))])
+        return None
+    return blockable[rng.randrange(len(blockable))]
 
 
 def rollout_env(env_config: TopologyConfig, params: AgentParams, seed: int,
@@ -90,8 +84,8 @@ def train_with_blockage_exploration(
     env_config: TopologyConfig,
     tracker: Optional[StateTracker] = None,
 ) -> TrainingTrace:
-    """agent.train with per-episode start modes drawn from the w1/w2 of
-    agent.params.
+    """agent.train with each episode's blocked node, or none, drawn by
+    choose_start_mode from the w1/w2 of agent.params.
 
     Blocked episodes apply the blockage right after the reset and feed
     (state, reward) visits into the tracker. With w2 = 0 every episode
@@ -101,6 +95,6 @@ def train_with_blockage_exploration(
     mode_rng = random.Random(p.seed ^ 0x5EED)
     return agent.train(
         rollout_env(env_config, p, p.seed),
-        start_mode_chooser=lambda: choose_start_mode(p.w1, p.w2, env_config, mode_rng),
+        choose_blocked_node=lambda: choose_start_mode(p.w1, p.w2, env_config, mode_rng),
         tracker=tracker,
     )

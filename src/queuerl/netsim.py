@@ -395,18 +395,12 @@ class QueueNetwork:
         cumulative[self._last] = math.inf
         self._cumulative = cumulative.tolist()
         self._probs = probs
-        self._map: Optional[dict[int, dict[int, float]]] = None
 
     @property
     def transition_map(self) -> dict[int, dict[int, float]]:
-        """node -> {successor: probability} under the installed routing.
-
-        Built on the first read after each set_routing, as a fresh dict that
-        is never changed afterwards.
-        """
-        if self._map is None:
-            self._map = self.routing_layout.transition_map(self._probs)
-        return self._map
+        """node -> {successor: probability} under the installed routing, as
+        a fresh dict on each read."""
+        return self.routing_layout.transition_map(self._probs)
 
     def simulate(self, num_events: int) -> None:
         """Process num_events calendar events in time order, as the module
@@ -547,18 +541,6 @@ class QueueNetwork:
         skip = self.skip
         return [total / (done - skip)
                 for done, total in zip(self._n_exited, self._counted_sum) if done > skip]
-
-
-def mm1_topology(arrival_rate: float, service_rate: float) -> TopologyConfig:
-    """Single-server chain: entry edge 1 into node 1, exit edge 0."""
-    return TopologyConfig(
-        num_nodes=3,
-        edge_list={0: {1: 1}, 1: {2: 0}},
-        entry_edges={1},
-        exit_edges={0},
-        arrival_rate=arrival_rate,
-        service_rates={1: service_rate},
-    )
 
 
 def figure_topology(arrival_rate: float = 0.3, service_rate: float = 2.0) -> TopologyConfig:

@@ -131,8 +131,6 @@ def random_search(
     for trial in range(space.trials):
         trial_seed = rng.randrange(2**31)
         params = replace(sample_params(space, base_params, rng), seed=trial_seed)
-        params.validate()
-
         agent = make_agent(env_config, params)
         train_with_blockage_exploration(agent, env_config)
         score = score_policy(agent, env_config)

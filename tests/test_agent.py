@@ -22,8 +22,9 @@ from queuerl.errors import (
 )
 from queuerl.evaluation import evaluate_policy
 from queuerl.model import Mlp
-from queuerl.netsim import figure_topology, mm1_topology
+from queuerl.netsim import figure_topology
 from queuerl.rl_env import RlEnv
+from topologies import mm1_topology
 
 
 def small_params(**overrides) -> AgentParams:

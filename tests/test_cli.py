@@ -25,9 +25,10 @@ from queuerl.config import (
 )
 from queuerl.errors import ConfigError, ParseError, QueueRlError, UnknownNode
 from queuerl.evaluation import NoiseConfig, evaluate_disruption, evaluate_noise
-from queuerl.netsim import feed_forward_topology, figure_topology, mm1_topology
+from queuerl.netsim import feed_forward_topology, figure_topology
 from queuerl.rl_env import RlEnv
 from queuerl.tuning import RangeSpec, sample_params
+from topologies import mm1_topology
 
 FIG_EDGES = [
     (0, 1, 1), (1, 2, 2), (1, 3, 3), (1, 4, 4), (2, 5, 5), (3, 6, 6), (3, 7, 7),
@@ -63,7 +64,7 @@ def chain_doc() -> dict:
 
 
 def write_chain_config(path: Path, **extra) -> Path:
-    path.write_text(yaml.safe_dump({**chain_doc(), **extra}))
+    path.write_text(yaml.safe_dump({**chain_doc(), **extra}, sort_keys=False))
     return path
 
 
@@ -193,6 +194,8 @@ def test_parse_hyperparams_overrides_and_defaults(tmp_path):
     assert params.discount == 0.99
     assert params.batch_size == 32  # default untouched
     assert space is None
+    path.write_text("")
+    assert parse_hyperparams(str(path)) == (AgentParams(), None)
 
 
 def test_parse_hyperparams_domain_errors(tmp_path):
@@ -542,6 +545,17 @@ EVALUATE = ("--function", "evaluate", "--evaluator")
                 {"source": 0, "target": 1, "edge_type": 2},
                 {"source": 1, "target": 2, "edge_type": 0}]},
      {}, TRAIN, 2, "duplicate edge 0 -> 1"),
+    ({"service_rates": {1: 2.0, "1": 9.0}}, {}, TRAIN, 2, "service_rates gives edge type 1 twice"),
+    ({}, {"learning_rate": 0.01, "alpha": 0.5}, TRAIN, 2,
+     "'alpha' and 'learning_rate' both set 'learning_rate'"),
+    ({}, {"gamma": 0.9, "discount": 0.5}, TRAIN, 2, "both set 'discount'"),
+    ({}, {"num_time_steps": 10}, TRAIN, 2, "both set 'num_timesteps'"),
+    ({}, {"learning_rate": 0.01, "alpha": {"low": 0.001, "high": 0.1}}, TUNE, 2,
+     "both set 'learning_rate'"),
+    ({}, {"objective": "other", "tau": {"low": 0.01, "high": 0.2}}, TUNE, 2,
+     "unknown objective 'other'"),
+    ({}, {"hidden_sizes": {"low": 1, "high": 3}}, TUNE, 2,
+     "hidden_sizes: a range needs a numeric field"),
 ], ids=["nan_arrival_rate", "inf_arrival_rate", "inf_service_rate", "nan_service_rate",
         "trials_abc", "range_low_abc", "hidden_sizes_strings", "hidden_sizes_scalar",
         "choices_scalar", "zero_time_steps", "negative_seed", "inf_epsilon", "inf_w1",
@@ -555,7 +569,9 @@ EVALUATE = ("--function", "evaluate", "--evaluator")
         "mapping_exit_edges", "list_service_rates", "tiny_arrival_rate", "tiny_service_rate",
         "startup_curve_shorter_than_window", "disruption_without_node",
         "unsampleable_choice", "unsampleable_range_end", "range_without_high",
-        "duplicate_edge"])
+        "duplicate_edge", "service_rate_given_twice", "learning_rate_and_alpha",
+        "gamma_and_discount", "num_time_steps_and_num_timesteps", "scalar_and_range_alias",
+        "unknown_objective", "hidden_sizes_range"])
 def test_malformed_numeric_input_exit_codes(tmp_path, capsys, monkeypatch, network, params,
                                             cli_args, code, message):
     # every case is rejected before any agent trains

@@ -19,8 +19,9 @@ from queuerl.evaluation import (
     required_runs,
     robustness_evaluate,
 )
-from queuerl.netsim import figure_topology, mm1_topology
+from queuerl.netsim import figure_topology
 from queuerl.rl_env import RlEnv
+from topologies import mm1_topology
 
 
 def tiny_params(**overrides) -> AgentParams:
@@ -233,6 +234,13 @@ def test_zero_noise_rollouts_are_identical():
     report = evaluate_noise(agent, cfg, NoiseConfig(mean=0.0, variance=0.0, frequency=0.5),
                             timesteps=6, seed=11)
     assert report.standard_series == report.noisy_series
+
+
+def test_evaluate_noise_rejects_an_unknown_mode():
+    cfg = figure_topology()
+    agent = make_agent(cfg, tiny_params())
+    with pytest.raises(ConfigError, match="unknown noise mode 'bogus'"):
+        evaluate_noise(agent, cfg, NoiseConfig(), mode="bogus")
 
 
 def test_noise_changes_the_noisy_series():

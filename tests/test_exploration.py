@@ -9,13 +9,15 @@ from scipy import stats
 from queuerl.agent import AgentParams, DdpgAgent
 from queuerl.errors import ConfigError, NoBlockableNodes
 from queuerl.exploration import (
-    StartMode,
+    KEY_CAPACITY,
+    PERIPHERAL_CAPACITY,
     StateTracker,
     choose_start_mode,
     train_with_blockage_exploration,
 )
-from queuerl.netsim import TopologyConfig, figure_topology, mm1_topology
+from queuerl.netsim import TopologyConfig, figure_topology
 from queuerl.rl_env import RlEnv
+from topologies import mm1_topology
 
 
 def tiny_params(**overrides) -> AgentParams:
@@ -41,20 +43,20 @@ def test_all_weight_on_normal_never_blocks():
     cfg = figure_topology()
     rng = random.Random(0)
     modes = [choose_start_mode(1.0, 0.0, cfg, rng) for _ in range(200)]
-    assert all(m.node is None for m in modes)
+    assert all(m is None for m in modes)
 
 
 def test_all_weight_on_blockage_never_normal():
     cfg = figure_topology()
     rng = random.Random(1)
     modes = [choose_start_mode(0.0, 1.0, cfg, rng) for _ in range(200)]
-    assert all(m.node is not None for m in modes)
+    assert all(m is not None for m in modes)
 
 
 def test_equal_weights_split_half_and_half():
     cfg = figure_topology()
     rng = random.Random(2)
-    draws = [choose_start_mode(0.5, 0.5, cfg, rng).node is None for _ in range(10_000)]
+    draws = [choose_start_mode(0.5, 0.5, cfg, rng) is None for _ in range(10_000)]
     assert abs(sum(draws) / len(draws) - 0.5) < 0.01
 
 
@@ -62,7 +64,7 @@ def test_blocked_node_uniform_over_interior():
     cfg = figure_topology()
     assert cfg.blockable_nodes() == list(range(1, 10))
     rng = random.Random(3)
-    counts = Counter(choose_start_mode(0.0, 1.0, cfg, rng).node for _ in range(10_000))
+    counts = Counter(choose_start_mode(0.0, 1.0, cfg, rng) for _ in range(10_000))
     observed = [counts[n] for n in cfg.blockable_nodes()]
     assert stats.chisquare(observed).pvalue > 0.01
 
@@ -87,16 +89,11 @@ def test_weight_validation():
             choose_start_mode(w1, w2, figure_topology(), random.Random(0))
 
 
-def test_start_mode_labels():
-    assert str(StartMode()) == "normal"
-    assert str(StartMode(node=3)) == "blocked:3"
-
-
 # -- state tracker ---------------------------------------------------------------
 
 
 def test_tracker_first_insertion():
-    tracker = StateTracker(key_capacity=4)
+    tracker = StateTracker()
     state = np.array([1.23, 4.56])
     tracker.record_visit(state, -2.0)
     assert len(tracker.key_states) == 1
@@ -104,11 +101,12 @@ def test_tracker_first_insertion():
 
 
 def test_tracker_keeps_highest_impact_states():
-    tracker = StateTracker(key_capacity=2)
-    for reward in (-1.0, -5.0, -3.0):
+    tracker = StateTracker()
+    rewards = [-float(r) for r in np.random.default_rng(0).permutation(KEY_CAPACITY + 10)]
+    for reward in rewards:
         tracker.record_visit(np.array([reward]), reward)
     kept = sorted(r for _, r in tracker.key_states)
-    assert kept == [-5.0, -3.0]
+    assert kept == sorted(rewards)[:KEY_CAPACITY]
     impacts = [abs(r) for _, r in tracker.key_states]
     assert impacts == sorted(impacts, reverse=True)
 
@@ -121,18 +119,15 @@ def test_tracker_counts_repeat_visits():
     assert tracker.peripheral_states[tracker.signature(state)] == 3
 
 
-def test_tracker_rejects_zero_key_capacity():
-    with pytest.raises(ConfigError, match="key_capacity"):
-        StateTracker(key_capacity=0)
-
-
 def test_tracker_capacities_never_exceeded():
-    tracker = StateTracker(key_capacity=3, peripheral_capacity=5)
+    tracker = StateTracker()
     rng = np.random.default_rng(0)
-    for i in range(50):
+    for i in range(PERIPHERAL_CAPACITY + 50):
         tracker.record_visit(rng.uniform(0, 100, 2), float(rng.normal()))
-        assert len(tracker.key_states) <= 3
-        assert len(tracker.peripheral_states) <= 5
+        assert len(tracker.key_states) <= KEY_CAPACITY
+        assert len(tracker.peripheral_states) <= PERIPHERAL_CAPACITY
+    assert len(tracker.key_states) == KEY_CAPACITY
+    assert len(tracker.peripheral_states) == PERIPHERAL_CAPACITY
 
 
 # -- blockage exploration training --------------------------------------------------
@@ -156,6 +151,29 @@ def test_w2_zero_reduces_to_plain_training():
     nets_b = agent_b.named_networks()
     for name, net in agent_a.named_networks().items():
         assert np.array_equal(net.params, nets_b[name].params), name
+
+
+def test_train_blocks_the_chosen_node_and_labels_it():
+    cfg = figure_topology()
+    params = tiny_params(num_episodes=3)
+    env = RlEnv(cfg, seed=0, events_per_step=params.events_per_step)
+    agent = DdpgAgent(env.state_dim, env.action_dim, params)
+    trace = agent.train(env, choose_blocked_node=lambda: 4)
+    assert trace.episode_modes == ["blocked:4"] * 3
+    assert env.net.blocked_nodes == {4}
+
+
+@pytest.mark.parametrize("chooser", [None, lambda: None], ids=["no_chooser", "returns_none"])
+def test_train_without_a_blocked_node_labels_every_episode_normal(chooser):
+    cfg = figure_topology()
+    params = tiny_params(num_episodes=3)
+    env = RlEnv(cfg, seed=0, events_per_step=params.events_per_step)
+    agent = DdpgAgent(env.state_dim, env.action_dim, params)
+    tracker = StateTracker()
+    trace = agent.train(env, choose_blocked_node=chooser, tracker=tracker)
+    assert trace.episode_modes == ["normal"] * 3
+    assert env.net.blocked_nodes == set()
+    assert tracker.key_states == []
 
 
 def test_blocked_episodes_apply_blockage_and_track_visits():

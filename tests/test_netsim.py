@@ -20,10 +20,10 @@ from queuerl.netsim import (
     TopologyConfig,
     feed_forward_topology,
     figure_topology,
-    mm1_topology,
     validate_config,
 )
 from queuerl.rl_env import R_FLOOR, RlEnv
+from topologies import mm1_topology
 
 
 class ReferenceNetwork:
@@ -337,17 +337,22 @@ def test_duplicate_edge_type_raises():
         validate_config(cfg)
 
 
-@pytest.mark.parametrize("edge_list, entry, exits, rates, message", [
-    ({0: {1: 1}, 1: {2: 0}}, {5}, {0}, {1: 1.0}, "edge type 5 not present in edge_list"),
-    ({0: {1: 1}, 1: {2: 0}}, {1}, {0, 1}, {}, "an edge cannot be both entry and exit"),
-    ({0: {1: 1}, 1: {2: 0}, 3: {4: 2}}, {1}, {0}, {1: 1.0, 2: 1.0},
+@pytest.mark.parametrize("num_nodes, edge_list, entry, exits, rates, message", [
+    (5, {0: {1: 1}, 1: {2: 0}}, {5}, {0}, {1: 1.0}, "edge type 5 not present in edge_list"),
+    (5, {0: {1: 1}, 1: {2: 0}}, {1}, {0, 1}, {}, "an edge cannot be both entry and exit"),
+    (5, {0: {1: 1}, 1: {2: 0}, 3: {4: 2}}, {1}, {0}, {1: 1.0, 2: 1.0},
      "node 4 (target of edge type 2) has no outgoing edges"),
-    ({0: {1: 1}, 1: {2: 0, 3: 2}, 3: {2: 3}}, {1}, {0, 3}, {1: 1.0, 2: 1.0},
+    (5, {0: {1: 1}, 1: {2: 0, 3: 2}, 3: {2: 3}}, {1}, {0, 3}, {1: 1.0, 2: 1.0},
      "node 1 mixes exit and serviced outgoing edges"),
-], ids=["absent_entry_edge", "entry_and_exit", "dead_end_target", "mixed_successors"])
-def test_malformed_edge_roles_raise(edge_list, entry, exits, rates, message):
-    cfg = TopologyConfig(num_nodes=5, edge_list=edge_list, entry_edges=entry, exit_edges=exits,
-                         arrival_rate=0.5, service_rates=rates)
+    (0, {0: {1: 1}, 1: {2: 0}}, {1}, {0}, {1: 1.0}, "num_nodes must be positive"),
+    (3, {0: {1: 1}, 1: {2: 0}, -1: {1: 2}}, {1}, {0}, {1: 1.0, 2: 1.0},
+     "node -1 outside [0, 3)"),
+    (2, {0: {1: 1}, 1: {2: 0}}, {1}, {0}, {1: 1.0}, "node 2 outside [0, 2)"),
+], ids=["absent_entry_edge", "entry_and_exit", "dead_end_target", "mixed_successors",
+        "no_nodes", "source_outside_the_network", "target_outside_the_network"])
+def test_malformed_edge_roles_raise(num_nodes, edge_list, entry, exits, rates, message):
+    cfg = TopologyConfig(num_nodes=num_nodes, edge_list=edge_list, entry_edges=entry,
+                         exit_edges=exits, arrival_rate=0.5, service_rates=rates)
     with pytest.raises(ConfigError, match=re.escape(message)):
         validate_config(cfg)
 
@@ -811,6 +816,11 @@ def test_feed_forward_topology_configs_are_pinned():
 def test_feed_forward_topology_rejects_a_width_below_one(width):
     with pytest.raises(ConfigError, match="width must be >= 1"):
         feed_forward_topology(10, width=width)
+
+
+def test_feed_forward_topology_needs_three_nodes():
+    with pytest.raises(ConfigError, match="at least 3 nodes"):
+        feed_forward_topology(2)
 
 
 def test_aggregates_of_a_finished_and_an_inflight_job(monkeypatch):

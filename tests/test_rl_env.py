@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from queuerl.errors import ConfigError, DimensionMismatch, NoArrivals
-from queuerl.netsim import TopologyConfig, figure_topology, mm1_topology
+from queuerl.netsim import TopologyConfig, figure_topology
 from queuerl.rl_env import R_FLOOR, RlEnv, reward
 from test_netsim import scripted_random, serviced_stats, unit_draw
+from topologies import mm1_topology
 
 
 def chain_topology(n_serviced: int, arrival_rate=0.5, service_rate=2.0) -> TopologyConfig:
@@ -162,7 +163,7 @@ def test_masking_non_finite_action_raises(bad):
     action[env.serviced_edges.index(3)] = bad
     with pytest.raises(ConfigError, match="node 1"):
         env.get_next_state(action)
-    assert env.net.transition_map is installed
+    assert env.net.transition_map == installed
 
 
 def test_jobs_split_as_the_installed_routing_says():

@@ -7,8 +7,8 @@ from scipy import stats
 
 from queuerl.agent import FLOAT_PARAM_FIELDS, INT_PARAM_FIELDS, AgentParams, DdpgAgent
 from queuerl.errors import ConfigError
-from queuerl.netsim import mm1_topology
 from queuerl.tuning import ChoiceSpec, RangeSpec, SearchSpace, random_search, sample_params
+from topologies import mm1_topology
 
 
 def tiny_base(**overrides) -> AgentParams:

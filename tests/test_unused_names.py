@@ -2,7 +2,9 @@
 
 A name counts as used when something in src/queuerl/ or perfbench/ names it
 (a Name, an Attribute, an import alias or an __all__ string) outside its own
-definition. Code that only tests call belongs in the tests.
+definition. A package __init__.py only re-exports names, so what it names
+does not count: a function that the package exports and only tests call is
+still unused. Code that only tests call belongs in the tests.
 """
 
 import ast
@@ -35,11 +37,13 @@ def references(tree):
 
 def unused_names(package, others):
     """(file, name) of each non-dunder definition in package that nothing in
-    package or others refers to, apart from its own definition."""
+    package, apart from its __init__.py, or others refers to, apart from its
+    own definition."""
     trees = {path: ast.parse(path.read_text(), str(path)) for path in package}
     used = Counter()
-    for tree in trees.values():
-        used.update(references(tree))
+    for path, tree in trees.items():
+        if path.name != "__init__.py":
+            used.update(references(tree))
     for path in others:
         used.update(references(ast.parse(path.read_text(), str(path))))
     unused = []
@@ -67,10 +71,13 @@ def test_unused_names_are_found(tmp_path):
         "__all__ = ['Box']\n"
         "used()\n"
     )
+    init = tmp_path / "__init__.py"
+    init.write_text("from .module import recursive, used\n__all__ = ['recursive', 'used']\n")
     user = tmp_path / "user.py"
     user.write_text("from module import recursive as alias\nprint(Box().size)\n")
     assert unused_names([module], []) == [
         ("module.py", "recursive"), ("module.py", "method"), ("module.py", "size")]
+    assert unused_names([init, module], []) == unused_names([module], [])
     assert unused_names([module], [user]) == [("module.py", "method")]
 
 
