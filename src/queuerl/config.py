@@ -8,6 +8,7 @@ scalar AgentParams overrides; a field given as {low, high, scale} or
 
 from __future__ import annotations
 
+import functools
 from dataclasses import fields
 
 import yaml
@@ -27,6 +28,36 @@ _INT_KEYS = INT_PARAM_FIELDS | {"trials"}
 # libyaml's parser where PyYAML was built with it: the same documents, read
 # about six times faster (3.6 against 0.6 ms for the figure topology file)
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _construct_unique_map(loader, node):
+    """The safe loaders' mapping constructor, but a key written twice in the
+    mapping raises ConstructorError where they would keep its last value.
+    Keys that a merge (<<) brings in may still be overridden, as YAML allows."""
+    seen = set()
+    for key_node, _ in node.value:
+        if key_node.tag == "tag:yaml.org,2002:merge":
+            continue
+        key = loader.construct_object(key_node)
+        try:
+            repeated = key in seen
+        except TypeError:  # unhashable: construct_yaml_map raises its own error
+            continue
+        if repeated:
+            raise yaml.constructor.ConstructorError(
+                "while constructing a mapping", node.start_mark,
+                f"found duplicate key {key!r}", key_node.start_mark)
+        seen.add(key)
+    return loader.construct_yaml_map(node)
+
+
+@functools.cache
+def _unique_key_loader(base: type) -> type:
+    """A subclass of the loader base that builds mappings with
+    _construct_unique_map."""
+    loader = type(f"UniqueKey{base.__name__}", (base,), {})
+    loader.add_constructor("tag:yaml.org,2002:map", _construct_unique_map)
+    return loader
 
 
 def _coerce_number(key: str, value, integer: bool):
@@ -53,11 +84,12 @@ def _coerce_value(key: str, value):
 
 def _load_yaml(path: str):
     """The document in a YAML file. A path that is missing, names a directory
-    or cannot be read, or bytes that are not YAML in a Unicode encoding
-    (PyYAML reads the stream as bytes and detects which), raise ParseError."""
+    or cannot be read, bytes that are not YAML in a Unicode encoding (PyYAML
+    reads the stream as bytes and detects which), or a key written twice in
+    one mapping, raise ParseError."""
     try:
         with open(path, "rb") as fh:
-            return yaml.load(fh, Loader=_YAML_LOADER)
+            return yaml.load(fh, Loader=_unique_key_loader(_YAML_LOADER))
     except FileNotFoundError as exc:
         raise ParseError(f"file not found: {path}") from exc
     except OSError as exc:
@@ -138,7 +170,9 @@ def _is_range(value: dict) -> bool:
 
 def parse_hyperparams(path: str) -> tuple[AgentParams, SearchSpace | None]:
     """Read scalar overrides into AgentParams; range/choice entries and the
-    'trials' key build a SearchSpace. Missing fields keep their defaults."""
+    'trials' and 'objective' keys build a SearchSpace, which is None when no
+    range or choice is given (trials and objective are checked either way).
+    Missing fields keep their defaults."""
     doc = _load_yaml(path)
     if doc is None:
         doc = {}
@@ -189,8 +223,6 @@ def parse_hyperparams(path: str) -> tuple[AgentParams, SearchSpace | None]:
     params = AgentParams(**scalars)
     params.validate()
 
-    if not specs:
-        return params, None
     space = SearchSpace(specs=specs, trials=trials, objective=objective)
     space.validate()
-    return params, space
+    return params, space if specs else None

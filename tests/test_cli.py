@@ -36,6 +36,17 @@ FIG_EDGES = [
 ]
 
 
+class Again(str):
+    """A mapping key that the YAML helpers write a second time: equal only to
+    itself, so a dict holds it beside the key it repeats."""
+
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+
+yaml.add_representer(Again, yaml.representer.SafeRepresenter.represent_str, Dumper=yaml.SafeDumper)
+
+
 def write_fig_config(path: Path) -> Path:
     doc = {
         "num_nodes": 11,
@@ -165,10 +176,11 @@ def test_c_and_python_yaml_loaders_read_alike(tmp_path, monkeypatch):
         cases.append((parse_network_config, tmp_path / f"net{i}.yml"))
     params = write_params(tmp_path / "params.yml", alpha="2e-3", tau={"low": 0.01, "high": 0.2},
                           hidden_sizes=[[4], [8, 8]], trials=3)
+    repeated = write_params(tmp_path / "repeated.yml", tau=0.1, **{Again("tau"): 0.5})
     malformed = tmp_path / "malformed.yml"
     malformed.write_text("num_nodes: [1, 2\nedges: {source: 0\n")
-    cases += [(parse_hyperparams, params), (parse_network_config, malformed),
-              (parse_hyperparams, malformed)]
+    cases += [(parse_hyperparams, params), (parse_hyperparams, repeated),
+              (parse_network_config, malformed), (parse_hyperparams, malformed)]
 
     def read(parse, path, loader):
         monkeypatch.setattr(config_module, "_YAML_LOADER", loader)
@@ -556,6 +568,13 @@ EVALUATE = ("--function", "evaluate", "--evaluator")
      "unknown objective 'other'"),
     ({}, {"hidden_sizes": {"low": 1, "high": 3}}, TUNE, 2,
      "hidden_sizes: a range needs a numeric field"),
+    ({}, {"objective": "other"}, TRAIN, 2, "unknown objective 'other'"),
+    ({}, {"trials": 0}, TRAIN, 2, "trials must be >= 1"),
+    ({}, {"tau": 0.1, Again("tau"): 0.5}, TRAIN, 3, "found duplicate key 'tau'"),
+    ({Again("num_nodes"): 4}, {}, TRAIN, 3, "found duplicate key 'num_nodes'"),
+    ({"edges": [{"source": 0, "target": 1, "edge_type": 1, Again("target"): 2},
+                {"source": 1, "target": 2, "edge_type": 0}]},
+     {}, TRAIN, 3, "found duplicate key 'target'"),
 ], ids=["nan_arrival_rate", "inf_arrival_rate", "inf_service_rate", "nan_service_rate",
         "trials_abc", "range_low_abc", "hidden_sizes_strings", "hidden_sizes_scalar",
         "choices_scalar", "zero_time_steps", "negative_seed", "inf_epsilon", "inf_w1",
@@ -571,7 +590,9 @@ EVALUATE = ("--function", "evaluate", "--evaluator")
         "unsampleable_choice", "unsampleable_range_end", "range_without_high",
         "duplicate_edge", "service_rate_given_twice", "learning_rate_and_alpha",
         "gamma_and_discount", "num_time_steps_and_num_timesteps", "scalar_and_range_alias",
-        "unknown_objective", "hidden_sizes_range"])
+        "unknown_objective", "hidden_sizes_range", "objective_without_range",
+        "trials_without_range", "param_key_twice", "network_key_twice",
+        "edge_key_twice"])
 def test_malformed_numeric_input_exit_codes(tmp_path, capsys, monkeypatch, network, params,
                                             cli_args, code, message):
     # every case is rejected before any agent trains

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import heapq
 import itertools
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from queuerl.errors import ConfigError, DimensionMismatch, UnknownNode
 from queuerl.evaluation import NoiseConfig, make_noise_hook
 from queuerl.netsim import (
+    _SCALAR_ROUTING_ROWS,
     UNIFORM_FALLBACK_EPS,
     QueueNetwork,
     TopologyConfig,
@@ -262,6 +264,20 @@ def test_set_routing_installs_a_fresh_map():
     assert uniform[1] == {2: pytest.approx(1 / 3), 3: pytest.approx(1 / 3), 4: pytest.approx(1 / 3)}
     with pytest.raises(DimensionMismatch):
         net.set_routing(weights[:-1])
+    # a caller that writes its array after installing it changes neither the
+    # map nor the routing draws, on the scalar path and on the array path
+    for cfg in (figure_topology(), feed_forward_topology(_SCALAR_ROUTING_ROWS + 2, width=5)):
+        net, twin = QueueNetwork(cfg, seed=3), QueueNetwork(cfg, seed=3)
+        weights = np.random.default_rng(0).random(len(net.serviced_edge_types))
+        net.set_routing(weights)
+        twin.set_routing(weights.copy())
+        installed = net.transition_map
+        weights[:] = 0.0
+        weights[0] = 1.0
+        assert net.transition_map == installed
+        net.simulate(2000)
+        twin.simulate(2000)
+        assert snapshot(net) == snapshot(twin)
 
 
 _WEIGHT = st.one_of(
@@ -269,30 +285,88 @@ _WEIGHT = st.one_of(
     st.sampled_from([0.0, -0.0, 1e-7, 5e-7, 1e308, -1e308, math.inf, -math.inf, math.nan]),
 )
 
+# routing tables on both sides of _SCALAR_ROUTING_ROWS: feed_forward_topology(n)
+# has n - 1 rows
+_ROUTING_TOPOLOGIES = [figure_topology(), mm1_topology(0.5, 1.0)] + [
+    feed_forward_topology(n, width=width)
+    for n in (11, 40, _SCALAR_ROUTING_ROWS + 1, _SCALAR_ROUTING_ROWS + 2, 200)
+    for width in (1, 5)
+]
+
+
+@st.composite
+def _weight_vector(draw, n):
+    """n routing weights: a short vector anywhere in _WEIGHT; a long one
+    uniform in [-1, 1) from a drawn seed (so that most draws install), with
+    a few entries replaced by _WEIGHT's."""
+    if n <= 12:
+        return draw(st.lists(_WEIGHT, min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.uniform(-1.0, 1.0, n).tolist()
+    for i, w in draw(st.lists(st.tuples(st.integers(0, n - 1), _WEIGHT), max_size=8)):
+        weights[i] = w
+    return weights
+
+
+def _array_rows(layout, weights):
+    """The array path's cumulative rows: probabilities, a cumsum and math.inf
+    at each row's last successor, cut after that successor."""
+    cumulative = np.cumsum(layout.probabilities(weights), axis=1).tolist()
+    return [row[: d - 1] + [math.inf] if d else [] for row, d in zip(cumulative, layout.degree)]
+
+
+def _hex_rows(rows, degree):
+    """Each row's first degree entries as float.hex strings."""
+    return [[x.hex() for x in row[:d]] for row, d in zip(rows, degree)]
+
 
 # numpy warns where float arithmetic overflows or makes nan silently
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(_WEIGHT, min_size=12, max_size=12), min_size=1, max_size=3))
-def test_routing_normalisation_matches_scalar_loop(rows):
-    # the array normalisation gives the scalar loop's floats and errors, for
-    # one weight vector at a time and for a stack of them
-    cfg = figure_topology()
-    net = QueueNetwork(cfg, seed=0)
-    ref = ReferenceNetwork(cfg, seed=0)
-    maps = []
-    for weights in rows:
-        try:
-            ref.set_routing(weights)
-        except ConfigError as exc:
-            with pytest.raises(ConfigError, match=re.escape(str(exc))):
-                net.set_routing(weights)
-            return
-        net.set_routing(weights)
-        assert net.transition_map == ref.transition_map
-        maps.append(ref.transition_map)
-    layout = net.routing_layout
-    assert [layout.transition_map(p) for p in layout.probabilities(np.array(rows))] == maps
+def test_routing_normalisation_matches_scalar_loop():
+    # the scalar pass and the array normalisation give the reference loop's
+    # floats bit for bit, and its errors, for one weight vector at a time
+    # and for a stack of them; set_routing installs those rows on either
+    # path, and an error leaves the installed routing in place
+    for cfg in _ROUTING_TOPOLOGIES:
+        _check_routing_normalisation(cfg)
+
+
+def _check_routing_normalisation(cfg):
+    n = len(cfg.serviced_edges())
+
+    def check(rows):
+        net = QueueNetwork(cfg, seed=0)
+        ref = ReferenceNetwork(cfg, seed=0)
+        layout = net.routing_layout
+        degree = layout.degree.tolist()
+        maps = []
+        for weights in rows:
+            w = np.array(weights)
+            installed, installed_map = net._cumulative, net.transition_map
+            try:
+                ref.set_routing(weights)
+            except ConfigError as exc:
+                for build in (layout.cumulative_rows, functools.partial(_array_rows, layout),
+                              net.set_routing):
+                    with pytest.raises(ConfigError, match=re.escape(str(exc))):
+                        build(w)
+                assert net._cumulative is installed
+                assert net.transition_map == installed_map
+                return
+            scalar = _hex_rows(layout.cumulative_rows(w), degree)
+            assert scalar == _hex_rows(_array_rows(layout, w), degree)
+            net.set_routing(weights)
+            assert _hex_rows(net._cumulative, degree) == scalar
+            assert net.transition_map == ref.transition_map
+            maps.append(ref.transition_map)
+        assert [layout.transition_map(p) for p in layout.probabilities(np.array(rows))] == maps
+
+    # -0.0 weights at every other position: a row led by one, with a
+    # positive sum, starts at probability -0.0, which float.hex tells from 0.0
+    for parity in (0, 1):
+        check([[-0.0 if i % 2 == parity else 1.0 for i in range(n)]])
+    settings(max_examples=200 if n <= 12 else 40, deadline=None)(
+        given(st.lists(_weight_vector(n), min_size=1, max_size=3))(check))()
 
 
 def test_missing_service_rate_raises():
