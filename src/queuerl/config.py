@@ -33,12 +33,16 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 def _construct_unique_map(loader, node):
     """The safe loaders' mapping constructor, but a key written twice in the
     mapping raises ConstructorError where they would keep its last value.
-    Keys that a merge (<<) brings in may still be overridden, as YAML allows."""
+    Keys that a merge (<<) brings in may still be overridden, as YAML allows.
+    A bare = key is the string "=", as the safe loaders read it."""
     seen = set()
     for key_node, _ in node.value:
         if key_node.tag == "tag:yaml.org,2002:merge":
             continue
-        key = loader.construct_object(key_node)
+        if key_node.tag == "tag:yaml.org,2002:value":
+            key = key_node.value
+        else:
+            key = loader.construct_object(key_node)
         try:
             repeated = key in seen
         except TypeError:  # unhashable: construct_yaml_map raises its own error

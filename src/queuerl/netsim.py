@@ -7,15 +7,15 @@ edges. Routing is one weight per serviced edge; set_routing normalises the
 weights per node, and a job leaving an edge samples its successor from them.
 
 set_routing builds each node's cumulative routing probabilities, the rows
-that simulate scans, on one of two paths that give the same floats. A
-network of at most _SCALAR_ROUTING_ROWS rows takes RoutingLayout's scalar
-pass, cumulative_rows; a larger one takes the array path,
-RoutingLayout.probabilities and a numpy cumsum. Each numpy call has a fixed
-cost, and the array path makes about twenty of them: 18 us in all on a
-2-CPU x86-64 Xeon at 2.0 GHz (Python 3.11, numpy 2.4), where the scalar
-pass costs about 0.42 us a row. On feed_forward_topology(n) the two meet
-near 50 rows, so the bound of 40 keeps a margin below that; the figure
-topology's 10 rows take 4.8 us against 18.3 us.
+that simulate scans, in RoutingLayout.cumulative_rows: one Python pass that
+gives the floats of RoutingLayout.probabilities and a numpy cumsum. That
+array path makes about twenty numpy calls, each with a fixed cost, so on the
+figure topology's 10 rows the pass takes 4.8 us against 18.3 us (2-CPU
+x86-64 Xeon at 2.0 GHz, Python 3.11, numpy 2.4). It costs about 0.42 us a
+row, so at 199 rows (feed_forward_topology(200)) it takes 81.7 us against
+40.5 us; that is one call in a rollout step of about 1.7 ms, and end to end
+such a rollout ran no slower. The array path serves transition_map and the
+reports, which read whole stacks of weight vectors.
 
 QueueNetwork.simulate is one loop over the event calendar, two parallel
 lists: keys holds each entry's event time negated, in ascending order, so
@@ -80,11 +80,6 @@ from .errors import ConfigError, DimensionMismatch, UnknownNode
 
 # A node whose outgoing weights sum below this routes uniformly.
 UNIFORM_FALLBACK_EPS = 1e-6
-
-# set_routing builds the routing rows of a network with at most this many
-# rows in one scalar pass, and of a larger one with numpy; the module
-# docstring says why the bound is here.
-_SCALAR_ROUTING_ROWS = 40
 
 # The calendar code of a service completion that a blockage cancelled.
 _CANCELLED = -(1 << 62)
@@ -414,8 +409,6 @@ class QueueNetwork:
         for i, row in enumerate(layout.target_row):
             self._incoming.setdefault(layout.nodes[row], []).append(i)
 
-        routed = np.flatnonzero(layout.degree)
-        self._last = (routed, layout.degree[routed] - 1)
         self.set_routing(np.zeros(n))
 
         for etype in sorted(config.entry_edges):
@@ -434,13 +427,10 @@ class QueueNetwork:
         """Install routing from one weight per serviced edge, in
         serviced_edge_types order; exit edges weigh 0.
 
-        A network of at most _SCALAR_ROUTING_ROWS rows builds its cumulative
-        rows with RoutingLayout.cumulative_rows, a larger one with
-        RoutingLayout.probabilities and a cumsum, whose rows run on past the
-        last successor in padding that no scan reaches; up to the last
-        successor both give the same floats. A sum that is not finite raises
-        ConfigError and leaves the installed routing in place. The weights
-        are copied, so a caller may reuse its array.
+        RoutingLayout.cumulative_rows builds each node's cumulative routing
+        probabilities; a sum that is not finite raises ConfigError and leaves
+        the installed routing in place. The weights are copied, so a caller
+        may reuse its array.
         """
         weights = np.array(weights, dtype=float)
         if weights.shape != (len(self._serviced),):
@@ -450,13 +440,7 @@ class QueueNetwork:
         # a job leaving for a node takes the first successor whose cumulative
         # probability exceeds its uniform draw, else the last one; an infinite
         # last entry makes that fallback part of the scan
-        layout = self.routing_layout
-        if len(layout.nodes) <= _SCALAR_ROUTING_ROWS:
-            self._cumulative = layout.cumulative_rows(weights)
-        else:
-            cumulative = np.cumsum(layout.probabilities(weights), axis=1)
-            cumulative[self._last] = math.inf
-            self._cumulative = cumulative.tolist()
+        self._cumulative = self.routing_layout.cumulative_rows(weights)
         self._weights = weights
 
     @property

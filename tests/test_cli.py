@@ -177,9 +177,15 @@ def test_c_and_python_yaml_loaders_read_alike(tmp_path, monkeypatch):
     params = write_params(tmp_path / "params.yml", alpha="2e-3", tau={"low": 0.01, "high": 0.2},
                           hidden_sizes=[[4], [8, 8]], trials=3)
     repeated = write_params(tmp_path / "repeated.yml", tau=0.1, **{Again("tau"): 0.5})
+    # a bare = key is the string "=", which parse_network_config ignores
+    bare_key = tmp_path / "bare_key.yml"
+    bare_key.write_text((tmp_path / "net0.yml").read_text() + "=: 1\n")
+    bare_twice = tmp_path / "bare_twice.yml"
+    bare_twice.write_text(bare_key.read_text() + "=: 2\n")
     malformed = tmp_path / "malformed.yml"
     malformed.write_text("num_nodes: [1, 2\nedges: {source: 0\n")
     cases += [(parse_hyperparams, params), (parse_hyperparams, repeated),
+              (parse_network_config, bare_key), (parse_network_config, bare_twice),
               (parse_network_config, malformed), (parse_hyperparams, malformed)]
 
     def read(parse, path, loader):
@@ -193,6 +199,9 @@ def test_c_and_python_yaml_loaders_read_alike(tmp_path, monkeypatch):
         got = read(parse, path, yaml.CSafeLoader)
         assert got == read(parse, path, yaml.SafeLoader), path.name
     assert got is ParseError
+    for loader in (yaml.CSafeLoader, yaml.SafeLoader):
+        assert read(parse_network_config, bare_key, loader) == figure_topology()
+        assert read(parse_network_config, bare_twice, loader) is ParseError
 
 
 # -- hyperparameter parsing -----------------------------------------------------------

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from queuerl.errors import ConfigError, DimensionMismatch, UnknownNode
 from queuerl.evaluation import NoiseConfig, make_noise_hook
 from queuerl.netsim import (
-    _SCALAR_ROUTING_ROWS,
     UNIFORM_FALLBACK_EPS,
     QueueNetwork,
     TopologyConfig,
@@ -265,8 +264,8 @@ def test_set_routing_installs_a_fresh_map():
     with pytest.raises(DimensionMismatch):
         net.set_routing(weights[:-1])
     # a caller that writes its array after installing it changes neither the
-    # map nor the routing draws, on the scalar path and on the array path
-    for cfg in (figure_topology(), feed_forward_topology(_SCALAR_ROUTING_ROWS + 2, width=5)):
+    # map nor the routing draws
+    for cfg in (figure_topology(), feed_forward_topology(40, width=5)):
         net, twin = QueueNetwork(cfg, seed=3), QueueNetwork(cfg, seed=3)
         weights = np.random.default_rng(0).random(len(net.serviced_edge_types))
         net.set_routing(weights)
@@ -285,12 +284,9 @@ _WEIGHT = st.one_of(
     st.sampled_from([0.0, -0.0, 1e-7, 5e-7, 1e308, -1e308, math.inf, -math.inf, math.nan]),
 )
 
-# routing tables on both sides of _SCALAR_ROUTING_ROWS: feed_forward_topology(n)
-# has n - 1 rows
+# routing tables from 1 row to 199: feed_forward_topology(n) has n - 1 rows
 _ROUTING_TOPOLOGIES = [figure_topology(), mm1_topology(0.5, 1.0)] + [
-    feed_forward_topology(n, width=width)
-    for n in (11, 40, _SCALAR_ROUTING_ROWS + 1, _SCALAR_ROUTING_ROWS + 2, 200)
-    for width in (1, 5)
+    feed_forward_topology(n, width=width) for n in (11, 40, 200) for width in (1, 5)
 ]
 
 
@@ -325,8 +321,8 @@ def _hex_rows(rows, degree):
 def test_routing_normalisation_matches_scalar_loop():
     # the scalar pass and the array normalisation give the reference loop's
     # floats bit for bit, and its errors, for one weight vector at a time
-    # and for a stack of them; set_routing installs those rows on either
-    # path, and an error leaves the installed routing in place
+    # and for a stack of them; set_routing installs the scalar pass's rows,
+    # and an error leaves the installed routing in place
     for cfg in _ROUTING_TOPOLOGIES:
         _check_routing_normalisation(cfg)
 
