@@ -88,6 +88,8 @@ class AgentParams:
             (self.w1 >= 0.0 and self.w2 >= 0.0, "w1 and w2 must be >= 0"),
             (self.w1 + self.w2 > 0.0, "w1 + w2 must be > 0"),
             (self.buffer_capacity >= 1, "buffer_capacity must be >= 1"),
+            # a smaller buffer never holds a batch, so no update would run
+            (self.batch_size <= self.buffer_capacity, "batch_size must be <= buffer_capacity"),
             (len(self.hidden_sizes) >= 1 and all(h >= 1 for h in self.hidden_sizes),
              "hidden_sizes must be positive"),
             (self.events_per_step >= 1, "events_per_step must be >= 1"),
@@ -153,14 +155,14 @@ class DdpgAgent:
         self.action_dim = action_dim
         self.params = params
         self.rng = np.random.default_rng(params.seed)
-        hs = list(params.hidden_sizes)
+        sizes = _layer_sizes(state_dim, action_dim, params.hidden_sizes)
 
-        self.actor = Mlp([state_dim] + hs + [action_dim], "sigmoid", self.rng)
-        self.critic = Mlp([state_dim + action_dim] + hs + [1], "identity", self.rng)
+        self.actor = Mlp(sizes["actor"], "sigmoid", self.rng)
+        self.critic = Mlp(sizes["critic"], "identity", self.rng)
         self.target_actor = self.actor.copy()
         self.target_critic = self.critic.copy()
-        self.next_state_model = Mlp([state_dim + action_dim] + hs + [state_dim], "identity", self.rng)
-        self.reward_model = Mlp([state_dim + action_dim] + hs + [1], "identity", self.rng)
+        self.next_state_model = Mlp(sizes["next_state_model"], "identity", self.rng)
+        self.reward_model = Mlp(sizes["reward_model"], "identity", self.rng)
 
         lr = params.learning_rate
         self.actor_opt = Adam(self.actor, lr)
@@ -388,6 +390,13 @@ _PREAMBLE = struct.Struct("<II")
 _NET_ORDER = ("actor", "critic", "target_actor", "target_critic", "next_state_model", "reward_model")
 
 
+def _layer_sizes(state_dim: int, action_dim: int, hidden_sizes) -> dict[str, list[int]]:
+    """Each network's layer sizes, by name in _NET_ORDER."""
+    hs, pair = list(hidden_sizes), state_dim + action_dim
+    actor, critic = [state_dim, *hs, action_dim], [pair, *hs, 1]
+    return dict(zip(_NET_ORDER, (actor, critic, actor, critic, [pair, *hs, state_dim], critic)))
+
+
 def save_agent(agent: DdpgAgent, path: str) -> None:
     """Write a versioned checkpoint (layout above)."""
     nets = agent.named_networks()
@@ -433,7 +442,15 @@ def load_agent(path: str) -> DdpgAgent:
         header = json.loads(data[off : off + header_len].decode("utf-8"))
         raw_params = dict(header["params"])
         raw_params["hidden_sizes"] = tuple(raw_params["hidden_sizes"])
-        agent = DdpgAgent(header["state_dim"], header["action_dim"], AgentParams(**raw_params))
+        params = AgentParams(**raw_params)
+        params.validate()
+        # the weights' size, checked before any network is allocated
+        sizes = _layer_sizes(header["state_dim"], header["action_dim"], params.hidden_sizes)
+        nbytes = 8 * sum(i * o + o for sz in sizes.values() for i, o in zip(sz, sz[1:]))
+        if len(data) - off - header_len != nbytes:
+            raise CheckpointError(f"checkpoint holds {len(data) - off - header_len} bytes of "
+                                  f"weights; its header implies {nbytes}")
+        agent = DdpgAgent(header["state_dim"], header["action_dim"], params)
         nets = agent.named_networks()
         for name, net in nets.items():
             meta = header["networks"][name]
@@ -448,11 +465,6 @@ def load_agent(path: str) -> DdpgAgent:
     off += header_len
 
     for net in nets.values():
-        params = net.params
-        if off + params.nbytes > len(data):
-            raise CheckpointError("checkpoint truncated")
-        params[...] = np.frombuffer(data, dtype="<f8", count=params.size, offset=off)
-        off += params.nbytes
-    if off != len(data):
-        raise CheckpointError("checkpoint has trailing bytes")
+        net.params[...] = np.frombuffer(data, dtype="<f8", count=net.params.size, offset=off)
+        off += net.params.nbytes
     return agent

@@ -187,6 +187,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except QueueRlError as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:  # networks or batches too large to allocate
+        print(f"error (MemoryError): {exc}", file=sys.stderr)
+        return QueueRlError.exit_code
 
 
 if __name__ == "__main__":

@@ -66,6 +66,8 @@ def _unique_key_loader(base: type) -> type:
 
 def _coerce_number(key: str, value, integer: bool):
     try:
+        if isinstance(value, bool):  # YAML's true and false, which float() reads as 1 and 0
+            raise TypeError(value)
         v = float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"'{key}' has a non-numeric value {value!r}") from exc

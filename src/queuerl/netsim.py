@@ -6,16 +6,13 @@ network instantly. External arrivals form Poisson streams into the entry
 edges. Routing is one weight per serviced edge; set_routing normalises the
 weights per node, and a job leaving an edge samples its successor from them.
 
-set_routing builds each node's cumulative routing probabilities, the rows
-that simulate scans, in RoutingLayout.cumulative_rows: one Python pass that
-gives the floats of RoutingLayout.probabilities and a numpy cumsum. That
-array path makes about twenty numpy calls, each with a fixed cost, so on the
-figure topology's 10 rows the pass takes 4.8 us against 18.3 us (2-CPU
-x86-64 Xeon at 2.0 GHz, Python 3.11, numpy 2.4). It costs about 0.42 us a
-row, so at 199 rows (feed_forward_topology(200)) it takes 81.7 us against
-40.5 us; that is one call in a rollout step of about 1.7 ms, and end to end
-such a rollout ran no slower. The array path serves transition_map and the
-reports, which read whole stacks of weight vectors.
+set_routing installs each node's cumulative routing probabilities, the rows
+that simulate scans, from RoutingLayout.cumulative_rows; transition_map and
+the reports read RoutingLayout.probabilities. Both take each node's divisor
+from _row_totals, the one place the routing rule is written, in plain
+Python: set_routing takes about 3.9 us on the figure topology's 10 rows and
+65 us on the 199 rows of feed_forward_topology(200), in a rollout step of
+about 1.7 ms (2-CPU x86-64 Xeon, Python 3.11).
 
 QueueNetwork.simulate is one loop over the event calendar, two parallel
 lists: keys holds each entry's event time negated, in ascending order, so
@@ -72,6 +69,7 @@ import random
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -226,6 +224,25 @@ def validate_config(config: TopologyConfig) -> None:
         raise ConfigError("no directed path from an entry source to any exit edge")
 
 
+def _row_totals(w: list[float], nodes: list[int],
+                next_edges: list[list[int]]) -> list[Optional[float]]:
+    """The routing rule's divisor for each node, in order, from w, one
+    weight per edge position: the node's weights at its positions summed in
+    ascending-successor order from -0.0 (-0.0 + x is x for every x, so the
+    sum starts from the first term). The first sum in order that is not
+    finite raises ConfigError; a sum below UNIFORM_FALLBACK_EPS gives None,
+    and the node routes uniformly."""
+    totals = []
+    for node, positions in zip(nodes, next_edges):
+        total = -0.0
+        for i in positions:
+            total += w[i]
+        if not math.isfinite(total):
+            raise ConfigError(f"routing weights at node {node} sum to {total}")
+        totals.append(None if total < UNIFORM_FALLBACK_EPS else total)
+    return totals
+
+
 class RoutingLayout:
     """The edge positions of a topology and where each node's routing
     weights sit. QueueNetwork.__init__ builds one for its config, so a new
@@ -234,16 +251,14 @@ class RoutingLayout:
     An edge's position is its index in edge_types: the serviced edges
     ascending, then the exit edges ascending. A weight vector and every
     per-edge table of QueueNetwork are indexed by position, so the serviced
-    edges are positions 0 to n_serviced - 1.
+    edges are positions 0 to n_serviced - 1; an exit edge weighs 0.0.
 
     Rows are the nodes in edge_list order, each with its successors
     ascending. next_edges[row] holds the positions of the row's edges to
     those successors, and target_row[i] the row of serviced edge i's target
-    node (validate_config gives every such node an outgoing edge). slots is
-    a (rows x largest out-degree) matrix of positions in a weight vector;
-    weighted marks the entries that hold a serviced edge's position, and the
-    others (exit edges, and the padding of rows with fewer successors) weigh
-    0.0.
+    node (validate_config gives every such node an outgoing edge).
+    probabilities and cumulative_rows take each row's divisor from
+    _row_totals, the one place the routing rule is written.
     """
 
     def __init__(self, config: TopologyConfig):
@@ -260,84 +275,53 @@ class RoutingLayout:
         rows = {node: r for r, node in enumerate(self.nodes)}
         endpoints = config.edge_endpoints()
         self.target_row = [rows[endpoints[e][1]] for e in serviced]
-        self.degree = np.array([len(succs) for succs in self.successors])
-        width = max(1, int(self.degree.max()))
-        padded = np.full((len(self.nodes), width), self.n_serviced)
-        for row, positions in enumerate(self.next_edges):
-            padded[row, : len(positions)] = positions
-        self.weighted = padded < self.n_serviced
-        self.slots = np.where(self.weighted, padded, 0)
-        real = np.arange(width) < self.degree[:, None]
-        self._uniform = np.where(real, 1.0 / np.maximum(self.degree, 1)[:, None], 0.0)
-        # the scalar pass's tables: a zero weight for each exit edge, appended
-        # to the serviced weights, and each row's uniform cumulative row
+        # appended to a weight vector, so that w[position] is an edge's weight
         self._exit_weights = [0.0] * (len(self.edge_types) - self.n_serviced)
-        self._uniform_rows = [row[: d - 1] + [math.inf] if d else [] for row, d in
-                              zip(np.cumsum(self._uniform, axis=1).tolist(), self.degree.tolist())]
+        # cumulative_rows' tables: each row's positions but its last, and its
+        # uniform cumulative row
+        self._heads = [positions[:-1] for positions in self.next_edges]
+        self._uniform_rows = [list(accumulate([1.0 / len(p)] * (len(p) - 1))) + [math.inf]
+                              if p else [] for p in self.next_edges]
 
-    def probabilities(self, weights: np.ndarray) -> np.ndarray:
-        """Routing probabilities (..., nodes, width) from weights (...,
-        serviced edges), 0.0 in the padding.
-
-        At each node the weights are summed in ascending-successor order and
-        each is divided by the sum, the same float operations in the same
-        order as a scalar loop; a sum below UNIFORM_FALLBACK_EPS routes
-        uniformly, and a sum that is not finite raises ConfigError.
-        """
-        w = np.where(self.weighted, weights[..., self.slots], 0.0)
-        total = w[..., 0]
-        for k in range(1, w.shape[-1]):
-            total = total + w[..., k]
-        finite = np.isfinite(total)
-        if not finite.all():
-            first = tuple(np.argwhere(~finite)[0])
-            raise ConfigError(
-                f"routing weights at node {self.nodes[first[-1]]} sum to {float(total[first])}"
-            )
-        uniform = total < UNIFORM_FALLBACK_EPS
-        probs = w / np.where(uniform, 1.0, total)[..., None]
-        return np.where(uniform[..., None], self._uniform, probs)
+    def probabilities(self, weights: np.ndarray) -> list[list[float]]:
+        """Each row's routing probabilities, in row order, one per successor,
+        from weights (serviced edges,); 1.0 / the out-degree each where the
+        row routes uniformly."""
+        w = weights.tolist() + self._exit_weights
+        return [
+            [1.0 / len(positions) for _ in positions] if total is None
+            else [w[i] / total for i in positions]
+            for total, positions in zip(_row_totals(w, self.nodes, self.next_edges),
+                                        self.next_edges)
+        ]
 
     def cumulative_rows(self, weights: np.ndarray) -> list[list[float]]:
         """Each row's cumulative routing probabilities, in row order, from
-        weights (serviced edges,), with math.inf in place of the last entry.
-
-        The floats of probabilities and a cumsum along each row, by the same
-        operations in the same order: the weights are summed in
-        ascending-successor order and each is divided by the sum, and the
-        partial sums are taken left to right. A sum below
-        UNIFORM_FALLBACK_EPS gives the 1.0 / degree partial sums, and the
-        first row in order whose sum is not finite raises the same
-        ConfigError. A row has one entry per successor; the uniform rows
-        are shared between calls and must not be written.
-        """
+        weights (serviced edges,), with math.inf in place of the last entry:
+        the partial sums of probabilities' rows, left to right, with the
+        division under math.inf skipped. Uniform rows are tables shared
+        between calls and must not be written."""
         w = weights.tolist() + self._exit_weights
         rows = []
-        for node, positions, uniform in zip(self.nodes, self.next_edges, self._uniform_rows):
-            # -0.0 + x is x for every x, so both sums start from the first term
-            total = -0.0
-            for i in positions:
-                total += w[i]
-            if not math.isfinite(total):
-                raise ConfigError(f"routing weights at node {node} sum to {total}")
-            if total < UNIFORM_FALLBACK_EPS:
+        for total, head, uniform in zip(_row_totals(w, self.nodes, self.next_edges),
+                                        self._heads, self._uniform_rows):
+            if total is None:
                 rows.append(uniform)
                 continue
             row = []
             partial = -0.0
-            for i in positions:
+            for i in head:
                 partial += w[i] / total
                 row.append(partial)
-            row[-1] = math.inf
+            row.append(math.inf)
             rows.append(row)
         return rows
 
-    def transition_map(self, probs: np.ndarray) -> dict[int, dict[int, float]]:
-        """node -> {successor: probability} from one (nodes, width) slice of
-        probabilities."""
+    def transition_map(self, weights: np.ndarray) -> dict[int, dict[int, float]]:
+        """node -> {successor: probability} from weights (serviced edges,)."""
         return {
             node: dict(zip(succs, row))
-            for node, succs, row in zip(self.nodes, self.successors, probs.tolist())
+            for node, succs, row in zip(self.nodes, self.successors, self.probabilities(weights))
         }
 
 
@@ -448,8 +432,7 @@ class QueueNetwork:
         """node -> {successor: probability} under the installed routing, as
         a fresh dict on each read; RoutingLayout.probabilities computes it
         from the installed copy of the weights."""
-        layout = self.routing_layout
-        return layout.transition_map(layout.probabilities(self._weights))
+        return self.routing_layout.transition_map(self._weights)
 
     def simulate(self, num_events: int) -> None:
         """Process num_events calendar events in time order, as the module

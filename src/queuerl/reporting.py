@@ -10,8 +10,6 @@ import csv
 import json
 from pathlib import Path
 
-import numpy as np
-
 from .agent import TrainingTrace
 from .errors import UnknownNode
 from .evaluation import (
@@ -60,10 +58,9 @@ def _write_transition_csv(path, trace: TrainingTrace, node: int | None) -> None:
     if node not in layout.nodes:
         raise UnknownNode(f"node {node} has no routing row to report")
     row = layout.nodes.index(node)
-    succs = layout.successors[row]
-    probs = layout.probabilities(np.concatenate(trace.episode_weights))[:, row, : len(succs)]
-    write_csv(path, ["timestep"] + [f"to_node_{s}" for s in succs],
-              [(t, *p) for t, p in enumerate(probs.tolist())])
+    probs = [layout.probabilities(w)[row] for weights in trace.episode_weights for w in weights]
+    write_csv(path, ["timestep"] + [f"to_node_{s}" for s in layout.successors[row]],
+              [(t, *p) for t, p in enumerate(probs)])
 
 
 def write_training_csvs(trace: TrainingTrace, out_dir, node: int | None = None) -> None:

@@ -429,7 +429,7 @@ def test_train_accounting_without_updates():
     env = RlEnv(cfg, seed=0, events_per_step=50)
     agent = DdpgAgent(env.state_dim, env.action_dim,
                       small_params(num_episodes=1, num_timesteps=5, planning_steps=0,
-                                   batch_size=100))
+                                   batch_size=64))
     trace = agent.train(env)
     assert len(trace.episode_rewards) == 1
     assert len(trace.episode_rewards[0]) == 5
@@ -554,6 +554,9 @@ def test_agent_params_domain_checks():
         small_params(learning_rate=-1.0).validate()
     with pytest.raises(ConfigError):
         small_params(w1=0.0, w2=0.0).validate()
+    with pytest.raises(ConfigError, match="batch_size must be <= buffer_capacity"):
+        small_params(batch_size=65).validate()
+    small_params(batch_size=64).validate()  # a full buffer holds a batch
 
     # integer fields and hidden_sizes take integers, float fields real
     # numbers; no field takes a bool, and numpy numbers pass
@@ -668,6 +671,25 @@ def test_checkpoint_rejects_garbage_and_truncation(tmp_path):
     for path in (tmp_path / "missing.agent", tmp_path):
         with pytest.raises(CheckpointError, match="cannot read checkpoint"):
             load_agent(str(path))
+
+
+def test_checkpoint_size_is_checked_before_any_network_is_built(tmp_path, monkeypatch):
+    # headers that imply terabytes of weights, on a payload of a few
+    # kilobytes, are rejected without allocating a network
+    path = tmp_path / "ok.agent"
+    save_agent(make_agent(), str(path))
+    data = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", data, 12)
+    header = json.loads(data[16 : 16 + header_len])
+    monkeypatch.setattr(DdpgAgent, "__init__", lambda *a, **kw: pytest.fail("agent built"))
+    for edit in ({"state_dim": 10**12}, {"action_dim": 10**12},
+                 {"params": {**header["params"], "hidden_sizes": [10**11]}}):
+        blob = json.dumps({**header, **edit}, sort_keys=True).encode()
+        huge = tmp_path / "huge.agent"
+        huge.write_bytes(data[:8] + struct.pack("<II", 1, len(blob)) + blob
+                         + data[16 + header_len :])
+        with pytest.raises(CheckpointError, match="bytes of weights; its header implies"):
+            load_agent(str(huge))
 
 
 # hidden_sizes entries stay small: the loader builds every network before it

@@ -25,7 +25,8 @@ from queuerl.config import (
 )
 from queuerl.errors import ConfigError, ParseError, QueueRlError, UnknownNode
 from queuerl.evaluation import NoiseConfig, evaluate_disruption, evaluate_noise
-from queuerl.netsim import feed_forward_topology, figure_topology
+from queuerl.model import Mlp
+from queuerl.netsim import QueueNetwork, feed_forward_topology, figure_topology
 from queuerl.rl_env import RlEnv
 from queuerl.tuning import RangeSpec, sample_params
 from topologies import mm1_topology
@@ -416,8 +417,13 @@ def test_transition_csv_rows_are_the_installed_routing_maps(tmp_path):
                          epsilon=0.3)
     trace = DdpgAgent(env.state_dim, env.action_dim, params).train(env)
     layout = trace.routing_layout
-    tmaps = [layout.transition_map(layout.probabilities(w))
-             for weights in trace.episode_weights for w in weights]
+    # each step's weights, installed in a fresh network, read back
+    net = QueueNetwork(cfg, seed=0)
+    tmaps = []
+    for weights in trace.episode_weights:
+        for w in weights:
+            net.set_routing(w)
+            tmaps.append(net.transition_map)
     assert len(tmaps) == 6
     assert sorted(tmaps[0]) == list(range(10))
     assert reporting.default_plot_node(layout) == 1
@@ -584,6 +590,12 @@ EVALUATE = ("--function", "evaluate", "--evaluator")
     ({"edges": [{"source": 0, "target": 1, "edge_type": 1, Again("target"): 2},
                 {"source": 1, "target": 2, "edge_type": 0}]},
      {}, TRAIN, 3, "found duplicate key 'target'"),
+    ({"arrival_rate": True}, {}, TRAIN, 3, "'arrival_rate' has a non-numeric value True"),
+    ({}, {"num_episodes": True}, TRAIN, 3, "'num_episodes' has a non-numeric value True"),
+    ({}, {"learning_rate": True}, TRAIN, 3, "'learning_rate' has a non-numeric value True"),
+    ({}, {"hidden_sizes": [True]}, TRAIN, 3, "'hidden_sizes' has a non-numeric value True"),
+    ({}, {"batch_size": 16, "buffer_capacity": 8}, TRAIN, 2,
+     "batch_size must be <= buffer_capacity"),
 ], ids=["nan_arrival_rate", "inf_arrival_rate", "inf_service_rate", "nan_service_rate",
         "trials_abc", "range_low_abc", "hidden_sizes_strings", "hidden_sizes_scalar",
         "choices_scalar", "zero_time_steps", "negative_seed", "inf_epsilon", "inf_w1",
@@ -601,7 +613,8 @@ EVALUATE = ("--function", "evaluate", "--evaluator")
         "gamma_and_discount", "num_time_steps_and_num_timesteps", "scalar_and_range_alias",
         "unknown_objective", "hidden_sizes_range", "objective_without_range",
         "trials_without_range", "param_key_twice", "network_key_twice",
-        "edge_key_twice"])
+        "edge_key_twice", "boolean_arrival_rate", "boolean_num_episodes",
+        "boolean_learning_rate", "boolean_hidden_size", "batch_above_buffer_capacity"])
 def test_malformed_numeric_input_exit_codes(tmp_path, capsys, monkeypatch, network, params,
                                             cli_args, code, message):
     # every case is rejected before any agent trains
@@ -636,6 +649,20 @@ def test_unusable_output_paths_exit_before_training(tmp_path, capsys, monkeypatc
     assert err.startswith("error (ConfigError)")
     assert message in err
     assert "Traceback" not in err
+
+
+def test_memory_error_exits_without_traceback(tmp_path, capsys, monkeypatch):
+    # what numpy raises for networks such as hidden_sizes: [100000000000]
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(Mlp, "__init__", no_memory)
+    net = write_chain_config(tmp_path / "net.yml")
+    par = write_params(tmp_path / "params.yml")
+    assert run_cli(*TRAIN, "--config_file", str(net), "--param_file", str(par),
+                   "--data_file", str(tmp_path / "out")) == QueueRlError.exit_code
+    err = capsys.readouterr().err
+    assert err == "error (MemoryError): Unable to allocate 745. GiB for an array\n"
 
 
 def test_tune_writes_ranked_results(tmp_path):

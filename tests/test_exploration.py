@@ -193,7 +193,7 @@ def test_blocked_episodes_apply_blockage_and_track_visits():
 def test_episode_label_frequency_tracks_weights():
     cfg = figure_topology()
     params = tiny_params(w1=0.5, w2=0.5, num_episodes=200, num_timesteps=1,
-                         batch_size=10_000)  # no updates, just labels
+                         batch_size=10_000, buffer_capacity=10_000)  # no updates, just labels
     env = RlEnv(cfg, seed=0, events_per_step=10)
     agent = DdpgAgent(env.state_dim, env.action_dim, params)
     trace = train_with_blockage_exploration(agent, cfg)

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import heapq
 import itertools
@@ -12,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 
 from queuerl.errors import ConfigError, DimensionMismatch, UnknownNode
 from queuerl.evaluation import NoiseConfig, make_noise_hook
@@ -24,7 +24,7 @@ from queuerl.netsim import (
     validate_config,
 )
 from queuerl.rl_env import R_FLOOR, RlEnv
-from topologies import mm1_topology
+from topologies import hetero_figure_topology, mm1_topology
 
 
 class ReferenceNetwork:
@@ -304,25 +304,28 @@ def _weight_vector(draw, n):
     return weights
 
 
-def _array_rows(layout, weights):
-    """The array path's cumulative rows: probabilities, a cumsum and math.inf
-    at each row's last successor, cut after that successor."""
-    cumulative = np.cumsum(layout.probabilities(weights), axis=1).tolist()
-    return [row[: d - 1] + [math.inf] if d else [] for row, d in zip(cumulative, layout.degree)]
+def _reference_rows(ref, layout):
+    """The reference loop's cumulative rows in the layout's row order, with
+    math.inf in place of each row's last entry."""
+    tables = [[c for c, _ in ref._routing[node]] for node in layout.nodes]
+    return [table[:-1] + [math.inf] if table else [] for table in tables]
 
 
-def _hex_rows(rows, degree):
-    """Each row's first degree entries as float.hex strings."""
-    return [[x.hex() for x in row[:d]] for row, d in zip(rows, degree)]
+def _hex_rows(rows):
+    """Each row's entries as float.hex strings."""
+    return [[x.hex() for x in row] for row in rows]
 
 
-# numpy warns where float arithmetic overflows or makes nan silently
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def _hex_map(tmap):
+    """A transition map with each probability as a float.hex string."""
+    return {node: {s: p.hex() for s, p in row.items()} for node, row in tmap.items()}
+
+
 def test_routing_normalisation_matches_scalar_loop():
-    # the scalar pass and the array normalisation give the reference loop's
-    # floats bit for bit, and its errors, for one weight vector at a time
-    # and for a stack of them; set_routing installs the scalar pass's rows,
-    # and an error leaves the installed routing in place
+    # the cumulative rows, the probabilities and the transition maps give
+    # the reference loop's floats bit for bit, and its errors; set_routing
+    # installs the same rows, and an error leaves the installed routing in
+    # place
     for cfg in _ROUTING_TOPOLOGIES:
         _check_routing_normalisation(cfg)
 
@@ -334,28 +337,25 @@ def _check_routing_normalisation(cfg):
         net = QueueNetwork(cfg, seed=0)
         ref = ReferenceNetwork(cfg, seed=0)
         layout = net.routing_layout
-        degree = layout.degree.tolist()
-        maps = []
         for weights in rows:
             w = np.array(weights)
             installed, installed_map = net._cumulative, net.transition_map
             try:
                 ref.set_routing(weights)
             except ConfigError as exc:
-                for build in (layout.cumulative_rows, functools.partial(_array_rows, layout),
+                for build in (layout.cumulative_rows, layout.probabilities, layout.transition_map,
                               net.set_routing):
                     with pytest.raises(ConfigError, match=re.escape(str(exc))):
                         build(w)
                 assert net._cumulative is installed
                 assert net.transition_map == installed_map
                 return
-            scalar = _hex_rows(layout.cumulative_rows(w), degree)
-            assert scalar == _hex_rows(_array_rows(layout, w), degree)
+            expected = _hex_rows(_reference_rows(ref, layout))
+            assert _hex_rows(layout.cumulative_rows(w)) == expected
             net.set_routing(weights)
-            assert _hex_rows(net._cumulative, degree) == scalar
-            assert net.transition_map == ref.transition_map
-            maps.append(ref.transition_map)
-        assert [layout.transition_map(p) for p in layout.probabilities(np.array(rows))] == maps
+            assert _hex_rows(net._cumulative) == expected
+            assert _hex_map(layout.transition_map(w)) == _hex_map(ref.transition_map)
+            assert _hex_map(net.transition_map) == _hex_map(ref.transition_map)
 
     # -0.0 weights at every other position: a row led by one, with a
     # positive sum, starts at probability -0.0, which float.hex tells from 0.0
@@ -453,6 +453,70 @@ def test_mm1_sojourn_matches_theory(lam):
     count, delay_sum = serviced_stats(net)[0]
     mean_sojourn = delay_sum / count
     assert mean_sojourn == pytest.approx(1.0 / (mu - lam), rel=0.05)
+
+
+def _traffic_rates(net):
+    """Each serviced edge's traversal rate, in serviced_edge_types order,
+    from the traffic equations lam = lam0 + P^T lam (Jackson 1957): lam0 is
+    the arrival rate on the entry edges, and P[e, f] the probability, read
+    from net.transition_map, that a job leaving edge e moves on to edge f."""
+    cfg = net.config
+    index = {e: i for i, e in enumerate(net.serviced_edge_types)}
+    endpoints = cfg.edge_endpoints()
+    routing = np.zeros((len(index), len(index)))
+    for e, i in index.items():
+        node = endpoints[e][1]
+        for succ, p in net.transition_map[node].items():
+            f = cfg.edge_list[node][succ]
+            if f in index:
+                routing[i, index[f]] = p
+    lam0 = [cfg.arrival_rate if e in cfg.entry_edges else 0.0 for e in index]
+    return np.linalg.solve(np.eye(len(index)) - routing.T, lam0)
+
+
+def _batch_traversal_rates(net, warmup, batches, batch_events):
+    """(batches, serviced edges): each edge's traversals per unit of clock in
+    each batch of batch_events events after warmup events. An edge's
+    traversal count is its exits plus the jobs in its queue."""
+    def traversals():
+        return np.array([n + len(q) for n, q in zip(net._n_exited, net._queues)])
+
+    net.simulate(warmup)
+    rates = []
+    for _ in range(batches):
+        start, clock = traversals(), net.clock
+        net.simulate(batch_events)
+        rates.append((traversals() - start) / (net.clock - clock))
+    return np.array(rates)
+
+
+@pytest.mark.parametrize("cfg, unreachable", [
+    (figure_topology(), []),
+    (hetero_figure_topology(), []),
+    (feed_forward_topology(11), [4, 5, 6, 7, 12, 13]),
+    (feed_forward_topology(40), [4, 5, 6, 7, 12, 13]),
+], ids=["figure", "hetero", "ff11", "ff40"])
+def test_traversal_rates_solve_the_traffic_equations(cfg, unreachable):
+    # under random weights, each edge's mean traversal rate over batches
+    # lies within a t bound of its solved rate; the bound is split over the
+    # edges (Bonferroni), so a correct simulator fails one run in 1000
+    net = QueueNetwork(cfg, seed=5)
+    net.set_routing(np.random.default_rng(5).random(len(net.serviced_edge_types)))
+    lam = _traffic_rates(net)
+    mu = np.array([cfg.service_rates[e] for e in net.serviced_edge_types])
+    assert (lam / mu).max() < 0.9  # every edge is stable, so batches settle
+    rates = _batch_traversal_rates(net, warmup=2_000, batches=20, batch_events=10_000)
+
+    edges = np.array(net.serviced_edge_types)
+    idle = lam < 1e-12
+    assert edges[idle].tolist() == unreachable
+    assert not rates[:, idle].any()
+    live = ~idle
+    mean = rates[:, live].mean(axis=0)
+    stderr = rates[:, live].std(axis=0, ddof=1) / math.sqrt(len(rates))
+    bound = scipy_stats.t.ppf(1 - 1e-3 / (2 * live.sum()), len(rates) - 1)
+    z = np.abs(mean - lam[live]) / stderr
+    assert z.max() <= bound, (edges[live][z.argmax()], z.max(), bound)
 
 
 def test_single_event_advances_clock_to_first_arrival():
