@@ -16,6 +16,7 @@ import json
 import math
 import numbers
 import struct
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, get_type_hints
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from .buffer import Batch, ReplayBuffer
 from .errors import CheckpointError, ConfigError, DimensionMismatch, EmptyBuffer, InsufficientBuffer
-from .model import Adam, Mlp
+from .model import Adam, Mlp, param_count
 from .netsim import RoutingLayout, TopologyConfig
 
 _PHI_CLIP = 30.0  # bound on predicted log-delays before expm1
@@ -150,7 +151,7 @@ def _regress(net: Mlp, opt: Adam, x: np.ndarray, y: np.ndarray) -> float:
 
 class DdpgAgent:
     def __init__(self, state_dim: int, action_dim: int, params: AgentParams):
-        params.validate()
+        check_params(params, state_dim, action_dim)
         self.state_dim = state_dim
         self.action_dim = action_dim
         self.params = params
@@ -363,6 +364,23 @@ class DdpgAgent:
         return trace
 
 
+def check_params(params: AgentParams, state_dim: int, action_dim: int) -> None:
+    """params.validate(), then ConfigError if an array that an agent sizes
+    from params would hold more than sys.maxsize bytes, which numpy cannot
+    allocate: a network's weights, an episode's routing weights or, with
+    planning, a planning step's widest batch."""
+    params.validate()
+    sizes = _layer_sizes(state_dim, action_dim, params.hidden_sizes).values()
+    widest = max(map(max, sizes))
+    counts = {"hidden_sizes": max(map(param_count, sizes)),
+              "num_timesteps": params.num_timesteps * action_dim,
+              "num_samples": params.num_samples * widest if params.planning_steps else 0}
+    for name, count in counts.items():
+        if 8 * count > sys.maxsize:
+            raise ConfigError(f"{name} {getattr(params, name)} sizes an array of {8 * count} "
+                              f"bytes; numpy allocates at most {sys.maxsize}")
+
+
 def make_agent(env_config: TopologyConfig, params: AgentParams) -> DdpgAgent:
     """A fresh agent for env_config: one state and one action entry per
     serviced edge, as in RlEnv."""
@@ -446,7 +464,7 @@ def load_agent(path: str) -> DdpgAgent:
         params.validate()
         # the weights' size, checked before any network is allocated
         sizes = _layer_sizes(header["state_dim"], header["action_dim"], params.hidden_sizes)
-        nbytes = 8 * sum(i * o + o for sz in sizes.values() for i, o in zip(sz, sz[1:]))
+        nbytes = 8 * sum(map(param_count, sizes.values()))
         if len(data) - off - header_len != nbytes:
             raise CheckpointError(f"checkpoint holds {len(data) - off - header_len} bytes of "
                                   f"weights; its header implies {nbytes}")

@@ -341,12 +341,17 @@ class RobustnessReport:
 
 def required_runs(z: float, sigma: float, margin: float) -> int:
     """Sample size for a confidence level and error margin: the squared
-    (z * sigma / margin), rounded up, never below one run."""
+    (z * sigma / margin), rounded up, never below one run; ConfigError if
+    the square is not a finite float."""
     if not (math.isfinite(margin) and margin > 0):
         raise ConfigError(f"margin must be finite and > 0, got {margin}")
     if not (math.isfinite(sigma) and math.isfinite(z) and sigma >= 0 and z >= 0):
         raise ConfigError(f"sigma and z must be finite and >= 0, got sigma {sigma}, z {z}")
-    return max(1, math.ceil((z * sigma / margin) ** 2))
+    try:  # ** overflows at a finite ratio, ceil at an infinite one
+        return max(1, math.ceil((z * sigma / margin) ** 2))
+    except OverflowError:
+        raise ConfigError(f"(z * sigma / margin) ** 2 overflows at z {z}, "
+                          f"margin {margin}") from None
 
 
 def _train_and_snapshot(args) -> dict[int, dict[int, float]]:
@@ -375,7 +380,7 @@ def robustness_evaluate(
         raise ConfigError("num_agents must be >= 2")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    required_runs(z, 0.0, margin)  # checks z and margin before any training
+    required_runs(z, 0.5, margin)  # before training, at the largest sigma in [0, 1]
     check_steps(time_steps)
     seeds = [agent_params.seed + i for i in range(num_agents)]
     eval_seed = agent_params.seed

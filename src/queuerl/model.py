@@ -54,6 +54,11 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.minimum(out, 1.0 - 1e-12, out=out)
 
 
+def param_count(layer_sizes: list[int]) -> int:
+    """The number of weights and biases of an Mlp with these layer sizes."""
+    return sum(i * o + o for i, o in zip(layer_sizes, layer_sizes[1:]))
+
+
 class Mlp:
     def __init__(self, layer_sizes: list[int], output_activation: str, rng: np.random.Generator):
         if len(layer_sizes) < 2:
@@ -64,7 +69,7 @@ class Mlp:
             raise ValueError(f"unknown output activation {output_activation!r}")
         self.layer_sizes = list(layer_sizes)
         self.output_activation = output_activation
-        n = sum(i * o + o for i, o in zip(layer_sizes[:-1], layer_sizes[1:]))
+        n = param_count(layer_sizes)
         self.params = np.empty(n)
         self.grads = np.zeros(n)
         self._bind()

@@ -7,10 +7,11 @@ edges. Routing is one weight per serviced edge; set_routing normalises the
 weights per node, and a job leaving an edge samples its successor from them.
 
 set_routing installs each node's cumulative routing probabilities, the rows
-that simulate scans, from RoutingLayout.cumulative_rows; transition_map and
-the reports read RoutingLayout.probabilities. Both take each node's divisor
-from _row_totals, the one place the routing rule is written, in plain
-Python: set_routing takes about 3.9 us on the figure topology's 10 rows and
+that simulate scans, from RoutingLayout.cumulative_rows; transition_map
+reads RoutingLayout.probabilities, and the reports one row of it from
+RoutingLayout.row_probabilities. All take each node's divisor from
+_row_totals, the one place the routing rule is written, in plain Python:
+set_routing takes about 3.9 us on the figure topology's 10 rows and
 65 us on the 199 rows of feed_forward_topology(200), in a rollout step of
 about 1.7 ms (2-CPU x86-64 Xeon, Python 3.11).
 
@@ -18,22 +19,20 @@ QueueNetwork.simulate is one loop over the event calendar, two parallel
 lists: keys holds each entry's event time negated, in ascending order, so
 the next event is the last entry and pop() takes it in O(1); codes holds
 each entry's code at the same index. A code is the edge's position (see
-RoutingLayout) for a service completion, -1 - position for an external
-arrival, and _CANCELLED for a completion that a blockage cancelled. An entry
-goes in at bisect_left of its key, in front of every entry with an equal
-key, so among equal times the entry pushed first pops first: the order of a
-heap on (time, push count), ties included. Times are computed as clock +
-duration and negated when stored; negation is exact both ways, so clock =
--key keeps every bit of the time, the sign of a zero included.
+RoutingLayout) for a service completion and -1 - position for an external
+arrival. An entry goes in at bisect_left of its key, in front of every
+entry with an equal key, so among equal times the entry pushed first pops
+first: the order of a heap on (time, push count), ties included. Times are
+computed as clock + duration and negated when stored; negation is exact
+both ways, so clock = -key keeps every bit of the time, the sign of a zero
+included.
 
-An edge has at most one live completion, on the calendar exactly while its
-queue is non-empty and its target node unblocked. set_blockage finds it by
-its code and overwrites the code with _CANCELLED; the entry keeps its place,
-and when it reaches the head it is dropped and counted in cancelled. The
-code, unlike the key, tells a cancelled completion from a live one at the
-same time. The calendar holds one arrival per entry edge, one completion
-per busy edge and the cancelled entries not yet popped, so the memory that
-list.insert moves stays small.
+The calendar holds only live events: one arrival per entry edge and one
+completion per serviced edge whose queue is non-empty and whose target
+node is unblocked, so list.insert and del move little memory. set_blockage
+finds each blocked edge's completion by its code, which no other entry
+shares, deletes it from both lists and counts it in cancelled; the other
+entries keep their order.
 
 An external arrival joins its edge's queue and schedules the next arrival.
 A completion records the job's exit from its edge, starts the next job
@@ -78,9 +77,6 @@ from .errors import ConfigError, DimensionMismatch, UnknownNode
 
 # A node whose outgoing weights sum below this routes uniformly.
 UNIFORM_FALLBACK_EPS = 1e-6
-
-# The calendar code of a service completion that a blockage cancelled.
-_CANCELLED = -(1 << 62)
 
 # The longest exponential draw at rate 1: random() is at most 1 - 2**-53.
 _LONGEST_UNIT_DRAW = -math.log(2.0 ** -53)
@@ -257,8 +253,8 @@ class RoutingLayout:
     ascending. next_edges[row] holds the positions of the row's edges to
     those successors, and target_row[i] the row of serviced edge i's target
     node (validate_config gives every such node an outgoing edge).
-    probabilities and cumulative_rows take each row's divisor from
-    _row_totals, the one place the routing rule is written.
+    row_probabilities, probabilities and cumulative_rows take each row's
+    divisor from _row_totals, the one place the routing rule is written.
     """
 
     def __init__(self, config: TopologyConfig):
@@ -284,16 +280,22 @@ class RoutingLayout:
                               if p else [] for p in self.next_edges]
 
     def probabilities(self, weights: np.ndarray) -> list[list[float]]:
-        """Each row's routing probabilities, in row order, one per successor,
-        from weights (serviced edges,); 1.0 / the out-degree each where the
-        row routes uniformly."""
+        """Each row's row_probabilities, in row order."""
         w = weights.tolist() + self._exit_weights
-        return [
-            [1.0 / len(positions) for _ in positions] if total is None
-            else [w[i] / total for i in positions]
-            for total, positions in zip(_row_totals(w, self.nodes, self.next_edges),
-                                        self.next_edges)
-        ]
+        return [self._probability_row(w, row) for row in range(len(self.nodes))]
+
+    def row_probabilities(self, weights: np.ndarray, row: int) -> list[float]:
+        """One row's routing probabilities, one per successor, from weights
+        (serviced edges,); 1.0 / the out-degree each where the row routes
+        uniformly."""
+        return self._probability_row(weights.tolist() + self._exit_weights, row)
+
+    def _probability_row(self, w: list[float], row: int) -> list[float]:
+        positions = self.next_edges[row]
+        (total,) = _row_totals(w, [self.nodes[row]], [positions])
+        if total is None:
+            return [1.0 / len(positions) for _ in positions]
+        return [w[i] / total for i in positions]
 
     def cumulative_rows(self, weights: np.ndarray) -> list[list[float]]:
         """Each row's cumulative routing probabilities, in row order, from
@@ -333,11 +335,12 @@ class QueueNetwork:
     counted_means read all serviced edges in one call, and an exit counts
     when n_exited > skip (skip >= 0) after it.
     events counts the calendar events simulate processed, cancelled the
-    completions a blockage cancelled, counted as they reach the head of the
-    calendar. The calendar is the sorted key and code lists that the module
-    docstring describes. interarrival_noise, when given, maps each drawn
-    interarrival gap to the one used; a result that is not finite or is
-    below 0 raises ConfigError, and the network should then be discarded.
+    completions a blockage cancelled, counted when set_blockage takes them
+    off the calendar. The calendar is the sorted key and code lists that
+    the module docstring describes. interarrival_noise, when given, maps
+    each drawn interarrival gap to the one used; a result that is not
+    finite or is below 0 raises ConfigError, and the network should then be
+    discarded.
     """
 
     def __init__(
@@ -452,7 +455,7 @@ class QueueNetwork:
             layout.target_row, self._cumulative, layout.next_edges)
         edge_types, n_serviced = layout.edge_types, len(queues)
         arrivals_total, exits_total = self.arrivals_total, self.exits_total
-        clock, cancelled = self.clock, self.cancelled
+        clock = self.clock
         processed = 0
         try:
             while processed < num_events:
@@ -462,9 +465,9 @@ class QueueNetwork:
                     raise RuntimeError(
                         "event calendar empty; network has no arrival stream") from None
                 code = pop_code()
+                processed += 1
+                clock = -key
                 if code >= 0:
-                    processed += 1
-                    clock = -key
                     i = code
                     q = queues[i]
                     arrival = q.popleft()
@@ -489,12 +492,7 @@ class QueueNetwork:
                     if j >= n_serviced:
                         exits_total[edge_types[j]] += 1
                         continue
-                elif code == _CANCELLED:
-                    cancelled += 1
-                    continue
                 else:
-                    processed += 1
-                    clock = -key
                     j = -1 - code
                     arrivals_total[edge_types[j]] += 1
                 # the job joins edge j
@@ -515,7 +513,7 @@ class QueueNetwork:
                     insert_key(k, key)
                     insert_code(k, code)
         finally:
-            self.clock, self.cancelled = clock, cancelled
+            self.clock = clock
             self.events += processed
 
     def _schedule(self, time: float, code: int) -> None:
@@ -528,17 +526,21 @@ class QueueNetwork:
 
     def set_blockage(self, node: int) -> None:
         """Render a node's server non-functional: its incoming serviced edges
-        never complete service until the blockage is cleared."""
+        never complete service until the blockage is cleared. Each such edge
+        with a non-empty queue loses its one pending completion from the
+        calendar, counted in cancelled; the job stays at its queue's head."""
         if node not in self._blockable:
             self.config.check_blockable(node)  # raises: _blockable holds every blockable node
         if node in self.blocked_nodes:
             return
         self.blocked_nodes.add(node)
-        codes = self._codes
+        keys, codes = self._keys, self._codes
         for i in self._incoming.get(node, ()):
             self._halted[i] = True
             if self._queues[i]:  # the edge's one live completion: cancel it
-                codes[codes.index(i)] = _CANCELLED
+                k = codes.index(i)
+                del keys[k], codes[k]
+                self.cancelled += 1
 
     def clear_blockage(self, node: int) -> None:
         """Undo set_blockage; restarts service at the head of affected queues."""

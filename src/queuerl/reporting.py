@@ -58,7 +58,8 @@ def _write_transition_csv(path, trace: TrainingTrace, node: int | None) -> None:
     if node not in layout.nodes:
         raise UnknownNode(f"node {node} has no routing row to report")
     row = layout.nodes.index(node)
-    probs = [layout.probabilities(w)[row] for weights in trace.episode_weights for w in weights]
+    probs = [layout.row_probabilities(w, row)
+             for weights in trace.episode_weights for w in weights]
     write_csv(path, ["timestep"] + [f"to_node_{s}" for s in layout.successors[row]],
               [(t, *p) for t, p in enumerate(probs)])
 

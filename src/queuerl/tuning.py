@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, fields, replace
 from typing import Union
 
-from .agent import FLOAT_PARAM_FIELDS, INT_PARAM_FIELDS, AgentParams, make_agent
+from .agent import FLOAT_PARAM_FIELDS, INT_PARAM_FIELDS, AgentParams, check_params, make_agent
 from .errors import ConfigError
 from .evaluation import score_policy
 from .exploration import train_with_blockage_exploration
@@ -89,14 +89,15 @@ def _field_value(name: str, value):
     return value
 
 
-def _check_sampleable(space: SearchSpace, base: AgentParams) -> None:
+def _check_sampleable(space: SearchSpace, base: AgentParams, dim: int) -> None:
     """Raise ConfigError unless each value sample_params can draw passes
-    AgentParams.validate on top of base: each choice, and each end of each
-    range, rounded for an integer field. A float range's high end is checked
-    as the float just below it, so discount: {low: 0.5, high: 1.0} passes.
+    check_params (state and action dim dim) on top of base: each choice,
+    and each end of each range, rounded for an integer field. A float
+    range's high end is checked as the float just below it, so discount:
+    {low: 0.5, high: 1.0} passes.
     Fields are checked one at a time, so a rule that joins two sampled
-    fields, such as w1 + w2 > 0, is left to each trial's own validate, as is
-    a float draw that rounds up to high itself."""
+    fields, such as w1 + w2 > 0, is left to each trial's own check, as is a
+    float draw that rounds up to high itself."""
     for name, spec in space.specs.items():
         if isinstance(spec, ChoiceSpec):
             values = spec.choices
@@ -105,7 +106,7 @@ def _check_sampleable(space: SearchSpace, base: AgentParams) -> None:
         else:
             values = [spec.low, spec.high]
         for value in values:
-            replace(base, **{name: _field_value(name, value)}).validate()
+            check_params(replace(base, **{name: _field_value(name, value)}), dim, dim)
 
 
 @dataclass
@@ -125,7 +126,7 @@ def random_search(
     back sorted by objective, best first. Each trial gets its own training
     seed derived from `seed`, so the search is reproducible end to end."""
     space.validate()
-    _check_sampleable(space, base_params)
+    _check_sampleable(space, base_params, len(env_config.serviced_edges()))
     rng = random.Random(seed)
     results = []
     for trial in range(space.trials):

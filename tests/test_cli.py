@@ -596,6 +596,28 @@ EVALUATE = ("--function", "evaluate", "--evaluator")
     ({}, {"hidden_sizes": [True]}, TRAIN, 3, "'hidden_sizes' has a non-numeric value True"),
     ({}, {"batch_size": 16, "buffer_capacity": 8}, TRAIN, 2,
      "batch_size must be <= buffer_capacity"),
+    # sigma 0.5 squares to a float or ceil beyond range; each must be caught
+    # before any agent trains
+    ({}, {"num_episodes": 1, "num_timesteps": 2},
+     EVALUATE + ("robustness", "--num_agents", "2", "--margin", "1e-160"), 2,
+     "(z * sigma / margin) ** 2 overflows"),
+    ({}, {"num_episodes": 1, "num_timesteps": 2},
+     EVALUATE + ("robustness", "--num_agents", "2", "--margin", "1e-320"), 2,
+     "(z * sigma / margin) ** 2 overflows"),
+    ({}, {"num_episodes": 1, "num_timesteps": 2},
+     EVALUATE + ("robustness", "--num_agents", "2", "--z", "1e308"), 2,
+     "(z * sigma / margin) ** 2 overflows"),
+    # arrays numpy cannot allocate, rejected before anything is allocated;
+    # the chain has one serviced edge, so state_dim = action_dim = 1 and the
+    # largest network, the critic, has layers [2, 10**20, 1]
+    ({}, {"hidden_sizes": [10**20]}, TRAIN, 2,
+     f"hidden_sizes ({10**20},) sizes an array of {8 * (4 * 10**20 + 1)} bytes"),
+    ({}, {"num_timesteps": 10**20}, TRAIN, 2,
+     f"num_timesteps {10**20} sizes an array of {8 * 10**20} bytes"),
+    ({}, {"num_samples": 10**20, "planning_steps": 1}, TRAIN, 2,
+     f"num_samples {10**20} sizes an array of {8 * 8 * 10**20} bytes"),
+    ({}, {"num_timesteps": {"choices": [2, 10**20]}, "trials": 6, "seed": 4}, TUNE, 2,
+     f"num_timesteps {10**20} sizes an array"),
 ], ids=["nan_arrival_rate", "inf_arrival_rate", "inf_service_rate", "nan_service_rate",
         "trials_abc", "range_low_abc", "hidden_sizes_strings", "hidden_sizes_scalar",
         "choices_scalar", "zero_time_steps", "negative_seed", "inf_epsilon", "inf_w1",
@@ -614,7 +636,9 @@ EVALUATE = ("--function", "evaluate", "--evaluator")
         "unknown_objective", "hidden_sizes_range", "objective_without_range",
         "trials_without_range", "param_key_twice", "network_key_twice",
         "edge_key_twice", "boolean_arrival_rate", "boolean_num_episodes",
-        "boolean_learning_rate", "boolean_hidden_size", "batch_above_buffer_capacity"])
+        "boolean_learning_rate", "boolean_hidden_size", "batch_above_buffer_capacity",
+        "robustness_tiny_margin", "robustness_subnormal_margin", "robustness_huge_z",
+        "huge_hidden_size", "huge_num_timesteps", "huge_num_samples", "huge_choice"])
 def test_malformed_numeric_input_exit_codes(tmp_path, capsys, monkeypatch, network, params,
                                             cli_args, code, message):
     # every case is rejected before any agent trains

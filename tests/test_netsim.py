@@ -95,7 +95,6 @@ class ReferenceNetwork:
         while processed < num_events:
             time, _, kind, edge, epoch = heapq.heappop(self._heap)
             if kind == "service" and epoch != self._edge_epoch[edge]:
-                self.cancelled += 1
                 continue
             self.clock = time
             if kind == "arrival":
@@ -114,6 +113,7 @@ class ReferenceNetwork:
         for edge in self.serviced_edge_types:
             if self._endpoints[edge][1] == node:
                 self._edge_epoch[edge] += 1
+                self.cancelled += bool(self.queues[edge])
 
     def clear_blockage(self, node):
         if node not in self.blocked_nodes:
@@ -676,8 +676,9 @@ def test_blockage_cancels_one_completion_per_busy_edge():
 
 
 def test_repeated_toggles_cancel_stale_completions_like_reference():
-    # blocking and clearing a busy node twice with no event in between leaves
-    # two stale completions per busy incoming edge on the calendar
+    # blocking and clearing a busy node twice with no event in between
+    # cancels two completions per busy incoming edge, each counted when its
+    # blockage takes it off the calendar
     cfg = figure_topology(arrival_rate=1.5)
     net, ref = QueueNetwork(cfg, seed=12), ReferenceNetwork(cfg, seed=12)
     endpoints = cfg.edge_endpoints()
@@ -700,6 +701,35 @@ def test_repeated_toggles_cancel_stale_completions_like_reference():
     assert snapshot(net) == snapshot(ref)
     assert stale > 0
     assert net.cancelled == stale
+
+
+_CALENDAR_CALLS = st.lists(st.tuples(
+    st.sampled_from(["simulate", "set_routing", "set_blockage", "clear_blockage"]),
+    st.integers(0, 2**32 - 1)), max_size=40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(topology=st.sampled_from(["figure", "feed_forward_30"]),
+       seed=st.integers(0, 2**32 - 1), calls=_CALENDAR_CALLS)
+def test_calendar_holds_only_live_events(topology, seed, calls):
+    # one arrival per entry edge and one completion per serviced edge with a
+    # queued job and an unblocked target, after every call
+    cfg = (figure_topology(arrival_rate=1.5) if topology == "figure"
+           else feed_forward_topology(30, arrival_rate=1.5))
+    endpoints = cfg.edge_endpoints()
+    nodes = cfg.blockable_nodes()
+    net = QueueNetwork(cfg, seed=seed)
+    for name, arg in calls:
+        if name == "simulate":
+            net.simulate(1 + arg % 200)
+        elif name == "set_routing":
+            weights = np.random.default_rng(arg).random(len(net.serviced_edge_types))
+            net.set_routing(weights if arg % 4 else 0.0 * weights)
+        else:
+            getattr(net, name)(nodes[arg % len(nodes)])
+        live = sum(1 for e, q in net.queues.items()
+                   if q and endpoints[e][1] not in net.blocked_nodes)
+        assert len(net._keys) == len(net._codes) == len(cfg.entry_edges) + live, name
 
 
 def unit_draw(x):
@@ -728,8 +758,9 @@ def scripted_random(script):
     "script", [[0.0], [0.0, 0.0, 0.5], [0.0, 0.25, 0.0, 0.75, 0.0]],
     ids=["all_zero", "zero_zero_half", "alternating"])
 def test_exact_ties_pop_in_push_order_like_reference(monkeypatch, script):
-    # events at one instant must pop in the order they were pushed, and a
-    # cancelled completion must stay apart from a live one at the same time
+    # events at one instant must pop in the order they were pushed, and
+    # taking a cancelled completion off the calendar must leave a live one
+    # at the same time in place
     cfg = figure_topology(arrival_rate=1.5)
     with monkeypatch.context() as m:
         m.setattr(random, "Random", scripted_random(script))

@@ -1,4 +1,5 @@
-"""Every function, method and class in the package has a caller outside tests.
+"""Every function, method, class and module-level constant in the package
+has a user outside tests.
 
 A name counts as used when something in src/queuerl/ or perfbench/ names it
 (a Name, an Attribute, an import alias or an __all__ string) outside its own
@@ -16,6 +17,7 @@ PACKAGE = sorted((ROOT / "src" / "queuerl").glob("*.py"))
 BENCHMARK = sorted((ROOT / "perfbench").glob("*.py"))
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+ASSIGNMENTS = (ast.Assign, ast.AnnAssign)
 
 
 def references(tree):
@@ -35,6 +37,22 @@ def references(tree):
     return names
 
 
+def definitions(tree):
+    """(name, node) of each function, method and class in a module's syntax
+    tree, and of each name a module-level assignment binds, the assignment
+    as its node."""
+    for node in ast.walk(tree):
+        if isinstance(node, DEFINITIONS):
+            yield node.name, node
+    for node in tree.body:
+        if isinstance(node, ASSIGNMENTS):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node
+
+
 def unused_names(package, others):
     """(file, name) of each non-dunder definition in package that nothing in
     package, apart from its __init__.py, or others refers to, apart from its
@@ -48,19 +66,19 @@ def unused_names(package, others):
         used.update(references(ast.parse(path.read_text(), str(path))))
     unused = []
     for path in package:
-        for node in ast.walk(trees[path]):
-            if not isinstance(node, DEFINITIONS):
+        for name, node in definitions(trees[path]):
+            if name.startswith("__") and name.endswith("__"):
                 continue
-            if node.name.startswith("__") and node.name.endswith("__"):
-                continue
-            if used[node.name] == references(node)[node.name]:
-                unused.append((path.name, node.name))
+            if used[name] == references(node)[name]:
+                unused.append((path.name, name))
     return unused
 
 
 def test_unused_names_are_found(tmp_path):
     module = tmp_path / "module.py"
     module.write_text(
+        "LIMIT = 3\n"
+        "STEP: int = LIMIT\n"
         "def used(): pass\n"
         "def recursive(): return recursive()\n"
         "class Box:\n"
@@ -74,9 +92,10 @@ def test_unused_names_are_found(tmp_path):
     init = tmp_path / "__init__.py"
     init.write_text("from .module import recursive, used\n__all__ = ['recursive', 'used']\n")
     user = tmp_path / "user.py"
-    user.write_text("from module import recursive as alias\nprint(Box().size)\n")
+    user.write_text("from module import STEP, recursive as alias\nprint(Box().size)\n")
     assert unused_names([module], []) == [
-        ("module.py", "recursive"), ("module.py", "method"), ("module.py", "size")]
+        ("module.py", "recursive"), ("module.py", "method"), ("module.py", "size"),
+        ("module.py", "STEP")]
     assert unused_names([init, module], []) == unused_names([module], [])
     assert unused_names([module], [user]) == [("module.py", "method")]
 
