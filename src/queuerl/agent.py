@@ -8,6 +8,10 @@ copies blended in by soft updates.
 Delay states are unbounded, so every network consumes log1p-compressed
 states at its input boundary; the next-state predictor is trained in that
 compressed space and its predictions are mapped back with expm1.
+
+The networks compute in float32 (model.DTYPE). States, rewards, the replay
+buffer and the routing weights handed to the simulator stay float64 and
+reach the networks through one cast, in _phi and where targets are built.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from .buffer import Batch, ReplayBuffer
 from .errors import CheckpointError, ConfigError, DimensionMismatch, EmptyBuffer, InsufficientBuffer
-from .model import Adam, Mlp, param_count
+from .model import DTYPE, Adam, Mlp, param_count
 from .netsim import RoutingLayout, TopologyConfig
 
 _PHI_CLIP = 30.0  # bound on predicted log-delays before expm1
@@ -132,7 +136,9 @@ class TrainingTrace:
     routing_layout: Optional[RoutingLayout] = None
     actor_losses: list[float] = field(default_factory=list)
     critic_losses: list[float] = field(default_factory=list)
-    # one row per updating timestep: (actor, critic, next_state, reward)
+    # one row per updating timestep: (actor, critic, next_state, reward);
+    # with planning_steps 0 the predictors are not fitted and their two
+    # columns are NaN
     step_losses: list[tuple[float, float, float, float]] = field(default_factory=list)
 
     def avg_reward_per_episode(self) -> list[float]:
@@ -179,7 +185,9 @@ class DdpgAgent:
 
     @staticmethod
     def _phi(states: np.ndarray) -> np.ndarray:
-        return np.log1p(np.maximum(states, 0.0))
+        """log1p of the states clipped at 0, computed in the networks' dtype."""
+        phi = np.maximum(states, 0.0, dtype=DTYPE)
+        return np.log1p(phi, out=phi)
 
     # -- acting ----------------------------------------------------------------
 
@@ -206,8 +214,8 @@ class DdpgAgent:
         phi_s2 = self._phi(s2)
         a2 = self.target_actor.forward(phi_s2)
         q2 = self.target_critic.forward(np.concatenate([phi_s2, a2], axis=1))[:, 0]
-        y = r + self.params.discount * q2
-        x = np.concatenate([self._phi(s), a], axis=1)
+        y = np.asarray(r, dtype=DTYPE) + float(self.params.discount) * q2
+        x = np.concatenate([self._phi(s), a], axis=1, dtype=DTYPE)
         return _regress(self.critic, self.critic_opt, x, y[:, None])
 
     def update_actor_network(self, batch: Batch, actions: Optional[np.ndarray] = None) -> float:
@@ -230,7 +238,7 @@ class DdpgAgent:
         loss = float(-(q.sum() / q.size))
 
         n = len(phi_s)
-        dq = np.full((n, 1), -1.0 / n)
+        dq = np.full((n, 1), -1.0 / n, dtype=DTYPE)
         dx = self.critic.input_gradient(dq)  # the critic is only a conduit here
         z = np.log(a / (1.0 - a))  # output pre-activations (sigmoid inverse)
         self.actor.backward(dx[:, self.state_dim :],
@@ -248,9 +256,9 @@ class DdpgAgent:
         if self.buffer.size == 0:
             raise EmptyBuffer("fit_model needs at least one experience")
         s, a, r, s2 = self.buffer.stored()
-        x = np.concatenate([self._phi(s), a], axis=1)
+        x = np.concatenate([self._phi(s), a], axis=1, dtype=DTYPE)
         y_next = self._phi(s2)
-        y_reward = r[:, None]
+        y_reward = r[:, None].astype(DTYPE)
 
         n = len(r)
         bs = min(self.params.batch_size, n)
@@ -292,7 +300,7 @@ class DdpgAgent:
             states = self.buffer.sample_states(p.num_samples, self.rng)
             phi_s = self._phi(states)
             policy_actions = self.actor.forward(phi_s)
-            actions = self._explore(policy_actions)
+            actions = self._explore(policy_actions).astype(DTYPE, copy=False)
 
             x = np.concatenate([phi_s, actions], axis=1)
             rewards = self.reward_model.forward(x)[:, 0]
@@ -349,7 +357,10 @@ class DdpgAgent:
                     self.update_counter += 1
                     if self.update_counter % p.target_update_frequency == 0:
                         self.soft_update_targets()
-                    ns_loss, r_loss = self.fit_model()
+                    # without planning nothing reads the predictors, so they are not fitted
+                    ns_loss = r_loss = math.nan
+                    if p.planning_steps:
+                        ns_loss, r_loss = self.fit_model()
                     trace.step_losses.append((actor_loss, critic_loss, ns_loss, r_loss))
                     for closs, aloss in self.plan():
                         trace.critic_losses.append(closs)
@@ -395,6 +406,12 @@ def make_agent(env_config: TopologyConfig, params: AgentParams) -> DdpgAgent:
 # network's layer sizes, then each network's `params` vector as little-endian
 # float64 in _NET_ORDER. A vector holds w0, b0, w1, b1, ... with each weight
 # matrix row-major, so the file is the six vectors back to back.
+#
+# The networks hold float32, so saving upcasts each weight exactly and a
+# save-load round trip gives back the same bits. Loading rounds each stored
+# float64 to the nearest float32: a file written when the networks were
+# float64 loads with its weights rounded, and a finite stored weight beyond
+# float32's range raises CheckpointError rather than turning into inf.
 #
 # Checkpoints are for inference: they hold no Adam moments, replay buffer or
 # RNG state, so training a loaded agent on is not the run that training
@@ -482,7 +499,12 @@ def load_agent(path: str) -> DdpgAgent:
         raise CheckpointError(f"corrupt checkpoint header: {exc!r}") from exc
     off += header_len
 
-    for net in nets.values():
-        net.params[...] = np.frombuffer(data, dtype="<f8", count=net.params.size, offset=off)
-        off += net.params.nbytes
+    limit = np.finfo(DTYPE).max
+    for name, net in nets.items():
+        stored = np.frombuffer(data, dtype="<f8", count=net.params.size, offset=off)
+        # NaN and inf pass: they have float32 forms
+        if np.any(np.isfinite(stored) & (np.abs(stored) > limit)):
+            raise CheckpointError(f"{name} holds a weight beyond float32's range (+-{limit:.4g})")
+        net.params[...] = stored
+        off += stored.nbytes
     return agent

@@ -8,12 +8,19 @@ input_gradient() computes only the gradient with respect to the input, by
 the float operations of a backpropagation down to the input, and leaves
 `grads` alone; the actor update pulls gradients through the critic with it.
 
-Each network keeps all its parameters in one float64 vector, `params`, laid
+Each network keeps all its parameters in one float32 vector, `params`, laid
 out w0, b0, w1, b1, ... with each weight matrix row-major (fan_in, fan_out).
 That is the initializer's draw order and the checkpoint's byte order.
 `grads` has the same layout. `weights`, `biases`, `grad_w` and `grad_b` are
 lists of views into the two vectors, so writing through them (as backward
 does) updates the vectors, and Adam or a soft update acts on one array.
+
+float32 (DTYPE) is the one dtype of parameters, gradients, Adam's moments,
+activations and deltas; forward, backward and input_gradient cast their
+inputs to it. On the 11-node figure topology, (1, 1) hidden units trained in
+about 53% of the time of (64, 64) ones, so about half of a training step is
+network arithmetic, which float32 halves. Data outside the networks stays
+float64.
 
 State that only training reads costs no resident memory until training
 runs. `grads` is np.zeros, whose pages, in a large vector, the OS maps in at
@@ -41,6 +48,9 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+DTYPE = np.float32  # the dtype of every network array (see above)
+_SIGMOID_EPS = 1e-6  # the sigmoid's outputs lie in [_SIGMOID_EPS, 1 - _SIGMOID_EPS]
+
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # 1 / (1 + exp(-z)) where z >= 0 and exp(z) / (1 + exp(z)) elsewhere, so
@@ -48,10 +58,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     e = np.exp(np.minimum(z, -z))
     d = 1.0 + e
     out = np.where(z >= 0, 1.0 / d, e / d)
-    # keep outputs strictly inside (0, 1) even when z saturates in float64;
-    # maximum then minimum is np.clip's arithmetic, NaN included
-    np.maximum(out, 1e-12, out=out)
-    return np.minimum(out, 1.0 - 1e-12, out=out)
+    # keep outputs strictly inside (0, 1) even when z saturates, so the
+    # actor update's log(a / (1 - a)) stays finite: float32 rounds 1 - 1e-12
+    # to 1.0 but holds 1 - 1e-6, whose logit is about 13.8. maximum then
+    # minimum is np.clip's arithmetic, NaN included
+    np.maximum(out, _SIGMOID_EPS, out=out)
+    return np.minimum(out, 1.0 - _SIGMOID_EPS, out=out)
 
 
 def param_count(layer_sizes: list[int]) -> int:
@@ -70,8 +82,8 @@ class Mlp:
         self.layer_sizes = list(layer_sizes)
         self.output_activation = output_activation
         n = param_count(layer_sizes)
-        self.params = np.empty(n)
-        self.grads = np.zeros(n)
+        self.params = np.empty(n, dtype=DTYPE)
+        self.grads = np.zeros(n, dtype=DTYPE)
         self._bind()
         for w, b in zip(self.weights, self.biases):
             bound = 1.0 / np.sqrt(w.shape[0])
@@ -109,7 +121,7 @@ class Mlp:
         return self.layer_sizes[0]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=DTYPE)
         single = x.ndim == 1
         a = x.reshape(1, -1) if single else x
         if a.ndim != 2 or a.shape[1] != self.in_dim:
@@ -135,7 +147,7 @@ class Mlp:
         activation to its pre-activation."""
         if self._cache_out is None:
             raise RuntimeError("gradient asked for before forward")
-        d = np.asarray(dout, dtype=float)
+        d = np.asarray(dout, dtype=DTYPE)
         if d.ndim != 2:
             d = np.atleast_2d(d)
         if d.shape != self._cache_out.shape:
@@ -154,7 +166,7 @@ class Mlp:
         """
         d = self._output_delta(dout)
         if dout_pre is not None:
-            d = d + np.atleast_2d(np.asarray(dout_pre, dtype=float))
+            d = d + np.atleast_2d(np.asarray(dout_pre, dtype=DTYPE))
         last = len(self.weights) - 1
         for i in range(last, -1, -1):
             if i < last:
@@ -180,7 +192,7 @@ class Mlp:
         clone.layer_sizes = list(self.layer_sizes)
         clone.output_activation = self.output_activation
         clone.params = self.params.copy()
-        clone.grads = np.zeros(self.grads.shape)  # zeros_like would write every page
+        clone.grads = np.zeros(self.grads.shape, dtype=DTYPE)  # zeros_like would write every page
         clone._bind()
         clone._cache_inputs = []
         clone._cache_out = None
@@ -188,6 +200,7 @@ class Mlp:
 
     def blend_from(self, online: "Mlp", tau: float) -> None:
         """Soft update: param <- tau * online + (1 - tau) * param."""
+        tau = float(tau)  # a numpy float64 scalar would promote the product to float64
         self.params *= 1.0 - tau
         self.params += tau * online.params
 
@@ -203,7 +216,7 @@ class Adam:
 
     def __init__(self, net: Mlp, lr: float):
         self.net = net
-        self.lr = lr
+        self.lr = float(lr)  # a Python float keeps the step in the params' dtype
         self.t = 0
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None

@@ -4,6 +4,7 @@ import math
 import numbers
 import re
 import struct
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -127,7 +128,7 @@ def test_critic_loss_hand_computed_with_zero_discount():
     batch = random_batch(rng, 2)
     s, a, r, _ = batch
     q = agent.critic.forward(np.concatenate([agent._phi(s), a], axis=1))[:, 0]
-    expected = float(np.mean((q - r) ** 2))
+    expected = float(np.mean((q - r.astype(np.float32)) ** 2))  # in float32, as the update
     assert agent.update_critic_network(batch) == pytest.approx(expected, rel=1e-12)
 
 
@@ -260,12 +261,26 @@ def test_fit_model_learns_identity_environment():
     assert r_loss < 1e-3
 
 
+def test_saturated_actor_update_stays_finite():
+    # output pre-activations of +-1e4 saturate the sigmoid; its clip keeps
+    # the actions inside (0, 1), so the update's log(a / (1 - a)) is finite
+    agent = make_agent()
+    agent.actor.weights[-1][...] = 0.0
+    agent.actor.biases[-1][...] = [1e4, -1e4, 1e4, -1e4]
+    batch = random_batch(np.random.default_rng(19), 4)
+    actions = agent.actor.forward(agent._phi(batch[0]))
+    assert np.all((actions > 0.0) & (actions < 1.0))
+    assert math.isfinite(agent.update_actor_network(batch, actions=actions))
+    assert np.all(np.isfinite(agent.actor.params))
+
+
 def reference_fit_model(agent):
-    """fit_model with a fancy-index gather per minibatch and np.mean losses."""
+    """fit_model with a fancy-index gather per minibatch and np.mean losses,
+    in float32."""
     s, a, r, s2 = agent.buffer.stored()
-    x = np.concatenate([agent._phi(s), a], axis=1)
+    x = np.concatenate([agent._phi(s), a.astype(np.float32)], axis=1)
     y_next = agent._phi(s2)
-    y_reward = r[:, None]
+    y_reward = r[:, None].astype(np.float32)
     n = len(r)
     bs = min(agent.params.batch_size, n)
     for _ in range(agent.params.num_epochs):
@@ -352,7 +367,7 @@ def reference_plan(agent):
         actions = agent.actor.forward(phi_s)
         if p.epsilon > 0:
             actions = actions + agent.rng.normal(0.0, p.epsilon, size=actions.shape)
-        actions = np.clip(actions, 0.0, 1.0)
+        actions = np.clip(actions, 0.0, 1.0).astype(np.float32)
         x = np.concatenate([phi_s, actions], axis=1)
         rewards = agent.reward_model.forward(x)[:, 0]
         next_states = np.expm1(np.clip(agent.next_state_model.forward(x), 0.0,
@@ -505,6 +520,50 @@ def test_optimizer_state_waits_for_the_first_update(tmp_path):
         assert not target.grads.any()
 
 
+def test_training_keeps_every_network_array_float32(monkeypatch):
+    # under numpy 2's promotion rules one float64 operand, a target or a
+    # numpy float64 scalar param, silently makes a whole update float64
+    seen = []
+    for name in ("forward", "backward", "input_gradient"):
+        def recorded(net, *args, _method=getattr(Mlp, name), _name=name, **kwargs):
+            seen.extend((_name, a) for a in (*args, *kwargs.values()) if a is not None)
+            return _method(net, *args, **kwargs)
+        monkeypatch.setattr(Mlp, name, recorded)
+    env = RlEnv(figure_topology(), seed=0, events_per_step=50)
+    agent = DdpgAgent(env.state_dim, env.action_dim, small_params(
+        num_episodes=1, num_timesteps=8, planning_steps=2, target_update_frequency=2,
+        learning_rate=np.float64(1e-3), tau=np.float64(0.5), discount=np.float64(0.9)))
+    trace = agent.train(env)
+    assert len(trace.step_losses) == 5
+    for name, net in agent.named_networks().items():
+        assert net.params.dtype == net.grads.dtype == np.float32, name
+    for opt in optimizers(agent):
+        assert opt.m.dtype == opt.v.dtype == np.float32
+    assert {name for name, _ in seen} == {"forward", "backward", "input_gradient"}
+    assert [(name, np.asarray(a).dtype) for name, a in seen
+            if np.asarray(a).dtype != np.float32] == []
+
+
+def test_train_without_planning_fits_no_predictor():
+    # with planning_steps 0 nothing reads the predictors, so they take no
+    # Adam step and their losses are NaN
+    env = RlEnv(mm1_topology(0.5, 1.0), seed=0, events_per_step=50)
+    agent = DdpgAgent(env.state_dim, env.action_dim,
+                      small_params(num_episodes=1, num_timesteps=6, batch_size=2,
+                                   planning_steps=0))
+    before = network_params_snapshot(agent)
+    trace = agent.train(env)
+    assert len(trace.step_losses) == 5
+    assert agent.actor_opt.t == agent.critic_opt.t == 5
+    assert agent.next_state_opt.t == agent.reward_opt.t == 0
+    assert agent.next_state_opt.m is None and agent.reward_opt.m is None
+    after = network_params_snapshot(agent)
+    for name in ("next_state_model", "reward_model"):
+        assert np.array_equal(before[name], after[name])
+    assert all(math.isnan(ns) and math.isnan(r) and math.isfinite(a) and math.isfinite(c)
+               for a, c, ns, r in trace.step_losses)
+
+
 def test_train_is_reproducible():
     cfg = mm1_topology(0.5, 1.0)
 
@@ -602,6 +661,47 @@ def test_checkpoint_roundtrip(tmp_path):
     resaved = tmp_path / "resaved.agent"
     save_agent(loaded, str(resaved))
     assert resaved.read_bytes() == path.read_bytes()
+
+
+def checkpoint_weights(path):
+    """The checkpoint's bytes up to its weights, and the weights as float64."""
+    data = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", data, 12)
+    start = 16 + header_len
+    return data[:start], np.frombuffer(data, dtype="<f8", offset=start)
+
+
+def test_checkpoint_of_float64_weights_loads_rounded_to_float32(tmp_path):
+    # a file written when the networks were float64 holds weights that
+    # float32 cannot; each loads as its nearest float32
+    path = tmp_path / "old.agent"
+    save_agent(make_agent(), str(path))
+    head, weights = checkpoint_weights(path)
+    old = np.random.default_rng(20).uniform(-1.0, 1.0, weights.size)
+    path.write_bytes(head + old.astype("<f8").tobytes())
+    loaded = np.concatenate([net.params for net in load_agent(str(path)).named_networks().values()])
+    assert loaded.dtype == np.float32
+    assert np.array_equal(loaded, old.astype(np.float32))
+    assert not np.array_equal(loaded, old)
+
+
+def test_checkpoint_weight_beyond_float32_range_raises(tmp_path):
+    path = tmp_path / "huge.agent"
+    save_agent(make_agent(), str(path))
+    head, weights = checkpoint_weights(path)
+    for value in (1e300, -3.5e38):
+        huge = weights.copy()
+        huge[-1] = value  # the reward model's output bias
+        path.write_bytes(head + huge.tobytes())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow warning from a cast either
+            with pytest.raises(CheckpointError, match="reward_model holds a weight beyond"):
+                load_agent(str(path))
+    # inf and NaN have float32 forms and load as they are
+    huge[-2:] = [np.inf, np.nan]
+    path.write_bytes(head + huge.tobytes())
+    bias = load_agent(str(path)).reward_model.params[-2:]
+    assert bias[0] == np.inf and np.isnan(bias[1])
 
 
 def test_checkpoint_rejects_garbage_and_truncation(tmp_path):

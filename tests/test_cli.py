@@ -3,8 +3,10 @@ import json
 import math
 import os
 import random
+import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from queuerl import config as config_module
 from queuerl import reporting
-from queuerl.agent import AgentParams, DdpgAgent, load_agent
+from queuerl.agent import AgentParams, DdpgAgent, load_agent, save_agent
 from queuerl.cli import _str2bool, main
 from queuerl.config import (
     network_config_to_dict,
@@ -488,6 +490,24 @@ def test_unreadable_agent_file_exit_code(tmp_path, capsys):
     assert code == 6
     assert err.startswith("error (CheckpointError)") and "nope.agent" in err
     assert "Traceback" not in err
+
+
+def test_checkpoint_weight_beyond_float32_range_exit_code(tmp_path, capsys):
+    net = write_chain_config(tmp_path / "net.yml")
+    par = write_params(tmp_path / "params.yml", num_episodes=1, num_timesteps=2)
+    path = tmp_path / "huge.agent"
+    save_agent(DdpgAgent(1, 1, parse_hyperparams(str(par))[0]), str(path))
+    path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", 1e300))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("--function", "evaluate", "--evaluator", "noise",
+                       "--agent_file", str(path), "--config_file", str(net),
+                       "--param_file", str(par), "--data_file", str(tmp_path / "out"))
+    err = capsys.readouterr().err
+    assert code == 6
+    assert err.startswith("error (CheckpointError)") and "beyond float32's range" in err
+    assert "Traceback" not in err
+    assert [w.message for w in caught] == []
 
 
 TRAIN = ("--function", "train")

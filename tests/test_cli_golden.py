@@ -32,7 +32,7 @@ PARAMS = {
 
 OUTPUT_SHA256 = {
     "disruption/disruption.csv":
-        "871d7d99191770c8949f77f81f58a63a4846a0c669e768fe2a6b9034247b44bb",
+        "b687b0f0a0f5cfafee1b472b1f282c318c29cc51e4c2a823e29f8ebe7ebc4d1b",
     "disruption/disruption_summary.json":
         "4d441ae52e82f4952b61dce5a4a90cdf15b2ffbfcb364b42544f35f8dbbc1f3b",
     "noise/noise.csv":
@@ -40,19 +40,19 @@ OUTPUT_SHA256 = {
     "noise/noise_summary.json":
         "1a2b84860f413b95ceb2a6e7e61ddec5df3f83869df5c61e714b46d694c39458",
     "plots/plot_actor_loss.csv":
-        "16df5379517ea11ece70b18937b8f1f307ecfb890d6591e4e228cab4900ceaa7",
+        "25136fa0628345616fbf728df37aeb3506549931c60eda823f5f1cb782c02435",
     "plots/plot_average_reward_episode.csv":
         "1fca0d2d81ba8fecde8542d0b81992bde98d123bf8e37dab01b90fd3f6f7f4ff",
     "plots/plot_critic_loss.csv":
-        "29e2a7f2dbe4b7076fddf35547fc284d4b7668f787914fa44733ea9171d3e6e8",
+        "d824da59195afc999c849a32e39dff7010582f4062ef646c91c1ae9a38723ca0",
     "plots/plot_next_state_model_loss.csv":
-        "59713e0cc4625cab562bb7241d696b9f3686c70f9b34d819869c375efa1d8fed",
+        "2069a0298807fbda7472d8dd809469cd8f039d24cc8afedd7fb9315d48b1c8f3",
     "plots/plot_reward.csv":
         "5faed814de52ed0e6b5d98b7e324d615a4111748c4e25a7480d933b033589286",
     "plots/plot_reward_model_loss.csv":
-        "d58792050ce0b5801d2829b3e6ee8c6ae36ca9b047ece88d106c380103b40c0f",
+        "76bdbad07e1a72215c751cad5ab46e215a78523772245cad8be113ec2527e293",
     "plots/plot_transition_proba.csv":
-        "f79663577bccf9aac63d5e29cf8ac943fef87a9110908c1dbc97b9c28cc2d731",
+        "b0e9022355884d5f13bd56d400203c627ac63c1d7b845d006231751c54dd594e",
     "startup_w1/burn_in.csv":
         "3763b404266b49460fe72c8e632193f12e1c30ce3c82a6643106ecdab36c600b",
     "startup_w1/burn_in_summary.json":
@@ -66,9 +66,9 @@ OUTPUT_SHA256 = {
     "train/episode_modes.csv":
         "799f395a9eeaa1be62b91f63dcf71a22ebf0b10987613f17da1fbb59024e16ec",
     "train/golden.agent":
-        "ed2d1985f9350562481497c71525af0b2d6a7f1b0fb3637cb6fcb3510ab2424f",
+        "8bf57a9eede84b96049ed8cf12571304b22498736f319c929fb79525035863bf",
     "train/losses.csv":
-        "59633cee487726b807e1d054a8afca98725bd4b27261e475f370da46990e0713",
+        "b47a8f7ab9ad3c549376ba1307ac38d91298124e61b821394ab64a6380316111",
     "train/reward.csv":
         "35fd3fed9f2b80fb9606eb79de11f251dfee646b8aef3b88ef7c19a1efa34e7a",
     "train/tracker_key_states.csv":
@@ -76,7 +76,7 @@ OUTPUT_SHA256 = {
     "train/tracker_peripheral_states.csv":
         "11e601cda0ac8beb4491969464f76d455e50d42f09c331e35abfc6ef203b0d6f",
     "train/transition_proba.csv":
-        "f79663577bccf9aac63d5e29cf8ac943fef87a9110908c1dbc97b9c28cc2d731",
+        "b0e9022355884d5f13bd56d400203c627ac63c1d7b845d006231751c54dd594e",
 }
 
 

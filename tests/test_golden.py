@@ -7,8 +7,9 @@ a refactor of the learner either reproduces them exactly or shows up here.
 The reports of the frozen-policy evaluators run on the trained agent are
 pinned the same way, so a refactor of the simulator, the reward or the
 rollout loops does too.
-The digests depend on float64 arithmetic only; a BLAS build whose matrix
-kernels round differently would change them.
+The networks compute in float32 and everything else in float64, so the
+digests depend on both; a BLAS build whose float32 matrix kernels round
+differently would change them.
 """
 
 import dataclasses
@@ -25,13 +26,13 @@ from queuerl.netsim import figure_topology
 
 SEED = 0  # episodes start normal, blocked at node 4, blocked at node 7
 REWARDS_SHA256 = "3fde5d1af0a34c13085cc5870cf0cb8fc4e88352879600415cce81521bce0e5e"
-LOSSES_SHA256 = "cc4f4f97ac6d1de510e29684a883ea0c602c04e9ad278eb6f4656b9d7d4d6b92"
-CHECKPOINT_SHA256 = "669595c61f8fe8104f0565e7612388048e4a1346f67c744dd84cd21a4f063ed3"
+LOSSES_SHA256 = "d11decb7de9cae998a7f47e681117fd94dc02b634c0d53c2acd744a0c97967c0"
+CHECKPOINT_SHA256 = "28ea95907a3cbf5d10f4b9d0d6fb8f85613fd973807d7c6bdcd44c2845ad78de"
 EVALUATOR_SHA256 = {
     "policy_skip0": "a5db213529fecf3e7ffd5a6cc8eb6d0867a32eafe453651ed0b39cc7f46b273e",
     "policy_skip10": "aad1e521bc35d33d929e9eeff675b984b31045649818bd206808a3648a26018f",
     "noise": "c277d68053bd09f759cec9c50c8ae841826cfa132bac2f3c608e89574bafeb95",
-    "disruption": "2d48dc7f9062bddc5dfc8a00e3a680e34799c97899123502327371ec0795c01c",
+    "disruption": "2e2e01e7ad38fdf0c21b3a3b1cb1d9430076852fb7b91639e62056a4df6afe46",
 }
 
 

@@ -17,20 +17,21 @@ AGENT_SHAPES = [
 
 
 def masked_sigmoid(z):
-    """The sigmoid as two boolean-mask passes, one per sign of z."""
+    """The sigmoid as two boolean-mask passes, one per sign of z, clipped
+    to [1e-6, 1 - 1e-6]; it computes in z's dtype."""
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
-    return np.clip(out, 1e-12, 1.0 - 1e-12)
+    return np.clip(out, 1e-6, 1.0 - 1e-6)
 
 
 def full_backward(net, dout):
     """Backpropagation down to the input in one pass: the parameter
     gradients and dLoss/dInput of the last forward, computed with the
-    operations backward and input_gradient use."""
-    d = np.atleast_2d(np.asarray(dout, dtype=float))
+    operations backward and input_gradient use, in float32."""
+    d = np.atleast_2d(np.asarray(dout, dtype=np.float32))
     if net.output_activation == "sigmoid":
         out = net._cache_out
         d = d * out * (1.0 - out)
@@ -43,43 +44,64 @@ def full_backward(net, dout):
     return grads, d
 
 
-def projected_loss(net, x, proj):
-    return float((net.forward(x) * proj).sum())
+def float64_layers(net):
+    """A float64 copy of net's weights and biases, as lists of views into
+    one copied vector laid out like net.params."""
+    params, weights, biases, off = net.params.astype(np.float64), [], [], 0
+    for fan_in, fan_out in zip(net.layer_sizes[:-1], net.layer_sizes[1:]):
+        weights.append(params[off : off + fan_in * fan_out].reshape(fan_in, fan_out))
+        off += fan_in * fan_out
+        biases.append(params[off : off + fan_out])
+        off += fan_out
+    return weights, biases
 
 
-def hidden_signs(net, x):
-    """Signs of every hidden ReLU pre-activation of net at x."""
-    a, signs = x, []
-    for w, b in zip(net.weights[:-1], net.biases[:-1]):
+def projected_loss64(net, layers, x, proj):
+    """The projected loss of net's forward, in float64 on the given layers,
+    and the signs of every hidden ReLU pre-activation."""
+    a, signs = np.asarray(x, dtype=np.float64), []
+    weights, biases = layers
+    for i, (w, b) in enumerate(zip(weights, biases)):
         z = a @ w + b
-        signs.append((z > 0.0).ravel())
-        a = np.maximum(z, 0.0)
-    return np.concatenate(signs)
+        if i < len(weights) - 1:
+            signs.append((z > 0.0).ravel())
+            a = np.maximum(z, 0.0)
+        elif net.output_activation == "sigmoid":
+            a = masked_sigmoid(z)
+        else:
+            a = z
+    return float((a * proj).sum()), np.concatenate(signs)
 
 
-def check_param_gradients(net, rng, coords_per_array=40, h=1e-5, tol=1e-4):
-    """Central finite differences against the analytic gradients.
+# float32 gradients against float64 central differences of the same weights:
+# the differences are exact to about 1e-10, and the float32 gradients of
+# these checks are off by at most 1.7e-7 relative, about one float32 ulp
+GRAD_TOL = 1e-5
+
+
+def check_param_gradients(net, rng, coords_per_array=40, h=1e-5, tol=GRAD_TOL):
+    """Central finite differences of a float64 copy of net's float32
+    parameters against net's analytic float32 gradients.
 
     Where a hidden pre-activation changes sign between the +h and -h
     evaluations, the loss has a kink inside the stencil and the central
     difference is no derivative; such a coordinate is replaced by another.
     """
-    x = rng.normal(size=(3, net.in_dim))
-    proj = rng.normal(size=(3, net.layer_sizes[-1]))
+    x = rng.normal(size=(3, net.in_dim)).astype(np.float32)
+    proj = rng.normal(size=(3, net.layer_sizes[-1])).astype(np.float32)
     net.forward(x)
     net.backward(proj)
     grads = [g.copy() for g in net.grad_w + net.grad_b]
-    for arr, grad in zip(net.weights + net.biases, grads):
+    layers = float64_layers(net)
+    for arr, grad in zip(layers[0] + layers[1], grads):
         flat, gflat = arr.ravel(), grad.ravel()
         wanted, checked = min(coords_per_array, arr.size), 0
         for i in rng.permutation(arr.size):
             orig = flat[i]
             flat[i] = orig + h
-            up = projected_loss(net, x, proj)
-            signs_up = hidden_signs(net, x)
+            up, signs_up = projected_loss64(net, layers, x, proj)
             flat[i] = orig - h
-            down = projected_loss(net, x, proj)
-            signs_down = hidden_signs(net, x)
+            down, signs_down = projected_loss64(net, layers, x, proj)
             flat[i] = orig
             if not np.array_equal(signs_up, signs_down):
                 continue
@@ -103,18 +125,21 @@ def test_gradients_match_finite_differences(activation, sizes):
 def test_input_gradient_matches_finite_differences():
     rng = np.random.default_rng(7)
     net = Mlp([6, 32, 2], "identity", rng)
-    x = rng.normal(size=(2, 6))
-    proj = rng.normal(size=(2, 2))
+    x = rng.normal(size=(2, 6)).astype(np.float32)
+    proj = rng.normal(size=(2, 2)).astype(np.float32)
     net.forward(x)
     dx = net.input_gradient(proj)
+    layers = float64_layers(net)
     h = 1e-5
     for r in range(2):
         for c in range(6):
-            xp, xm = x.copy(), x.copy()
+            xp, xm = x.astype(np.float64), x.astype(np.float64)
             xp[r, c] += h
             xm[r, c] -= h
-            numeric = (projected_loss(net, xp, proj) - projected_loss(net, xm, proj)) / (2 * h)
-            assert abs(numeric - dx[r, c]) / max(1.0, abs(numeric)) < 1e-4
+            up, _ = projected_loss64(net, layers, xp, proj)
+            down, _ = projected_loss64(net, layers, xm, proj)
+            numeric = (up - down) / (2 * h)
+            assert abs(numeric - dx[r, c]) / max(1.0, abs(numeric)) < GRAD_TOL
 
 
 @pytest.mark.parametrize("activation,sizes", AGENT_SHAPES)
@@ -139,15 +164,18 @@ def test_backward_and_input_gradient_match_one_full_pass(activation, sizes):
 
 
 def test_sigmoid_bytes_match_masked_formula():
-    tiny = np.finfo(float).smallest_subnormal
-    edges = [0.0, np.inf, np.nan, tiny, 1e3 * tiny, np.finfo(float).tiny / 2,
-             709.0, 709.8, 746.0, 745.2, 1e308, 36.7, 1e-300]
-    z = np.array(edges + [-v for v in edges])
+    # float32's edges: exp overflows above 88.72 and underflows below -103.97,
+    # and the sigmoid rounds to 1 above about 16.6 and to the clip above 13.8
+    f32 = np.finfo(np.float32)
+    tiny = float(f32.smallest_subnormal)
+    edges = [0.0, np.inf, np.nan, tiny, 1e3 * tiny, float(f32.tiny) / 2,
+             88.7, 88.8, 104.0, 103.9, 3e38, 16.7, 13.8, 1e-40]
+    z = np.array(edges + [-v for v in edges], dtype=np.float32)
     assert np.signbit(z[len(edges) + 2]) and np.isnan(z[len(edges) + 2])  # -nan kept
     assert _sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
     rng = np.random.default_rng(3)
     for scale in (1e-3, 1.0, 40.0, 800.0):
-        z = rng.normal(scale=scale, size=(17, 9))
+        z = rng.normal(scale=scale, size=(17, 9)).astype(np.float32)
         assert _sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
 
 
@@ -180,8 +208,8 @@ def test_forward_shape_handling():
 
 
 def reference_forward(net, x):
-    """forward's arithmetic out of place, as rows."""
-    a = np.atleast_2d(x)
+    """forward's arithmetic out of place, as float32 rows."""
+    a = np.atleast_2d(np.asarray(x, dtype=np.float32))
     for i, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = a @ w + b
         if i < len(net.weights) - 1:
@@ -258,7 +286,9 @@ def test_params_vector_layout():
     b0, b1 = 1.0 / np.sqrt(3), 1.0 / np.sqrt(4)
     draws = [rng.uniform(-b0, b0, size=(3, 4)), rng.uniform(-b0, b0, size=4),
              rng.uniform(-b1, b1, size=(4, 2)), rng.uniform(-b1, b1, size=2)]
-    assert np.array_equal(net.params, np.concatenate([d.ravel() for d in draws]))
+    # each draw rounded to the float32 vector
+    assert np.array_equal(net.params,
+                          np.concatenate([d.ravel() for d in draws]).astype(np.float32))
     assert all(np.shares_memory(v, net.params) for v in net.weights + net.biases)
     net.weights[1][0, 1] = 9.0
     assert net.params[3 * 4 + 4 + 1] == 9.0
