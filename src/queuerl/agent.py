@@ -9,9 +9,9 @@ Delay states are unbounded, so every network consumes log1p-compressed
 states at its input boundary; the next-state predictor is trained in that
 compressed space and its predictions are mapped back with expm1.
 
-The networks compute in float32 (model.DTYPE). States, rewards, the replay
-buffer and the routing weights handed to the simulator stay float64 and
-reach the networks through one cast, in _phi and where targets are built.
+The networks compute in float32 (model.DTYPE). train compresses each state
+once, and the replay buffer holds the float32 rows (phi(s), a, r, phi(s'))
+the networks read; states, rewards and simulator routing stay float64.
 """
 
 from __future__ import annotations
@@ -197,9 +197,6 @@ class DdpgAgent:
             raise DimensionMismatch(f"state has shape {state.shape}, expected ({self.state_dim},)")
         return self.actor.forward(self._phi(state))
 
-    def explore_action(self, state: np.ndarray) -> np.ndarray:
-        return self._explore(self.select_action(state))
-
     def _explore(self, actions: np.ndarray) -> np.ndarray:
         """actions plus N(0, epsilon) noise from self.rng, clipped to [0, 1]."""
         eps = self.params.epsilon
@@ -210,24 +207,24 @@ class DdpgAgent:
     # -- updates ----------------------------------------------------------------
 
     def update_critic_network(self, batch: Batch) -> float:
-        s, a, r, s2 = batch
-        phi_s2 = self._phi(s2)
+        """One critic regression step towards r + discount * Q'(s') on phi rows."""
+        phi_s, a, r, phi_s2 = batch
         a2 = self.target_actor.forward(phi_s2)
         q2 = self.target_critic.forward(np.concatenate([phi_s2, a2], axis=1))[:, 0]
-        y = np.asarray(r, dtype=DTYPE) + float(self.params.discount) * q2
-        x = np.concatenate([self._phi(s), a], axis=1, dtype=DTYPE)
+        y = r + float(self.params.discount) * q2
+        x = np.concatenate([phi_s, a], axis=1)
         return _regress(self.critic, self.critic_opt, x, y[:, None])
 
-    def update_actor_network(self, batch: Batch, actions: Optional[np.ndarray] = None) -> float:
-        """One ascent step on mean Q(s, actor(s)); returns the loss -mean(Q).
+    def update_actor_network(self, phi_s: np.ndarray,
+                             actions: Optional[np.ndarray] = None) -> float:
+        """One ascent step on mean Q over the rows phi_s; returns the loss -mean(Q).
 
         The applied gradient also carries the anti-saturation pull
         (_ACTOR_PREACT_PULL) on the actor's output pre-activations.
         actions, when given, must be the array the actor's last forward
-        returned, on batch's states with the current parameters; that forward
-        is then reused instead of run again.
+        returned, on phi_s with the current parameters; that forward is then
+        reused instead of run again.
         """
-        phi_s = self._phi(batch[0])
         if actions is None:
             a = self.actor.forward(phi_s)
         elif actions is self.actor._cache_out:
@@ -255,10 +252,9 @@ class DdpgAgent:
         """One fitting round of both predictors over the whole buffer."""
         if self.buffer.size == 0:
             raise EmptyBuffer("fit_model needs at least one experience")
-        s, a, r, s2 = self.buffer.stored()
-        x = np.concatenate([self._phi(s), a], axis=1, dtype=DTYPE)
-        y_next = self._phi(s2)
-        y_reward = r[:, None].astype(DTYPE)
+        phi_s, a, r, y_next = self.buffer.stored()
+        x = np.concatenate([phi_s, a], axis=1)
+        y_reward = r[:, None]
 
         n = len(r)
         bs = min(self.params.batch_size, n)
@@ -297,8 +293,7 @@ class DdpgAgent:
             )
         losses = []
         for _ in range(p.planning_steps):
-            states = self.buffer.sample_states(p.num_samples, self.rng)
-            phi_s = self._phi(states)
+            phi_s = self.buffer.sample_states(p.num_samples, self.rng)
             policy_actions = self.actor.forward(phi_s)
             actions = self._explore(policy_actions).astype(DTYPE, copy=False)
 
@@ -306,9 +301,8 @@ class DdpgAgent:
             rewards = self.reward_model.forward(x)[:, 0]
             next_states = np.expm1(np.clip(self.next_state_model.forward(x), 0.0, _PHI_CLIP))
 
-            batch = (states, actions, rewards, next_states)
-            closs = self.update_critic_network(batch)
-            aloss = self.update_actor_network(batch, actions=policy_actions)
+            closs = self.update_critic_network((phi_s, actions, rewards, self._phi(next_states)))
+            aloss = self.update_actor_network(phi_s, actions=policy_actions)
             losses.append((closs, aloss))
         return losses
 
@@ -333,25 +327,27 @@ class DdpgAgent:
             ep_seed = int(episode_seeds.integers(0, 2**63 - 1))
             blocked_node = choose_blocked_node() if choose_blocked_node is not None else None
             state = env.reset(ep_seed)
+            phi_state = self._phi(state)
             if blocked_node is not None:
                 env.net.set_blockage(blocked_node)
 
             rewards: list[float] = []
             weights = np.empty((p.num_timesteps, self.action_dim))
             for t in range(p.num_timesteps):
-                action = self.explore_action(state)
+                action = self._explore(self.actor.forward(phi_state))
                 next_state = env.get_next_state(action)
+                phi_next = self._phi(next_state)
                 weights[t] = action
                 reward = env.get_reward()
                 rewards.append(reward)
-                self.buffer.push(state, action, reward, next_state)
+                self.buffer.push(phi_state, action, reward, phi_next)
                 if tracker is not None and blocked_node is not None:
                     tracker.record_visit(state, reward)
 
                 if self.buffer.size >= p.batch_size:
                     batch = self.buffer.sample(p.batch_size, self.rng)
                     critic_loss = self.update_critic_network(batch)
-                    actor_loss = self.update_actor_network(batch)
+                    actor_loss = self.update_actor_network(batch[0])
                     trace.critic_losses.append(critic_loss)
                     trace.actor_losses.append(actor_loss)
                     self.update_counter += 1
@@ -365,7 +361,7 @@ class DdpgAgent:
                     for closs, aloss in self.plan():
                         trace.critic_losses.append(closs)
                         trace.actor_losses.append(aloss)
-                state = next_state
+                state, phi_state = next_state, phi_next
 
             trace.episode_rewards.append(rewards)
             trace.episode_modes.append(

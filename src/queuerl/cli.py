@@ -9,6 +9,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from datetime import datetime
 from pathlib import Path
@@ -22,6 +23,7 @@ from .evaluation import (
     NoiseConfig,
     check_burn_in_length,
     check_steps,
+    check_threshold,
     check_window,
     convergence_train,
     detect_burn_in,
@@ -116,6 +118,7 @@ def _run_evaluate(cfg: argparse.Namespace, env_config, params) -> int:
 
     if cfg.evaluator == "startup":
         check_window(cfg.window_size, cfg.consecutive_points)  # before training
+        check_threshold(cfg.threshold)
         check_burn_in_length(params.num_timesteps, cfg.window_size, cfg.consecutive_points)
         agent = make_agent(env_config, params)
         trace = train_with_blockage_exploration(agent, env_config)
@@ -153,8 +156,9 @@ def _run_evaluate(cfg: argparse.Namespace, env_config, params) -> int:
 
 def _check_outputs(cfg: argparse.Namespace) -> None:
     """Raise ConfigError unless every output directory the command writes
-    can be made, and --run_name is a plain file name: checked before
-    anything trains, so no run is lost at its end."""
+    can be made, and --run_name is a plain file name that, when saved, fits
+    the data directory's file-name limit: checked before anything trains, so
+    no run is lost at its end."""
     dirs = [("--data_file", cfg.data_file)]
     if cfg.function == "train" and cfg.plot_curves:
         dirs.append(("--image_file", cfg.image_file))
@@ -163,9 +167,16 @@ def _check_outputs(cfg: argparse.Namespace) -> None:
         existing = next(p for p in (Path(path), *Path(path).parents) if p.exists())
         if not existing.is_dir():
             raise ConfigError(f"{flag} {path}: {existing} exists and is not a directory")
+        if flag == "--data_file":
+            data_dir = existing  # whose file system limits the checkpoint's name
     name = cfg.run_name
     if name is not None and Path(name).name != name:
         raise ConfigError(f"--run_name must be a plain file name, got {name!r}")
+    if name is not None and cfg.function == "train" and cfg.save_file:
+        size, limit = len(os.fsencode(f"{name}.agent")), os.pathconf(data_dir, "PC_NAME_MAX")
+        if size > limit:
+            raise ConfigError(f"--run_name makes a {size}-byte checkpoint name; "
+                              f"{data_dir} allows at most {limit}")
 
 
 def run(cfg: argparse.Namespace) -> int:
@@ -184,12 +195,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return run(args)
-    except QueueRlError as exc:
+    except (QueueRlError, MemoryError, OSError) as exc:
+        # besides the package's own errors: networks or batches too large to
+        # allocate, and outputs the system refuses, such as on a full disk
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
-        return exc.exit_code
-    except MemoryError as exc:  # networks or batches too large to allocate
-        print(f"error (MemoryError): {exc}", file=sys.stderr)
-        return QueueRlError.exit_code
+        return getattr(exc, "exit_code", QueueRlError.exit_code)
 
 
 if __name__ == "__main__":

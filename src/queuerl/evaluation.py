@@ -54,6 +54,12 @@ def check_window(window_size: int, consecutive_points: int) -> None:
         raise ConfigError("window_size and consecutive_points must be >= 1")
 
 
+def check_threshold(threshold: float) -> None:
+    """The threshold rule of detect_burn_in and convergence_train: finite, >= 0."""
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ConfigError(f"threshold must be finite and >= 0, got {threshold}")
+
+
 def check_burn_in_length(n: int, window_size: int, consecutive_points: int) -> None:
     """The length rule of detect_burn_in: a curve of n rewards needs at least
     window_size + consecutive_points of them; InsufficientData otherwise."""
@@ -74,6 +80,7 @@ def detect_burn_in(
     at least window_size - 1).
     """
     check_window(window_size, consecutive_points)
+    check_threshold(threshold)
     check_burn_in_length(len(rewards), window_size, consecutive_points)
     smoothed = _trailing_ma(rewards, window_size)[window_size - 1 :]
     derivative = [b - a for a, b in zip(smoothed, smoothed[1:])]
@@ -190,6 +197,7 @@ def convergence_train(
     window_size) stops training at the first local maximum or plateau.
     """
     check_window(window_size, consecutive_points)
+    check_threshold(threshold)
     env = rollout_env(env_config, agent_params, agent_params.seed)
     agent = make_agent(env_config, agent_params)
 
@@ -392,7 +400,8 @@ def robustness_evaluate(
         # every other caller of this module would pay for at import
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # a forking pool starts every worker at once: no more than there are jobs
+        with ProcessPoolExecutor(max_workers=min(workers, num_agents)) as pool:
             maps = list(pool.map(_train_and_snapshot, jobs))
     else:
         maps = [_train_and_snapshot(j) for j in jobs]

@@ -19,8 +19,8 @@ float32 (DTYPE) is the one dtype of parameters, gradients, Adam's moments,
 activations and deltas; forward, backward and input_gradient cast their
 inputs to it. On the 11-node figure topology, (1, 1) hidden units trained in
 about 53% of the time of (64, 64) ones, so about half of a training step is
-network arithmetic, which float32 halves. Data outside the networks stays
-float64.
+network arithmetic, which float32 halves. The replay buffer's rows are
+float32 too; other data outside the networks stays float64.
 
 State that only training reads costs no resident memory until training
 runs. `grads` is np.zeros, whose pages, in a large vector, the OS maps in at

@@ -48,15 +48,17 @@ def make_agent(state_dim=4, action_dim=4, **overrides) -> DdpgAgent:
 
 
 def random_transition(rng, ds=4, da=4):
-    """One (state, action, reward, next_state) transition."""
+    """One raw (state, action, reward, next_state) transition."""
     return (rng.uniform(0, 10, ds), rng.uniform(0, 1, da), float(rng.normal()),
             rng.uniform(0, 10, ds))
 
 
 def stack(transitions):
-    """Transitions as the (s, a, r, s2) arrays the agent's updates take."""
+    """Raw transitions as the float32 rows (phi(s), a, r, phi(s2)) that the
+    replay buffer stores and the agent's updates take."""
     s, a, r, s2 = zip(*transitions)
-    return np.stack(s), np.stack(a), np.array(r, dtype=float), np.stack(s2)
+    return (DdpgAgent._phi(np.stack(s)), np.stack(a).astype(np.float32),
+            np.array(r, dtype=np.float32), DdpgAgent._phi(np.stack(s2)))
 
 
 def random_batch(rng, n):
@@ -100,23 +102,51 @@ def test_select_action_dimension_mismatch():
         agent.select_action(np.zeros(3))
 
 
+def recording_env(cfg, **kwargs):
+    """An RlEnv that keeps, per episode, a copy of every state it returns
+    (reset's, then each step's), in env.episodes."""
+    env = RlEnv(cfg, **kwargs)
+    env.episodes = []
+    reset, step = env.reset, env.get_next_state
+
+    def recorded_reset(seed):
+        state = reset(seed)
+        env.episodes.append([state.copy()])
+        return state
+
+    def recorded_step(action):
+        state = step(action)
+        env.episodes[-1].append(state.copy())
+        return state
+
+    env.reset, env.get_next_state = recorded_reset, recorded_step
+    return env
+
+
+def non_updating_train(epsilon, num_timesteps):
+    """Train one episode that never updates (the batch outsizes the run);
+    returns the agent, its installed routing weights and the states acted on."""
+    env = recording_env(figure_topology(), seed=0, events_per_step=20)
+    agent = DdpgAgent(env.state_dim, env.action_dim, small_params(
+        epsilon=epsilon, num_episodes=1, num_timesteps=num_timesteps,
+        batch_size=num_timesteps + 1, buffer_capacity=num_timesteps + 1))
+    trace = agent.train(env)
+    assert trace.actor_losses == []
+    return agent, trace.episode_weights[0], env.episodes[0][:-1]
+
+
 def test_explore_action_zero_noise_equals_select():
-    agent = make_agent(epsilon=0.0)
-    state = np.array([1.0, 2.0, 3.0, 4.0])
-    assert np.array_equal(agent.explore_action(state), agent.select_action(state))
+    agent, weights, states = non_updating_train(epsilon=0.0, num_timesteps=5)
+    for row, state in zip(weights, states, strict=True):
+        assert np.array_equal(row, agent.select_action(state))
 
 
 def test_explore_action_clamps_to_unit_interval():
-    agent = make_agent(epsilon=10.0)
-    state = np.array([1.0, 2.0, 3.0, 4.0])
-    at_bounds = 0
-    total = 0
-    for _ in range(1000):
-        a = agent.explore_action(state)
-        assert np.all((a >= 0.0) & (a <= 1.0))
-        at_bounds += int(np.sum((a == 0.0) | (a == 1.0)))
-        total += a.size
-    assert at_bounds / total > 0.8  # sigma 10 noise saturates the clamp
+    agent, weights, _ = non_updating_train(epsilon=10.0, num_timesteps=100)
+    assert np.all((weights >= 0.0) & (weights <= 1.0))
+    at_bounds = np.mean((weights == 0.0) | (weights == 1.0))
+    assert at_bounds > 0.8  # sigma 10 noise saturates the clamp
+    assert agent.buffer.stored()[1].tobytes() == weights.astype(np.float32).tobytes()
 
 
 # -- critic update ---------------------------------------------------------------
@@ -126,9 +156,9 @@ def test_critic_loss_hand_computed_with_zero_discount():
     agent = make_agent(discount=0.0)
     rng = np.random.default_rng(1)
     batch = random_batch(rng, 2)
-    s, a, r, _ = batch
-    q = agent.critic.forward(np.concatenate([agent._phi(s), a], axis=1))[:, 0]
-    expected = float(np.mean((q - r.astype(np.float32)) ** 2))  # in float32, as the update
+    phi_s, a, r, _ = batch
+    q = agent.critic.forward(np.concatenate([phi_s, a], axis=1))[:, 0]
+    expected = float(np.mean((q - r) ** 2))  # in float32, as the update
     assert agent.update_critic_network(batch) == pytest.approx(expected, rel=1e-12)
 
 
@@ -173,21 +203,20 @@ def test_actor_update_increases_actions_under_sum_critic():
     agent = make_agent(learning_rate=1e-2)
     agent.critic = linear_probe_critic(4, 4)
     rng = np.random.default_rng(4)
-    batch = random_batch(rng, 4)
-    before = np.mean([agent.select_action(s).mean() for s in batch[0]])
-    agent.update_actor_network(batch)
-    after = np.mean([agent.select_action(s).mean() for s in batch[0]])
+    phi_s = random_batch(rng, 4)[0]
+    before = agent.actor.forward(phi_s).mean()
+    agent.update_actor_network(phi_s)
+    after = agent.actor.forward(phi_s).mean()
     assert after > before
 
 
 def test_actor_loss_is_negative_q_for_single_sample():
     agent = make_agent()
     rng = np.random.default_rng(5)
-    e = random_transition(rng)
-    phi = agent._phi(e[0][None, :])
+    phi = random_batch(rng, 1)[0]
     a = agent.actor.forward(phi)
     q = float(agent.critic.forward(np.concatenate([phi, a], axis=1))[0, 0])
-    assert agent.update_actor_network(stack([e])) == pytest.approx(-q, rel=1e-12)
+    assert agent.update_actor_network(phi) == pytest.approx(-q, rel=1e-12)
 
 
 def test_actor_update_leaves_critic_untouched():
@@ -197,7 +226,7 @@ def test_actor_update_leaves_critic_untouched():
     agent.update_critic_network(batch)  # leaves gradients in the critic
     before, grads = agent.critic.params.copy(), agent.critic.grads.copy()
     assert grads.any()
-    agent.update_actor_network(batch)
+    agent.update_actor_network(batch[0])
     assert np.array_equal(before, agent.critic.params)
     assert np.array_equal(grads, agent.critic.grads)
 
@@ -217,7 +246,7 @@ def test_soft_update_full_copy_with_tau_one():
     agent = make_agent(tau=1.0)
     rng = np.random.default_rng(8)
     agent.update_critic_network(random_batch(rng, 4))
-    agent.update_actor_network(random_batch(rng, 4))
+    agent.update_actor_network(random_batch(rng, 4)[0])
     agent.soft_update_targets()
     assert np.array_equal(agent.critic.params, agent.target_critic.params)
     assert np.array_equal(agent.actor.params, agent.target_actor.params)
@@ -267,20 +296,19 @@ def test_saturated_actor_update_stays_finite():
     agent = make_agent()
     agent.actor.weights[-1][...] = 0.0
     agent.actor.biases[-1][...] = [1e4, -1e4, 1e4, -1e4]
-    batch = random_batch(np.random.default_rng(19), 4)
-    actions = agent.actor.forward(agent._phi(batch[0]))
+    phi_s = random_batch(np.random.default_rng(19), 4)[0]
+    actions = agent.actor.forward(phi_s)
     assert np.all((actions > 0.0) & (actions < 1.0))
-    assert math.isfinite(agent.update_actor_network(batch, actions=actions))
+    assert math.isfinite(agent.update_actor_network(phi_s, actions=actions))
     assert np.all(np.isfinite(agent.actor.params))
 
 
 def reference_fit_model(agent):
     """fit_model with a fancy-index gather per minibatch and np.mean losses,
-    in float32."""
-    s, a, r, s2 = agent.buffer.stored()
-    x = np.concatenate([agent._phi(s), a.astype(np.float32)], axis=1)
-    y_next = agent._phi(s2)
-    y_reward = r[:, None].astype(np.float32)
+    on the stored float32 rows."""
+    phi_s, a, r, y_next = agent.buffer.stored()
+    x = np.concatenate([phi_s, a], axis=1)
+    y_reward = r[:, None]
     n = len(r)
     bs = min(agent.params.batch_size, n)
     for _ in range(agent.params.num_epochs):
@@ -362,8 +390,7 @@ def reference_plan(agent):
     p = agent.params
     losses = []
     for _ in range(p.planning_steps):
-        states = agent.buffer.sample_states(p.num_samples, agent.rng)
-        phi_s = agent._phi(states)
+        phi_s = agent.buffer.sample_states(p.num_samples, agent.rng)
         actions = agent.actor.forward(phi_s)
         if p.epsilon > 0:
             actions = actions + agent.rng.normal(0.0, p.epsilon, size=actions.shape)
@@ -372,9 +399,8 @@ def reference_plan(agent):
         rewards = agent.reward_model.forward(x)[:, 0]
         next_states = np.expm1(np.clip(agent.next_state_model.forward(x), 0.0,
                                        agent_module._PHI_CLIP))
-        batch = (states, actions, rewards, next_states)
-        closs = agent.update_critic_network(batch)
-        losses.append((closs, agent.update_actor_network(batch)))
+        closs = agent.update_critic_network((phi_s, actions, rewards, agent._phi(next_states)))
+        losses.append((closs, agent.update_actor_network(phi_s)))
     return losses
 
 
@@ -397,16 +423,17 @@ def test_plan_matches_reference_loop(epsilon):
 def test_actor_update_rejects_actions_not_from_the_last_forward():
     agent = make_agent()
     batch = random_batch(np.random.default_rng(18), 4)
-    actions = agent.actor.forward(agent._phi(batch[0]))
+    phi_s = batch[0]
+    actions = agent.actor.forward(phi_s)
     before = network_params_snapshot(agent)
     with pytest.raises(RuntimeError, match="last forward"):
-        agent.update_actor_network(batch, actions=actions.copy())
+        agent.update_actor_network(phi_s, actions=actions.copy())
     assert params_equal(before, network_params_snapshot(agent))
     agent.update_critic_network(batch)  # the critic forward leaves the actor's cache
-    agent.update_actor_network(batch, actions=actions)
-    agent.actor.forward(agent._phi(batch[0]))
+    agent.update_actor_network(phi_s, actions=actions)
+    agent.actor.forward(phi_s)
     with pytest.raises(RuntimeError, match="last forward"):
-        agent.update_actor_network(batch, actions=actions)
+        agent.update_actor_network(phi_s, actions=actions)
 
 
 def test_plan_with_fitted_models_moves_like_real_updates():
@@ -414,16 +441,15 @@ def test_plan_with_fitted_models_moves_like_real_updates():
     agent = make_agent(learning_rate=1e-3, num_epochs=40, planning_steps=1, epsilon=0.0,
                        batch_size=1, num_samples=4)
     s = np.array([1.0, 2.0, 3.0, 4.0])
-    a = agent.select_action(s)
-    exp = (s, a, -2.0, s * 1.5)
-    agent.buffer.push(*exp)
+    batch = stack([(s, agent.select_action(s), -2.0, s * 1.5)] * 4)
+    agent.buffer.push(*(rows[0] for rows in batch))
     for _ in range(20):
         agent.fit_model()
 
     real = copy.deepcopy(agent)
     dreamed = copy.deepcopy(agent)
-    real.update_critic_network(stack([exp] * 4))
-    real.update_actor_network(stack([exp] * 4))
+    real.update_critic_network(batch)
+    real.update_actor_network(batch[0])
     dreamed.plan()
 
     def delta(after, before, net):
@@ -544,6 +570,25 @@ def test_training_keeps_every_network_array_float32(monkeypatch):
             if np.asarray(a).dtype != np.float32] == []
 
 
+def test_buffer_rows_are_phi_of_the_environment_states():
+    # train compresses each state once; the buffer keeps the rows the
+    # networks read, in float32, with no second compression
+    env = recording_env(figure_topology(), seed=0, events_per_step=50)
+    agent = DdpgAgent(env.state_dim, env.action_dim,
+                      small_params(num_episodes=2, num_timesteps=6, batch_size=4))
+    trace = agent.train(env)
+    assert len(trace.step_losses) == 9
+    stored = agent.buffer.stored()
+    assert [rows.dtype for rows in stored] == [np.float32] * 4
+    phi_s, a, r, phi_s2 = stored
+    s = np.stack([state for states in env.episodes for state in states[:-1]])
+    s2 = np.stack([state for states in env.episodes for state in states[1:]])
+    assert phi_s.tobytes() == DdpgAgent._phi(s).tobytes()
+    assert phi_s2.tobytes() == DdpgAgent._phi(s2).tobytes()
+    assert a.tobytes() == np.concatenate(trace.episode_weights).astype(np.float32).tobytes()
+    assert r.tobytes() == np.float32(sum(trace.episode_rewards, [])).tobytes()
+
+
 def test_train_without_planning_fits_no_predictor():
     # with planning_steps 0 nothing reads the predictors, so they take no
     # Adam step and their losses are NaN
@@ -586,7 +631,7 @@ def test_losses_stay_finite_under_fuzzing():
     for i in range(1000):
         batch = agent.buffer.sample(8, agent.rng)
         closs = agent.update_critic_network(batch)
-        aloss = agent.update_actor_network(batch)
+        aloss = agent.update_actor_network(batch[0])
         assert np.isfinite(closs) and np.isfinite(aloss)
         if i % 10 == 0:
             agent.soft_update_targets()
@@ -647,7 +692,7 @@ def test_checkpoint_roundtrip(tmp_path):
         agent.buffer.push(*random_transition(rng))
     batch = agent.buffer.sample(4, agent.rng)
     agent.update_critic_network(batch)
-    agent.update_actor_network(batch)
+    agent.update_actor_network(batch[0])
     agent.soft_update_targets()
 
     path = tmp_path / "agent.agent"

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import math
 import os
@@ -542,6 +543,10 @@ EVALUATE = ("--function", "evaluate", "--evaluator")
     ({}, {"num_episodes": 1, "num_timesteps": 2},
      EVALUATE + ("convergence", "--consecutive_points", "0"), 2,
      "window_size and consecutive_points"),
+    *[({}, {"num_episodes": 1, "num_timesteps": 4},
+       EVALUATE + (evaluator, "--threshold", threshold), 2,
+       f"threshold must be finite and >= 0, got {float(threshold)}")
+      for evaluator in ("startup", "convergence") for threshold in ("nan", "inf", "-1")],
     ({}, {"num_episodes": 1, "num_timesteps": 2},
      EVALUATE + ("noise", "--noise_variance", "nan"), 2, "noise variance must be finite"),
     ({}, {"num_episodes": 1, "num_timesteps": 2},
@@ -643,7 +648,10 @@ EVALUATE = ("--function", "evaluate", "--evaluator")
         "choices_scalar", "zero_time_steps", "negative_seed", "inf_epsilon", "inf_w1",
         "inf_w2", "inf_learning_rate", "inf_hidden_size", "fractional_hidden_size",
         "inf_range_high", "hidden_sizes_scalar_choice", "zero_window_size",
-        "zero_consecutive_points", "nan_noise_variance", "nan_noise_mean", "nan_z",
+        "zero_consecutive_points",
+        *[f"{threshold}_{evaluator}_threshold" for evaluator in ("startup", "convergence")
+          for threshold in ("nan", "inf", "negative")],
+        "nan_noise_variance", "nan_noise_mean", "nan_z",
         "zero_workers", "unknown_disruption_node", "unblockable_disruption_node",
         "zero_disruption_time_steps", "zero_noise_time_steps",
         "inf_num_nodes", "inf_edge_type", "fractional_target", "unknown_train_node",
@@ -693,6 +701,33 @@ def test_unusable_output_paths_exit_before_training(tmp_path, capsys, monkeypatc
     assert err.startswith("error (ConfigError)")
     assert message in err
     assert "Traceback" not in err
+
+
+def test_overlong_run_name_exits_before_training(tmp_path, capsys, monkeypatch):
+    # 300 characters pass as a plain file name, but no file system takes them
+    monkeypatch.setattr(DdpgAgent, "train", lambda *a, **kw: pytest.fail("an agent trained"))
+    net = write_chain_config(tmp_path / "net.yml")
+    par = write_params(tmp_path / "params.yml")
+    assert run_cli(*TRAIN, "--config_file", str(net), "--param_file", str(par),
+                   "--data_file", str(tmp_path / "out"), "--save_file", "True",
+                   "--run_name", "x" * 300) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (ConfigError): --run_name makes a 306-byte checkpoint name")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["net.yml", "params.yml"]
+
+
+def test_os_error_exits_without_traceback(tmp_path, capsys, monkeypatch):
+    def disk_full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(reporting, "write_training_csvs", disk_full)
+    net = write_chain_config(tmp_path / "net.yml")
+    par = write_params(tmp_path / "params.yml", num_episodes=1, num_timesteps=2)
+    assert run_cli(*TRAIN, "--config_file", str(net), "--param_file", str(par),
+                   "--data_file", str(tmp_path / "out")) == QueueRlError.exit_code
+    err = capsys.readouterr().err
+    assert err == "error (OSError): [Errno 28] No space left on device\n"
 
 
 def test_memory_error_exits_without_traceback(tmp_path, capsys, monkeypatch):

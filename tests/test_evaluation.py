@@ -81,6 +81,16 @@ def test_burn_in_insufficient_data():
         detect_burn_in([1.0, 2.0], window_size=4, threshold=0.1, consecutive_points=3)
 
 
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
+def test_burn_in_and_convergence_reject_a_bad_threshold(threshold, monkeypatch):
+    # a NaN threshold would never stabilize or stop, and writes invalid JSON
+    monkeypatch.setattr(DdpgAgent, "train", lambda *a, **kw: pytest.fail("an agent trained"))
+    with pytest.raises(ConfigError, match="threshold must be finite and >= 0"):
+        detect_burn_in([1.0] * 10, window_size=2, threshold=threshold, consecutive_points=2)
+    with pytest.raises(ConfigError, match="threshold must be finite and >= 0"):
+        convergence_train(tiny_params(), mm1_topology(0.5, 1.0), threshold=threshold)
+
+
 def test_burn_in_matches_oracle_on_random_curves():
     rng = np.random.default_rng(0)
     for _ in range(100):
@@ -408,6 +418,35 @@ def test_robustness_parallel_report_equals_serial():
     parallel = robustness_evaluate(params, cfg, num_agents=3, time_steps=2, workers=2)
     assert parallel == serial
     assert serial.sigma > 0.0
+
+
+def test_robustness_starts_no_more_workers_than_agents(monkeypatch):
+    # a fork-started pool starts every worker at its first submit; this one
+    # records its size and maps in-process, so no process starts
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    cfg = figure_topology()
+    params = tiny_params(num_episodes=1, num_timesteps=2)
+    serial = robustness_evaluate(params, cfg, num_agents=2, time_steps=2, workers=1)
+    pooled = robustness_evaluate(params, cfg, num_agents=2, time_steps=2, workers=64)
+    assert sizes == [2]
+    assert pooled == serial
 
 
 def test_robustness_rejects_bad_arguments():
