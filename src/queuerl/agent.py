@@ -7,7 +7,7 @@ copies blended in by soft updates.
 
 Delay states are unbounded, so every network consumes log1p-compressed
 states at its input boundary; the next-state predictor is trained in that
-compressed space and its predictions are mapped back with expm1.
+compressed space, and plan feeds its clipped predictions to the critic.
 
 The networks compute in float32 (model.DTYPE). train compresses each state
 once, and the replay buffer holds the float32 rows (phi(s), a, r, phi(s'))
@@ -31,7 +31,7 @@ from .errors import CheckpointError, ConfigError, DimensionMismatch, EmptyBuffer
 from .model import DTYPE, Adam, Mlp, param_count
 from .netsim import RoutingLayout, TopologyConfig
 
-_PHI_CLIP = 30.0  # bound on predicted log-delays before expm1
+_PHI_CLIP = 30.0  # upper bound on a predicted compressed state value
 
 # Routing weights are normalized per node, so scaling every weight leaves the
 # policy unchanged; the critic can push the actor along that blind direction
@@ -278,8 +278,9 @@ class DdpgAgent:
     def plan(self) -> list[tuple[float, float]]:
         """Hallucinate experiences with the predictors and update on them.
 
-        Returns (critic loss, actor loss) per planning step. Hallucinated
-        experiences never enter the replay buffer.
+        Returns (critic loss, actor loss) per planning step. The predicted
+        next states are compressed rows, which the critic update takes clipped
+        to [0, _PHI_CLIP]. Hallucinated experiences never enter the buffer.
 
         The actor update reuses the noise-free forward that picked the
         actions: the critic update in between changes neither the actor's
@@ -299,9 +300,8 @@ class DdpgAgent:
 
             x = np.concatenate([phi_s, actions], axis=1)
             rewards = self.reward_model.forward(x)[:, 0]
-            next_states = np.expm1(np.clip(self.next_state_model.forward(x), 0.0, _PHI_CLIP))
-
-            closs = self.update_critic_network((phi_s, actions, rewards, self._phi(next_states)))
+            phi_next = np.clip(self.next_state_model.forward(x), 0.0, _PHI_CLIP)
+            closs = self.update_critic_network((phi_s, actions, rewards, phi_next))
             aloss = self.update_actor_network(phi_s, actions=policy_actions)
             losses.append((closs, aloss))
         return losses

@@ -160,7 +160,11 @@ class TopologyConfig:
 
 
 def validate_config(config: TopologyConfig) -> None:
-    """Raise ConfigError on any violated topology invariant."""
+    """Raise ConfigError on any violated topology invariant.
+
+    One of them: an exit edge must be reachable from the target of every
+    serviced edge, or jobs routed there could never leave. Entry edges are
+    serviced, so every entry source then reaches an exit edge too."""
     if config.num_nodes <= 0:
         raise ConfigError("num_nodes must be positive")
     if not _drawable(config.arrival_rate):
@@ -168,6 +172,7 @@ def validate_config(config: TopologyConfig) -> None:
                           f"draws, got {config.arrival_rate}")
 
     seen: dict[int, tuple[int, int]] = {}
+    sources: dict[int, list[int]] = {}  # node -> the sources of its incoming edges
     for src, succs in config.edge_list.items():
         if not 0 <= src < config.num_nodes:
             raise ConfigError(f"node {src} outside [0, {config.num_nodes})")
@@ -179,6 +184,7 @@ def validate_config(config: TopologyConfig) -> None:
                     f"edge type {etype} appears on both {seen[etype]} and {(src, dst)}"
                 )
             seen[etype] = (src, dst)
+            sources.setdefault(dst, []).append(src)
 
     if not config.entry_edges or not config.exit_edges:
         raise ConfigError("network needs at least one entry edge and one exit edge")
@@ -187,6 +193,15 @@ def validate_config(config: TopologyConfig) -> None:
             raise ConfigError(f"edge type {etype} not present in edge_list")
     if config.entry_edges & config.exit_edges:
         raise ConfigError("an edge cannot be both entry and exit")
+
+    # the nodes that reach an exit edge: a backward search from the exit sources
+    leaving: set[int] = set()
+    frontier = [seen[e][0] for e in config.exit_edges]
+    while frontier:
+        node = frontier.pop()
+        if node not in leaving:
+            leaving.add(node)
+            frontier.extend(sources.get(node, ()))
 
     for etype, (src, dst) in seen.items():
         if etype in config.exit_edges:
@@ -206,18 +221,9 @@ def validate_config(config: TopologyConfig) -> None:
                 f"node {dst} mixes exit and serviced outgoing edges; routing weights "
                 "only cover serviced edges"
             )
-
-    # At least one entry source must reach an exit edge.
-    reachable: set[int] = set()
-    frontier = list(config.entry_sources())
-    while frontier:
-        node = frontier.pop()
-        if node in reachable:
-            continue
-        reachable.add(node)
-        frontier.extend(config.edge_list.get(node, ()))
-    if not any(seen[e][0] in reachable for e in config.exit_edges):
-        raise ConfigError("no directed path from an entry source to any exit edge")
+        if dst not in leaving:
+            raise ConfigError(f"no directed path from node {dst} (target of edge type {etype}) "
+                              "to any exit edge; jobs routed there never leave")
 
 
 def _row_totals(w: list[float], nodes: list[int],

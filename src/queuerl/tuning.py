@@ -1,7 +1,8 @@
 """Seeded random search over agent hyperparameters.
 
-A SearchSpace names a subset of AgentParams fields and gives each either a
-finite choice list or a (low, high) range with linear or log scaling.
+A SearchSpace names a subset of AgentParams fields other than seed and gives
+each either a finite choice list or a (low, high) range with linear or log
+scaling.
 Each trial trains one agent and scores the frozen policy over a fixed
 evaluation rollout.
 """
@@ -47,6 +48,9 @@ class SearchSpace:
         for name, spec in self.specs.items():
             if name not in known:
                 raise ConfigError(f"{name} is not an agent hyperparameter")
+            if name == "seed":
+                raise ConfigError("seed cannot be searched: random_search draws each trial's "
+                                  "seed from the scalar seed")
             if isinstance(spec, ChoiceSpec):
                 if not spec.choices:
                     raise ConfigError(f"{name}: empty choice list")

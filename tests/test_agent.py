@@ -386,7 +386,8 @@ def test_plan_performs_exactly_planning_steps_updates():
 
 
 def reference_plan(agent):
-    """plan's loop with an actor update that runs its own forward."""
+    """plan's loop with an actor update that runs its own forward; the
+    clipped predictions are the critic's next-state rows as they are."""
     p = agent.params
     losses = []
     for _ in range(p.planning_steps):
@@ -397,20 +398,29 @@ def reference_plan(agent):
         actions = np.clip(actions, 0.0, 1.0).astype(np.float32)
         x = np.concatenate([phi_s, actions], axis=1)
         rewards = agent.reward_model.forward(x)[:, 0]
-        next_states = np.expm1(np.clip(agent.next_state_model.forward(x), 0.0,
-                                       agent_module._PHI_CLIP))
-        closs = agent.update_critic_network((phi_s, actions, rewards, agent._phi(next_states)))
+        phi_next = np.clip(agent.next_state_model.forward(x), 0.0, agent_module._PHI_CLIP)
+        closs = agent.update_critic_network((phi_s, actions, rewards, phi_next))
         losses.append((closs, agent.update_actor_network(phi_s)))
     return losses
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.1])
 def test_plan_matches_reference_loop(epsilon):
-    agent = make_agent(planning_steps=3, epsilon=epsilon)
+    agent = make_agent(planning_steps=3, epsilon=epsilon, num_samples=16)
     rng = np.random.default_rng(17)
-    for _ in range(8):
+    for _ in range(32):
         agent.buffer.push(*random_transition(rng))
     agent.fit_model()
+    # three columns inside (0, _PHI_CLIP), where float32 log1p(expm1(x)) is
+    # not always x, so a loop that round-trips its rows through expm1 and
+    # back differs; the fourth column lies above the clip
+    clip = agent_module._PHI_CLIP
+    agent.next_state_model.biases[-1][:] += [0.5, 0.5, 0.5, 2 * clip]
+    phi_s, actions = agent.buffer.stored()[:2]
+    pred = agent.next_state_model.forward(np.concatenate([phi_s, actions], axis=1))
+    inside, above = pred[:, :3], pred[:, 3]
+    assert (inside > 0).all() and (inside < clip).all() and (above > clip).all()
+    assert not np.array_equal(np.log1p(np.expm1(inside)), inside)
     reference = copy.deepcopy(agent)
     for _ in range(2):
         got, want = agent.plan(), reference_plan(reference)

@@ -593,11 +593,21 @@ EVALUATE = ("--function", "evaluate", "--evaluator")
     ({}, {"tau": {"low": 0.5, "high": 2.0}, "trials": 6, "seed": 4}, TUNE, 2,
      "tau must be in (0, 1]"),
     ({}, {"tau": {"low": 0.1}}, TUNE, 3, "'tau' needs either choices or low/high"),
+    # random_search gives each trial its own seed, so a sampled seed is never used
+    ({}, {"seed": [1, 2, 3]}, TUNE, 2, "seed cannot be searched"),
+    ({}, {"seed": [1, 2, 3]}, TRAIN, 2, "seed cannot be searched"),
     ({"edges": [{"source": 0, "target": 1, "edge_type": 1},
                 {"source": 0, "target": 1, "edge_type": 2},
                 {"source": 1, "target": 2, "edge_type": 0}]},
      {}, TRAIN, 2, "duplicate edge 0 -> 1"),
     ({"service_rates": {1: 2.0, "1": 9.0}}, {}, TRAIN, 2, "service_rates gives edge type 1 twice"),
+    # jobs routed to node 3 circle between nodes 3 and 5 for ever
+    ({"num_nodes": 6,
+      "edges": [{"source": src, "target": dst, "edge_type": etype}
+                for src, dst, etype in [(0, 1, 1), (1, 2, 2), (1, 3, 3), (2, 4, 0), (3, 5, 4),
+                                        (5, 3, 5)]],
+      "arrival_rate": 1.0, "service_rates": {e: 4.0 for e in range(1, 6)}},
+     {}, TRAIN, 2, "no directed path from node 3 (target of edge type 3) to any exit edge"),
     ({}, {"learning_rate": 0.01, "alpha": 0.5}, TRAIN, 2,
      "'alpha' and 'learning_rate' both set 'learning_rate'"),
     ({}, {"gamma": 0.9, "discount": 0.5}, TRAIN, 2, "both set 'discount'"),
@@ -659,7 +669,9 @@ EVALUATE = ("--function", "evaluate", "--evaluator")
         "mapping_exit_edges", "list_service_rates", "tiny_arrival_rate", "tiny_service_rate",
         "startup_curve_shorter_than_window", "disruption_without_node",
         "unsampleable_choice", "unsampleable_range_end", "range_without_high",
-        "duplicate_edge", "service_rate_given_twice", "learning_rate_and_alpha",
+        "tune_seed_choices", "train_seed_choices",
+        "duplicate_edge", "service_rate_given_twice", "cycle_without_exit",
+        "learning_rate_and_alpha",
         "gamma_and_discount", "num_time_steps_and_num_timesteps", "scalar_and_range_alias",
         "unknown_objective", "hidden_sizes_range", "objective_without_range",
         "trials_without_range", "param_key_twice", "network_key_twice",

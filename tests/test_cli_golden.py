@@ -40,11 +40,11 @@ OUTPUT_SHA256 = {
     "noise/noise_summary.json":
         "1a2b84860f413b95ceb2a6e7e61ddec5df3f83869df5c61e714b46d694c39458",
     "plots/plot_actor_loss.csv":
-        "25136fa0628345616fbf728df37aeb3506549931c60eda823f5f1cb782c02435",
+        "d88fbdd1c226f8f9e17b0f20a3301cb2ec5f8e4ef029085238b2b6a6185788a4",
     "plots/plot_average_reward_episode.csv":
         "1fca0d2d81ba8fecde8542d0b81992bde98d123bf8e37dab01b90fd3f6f7f4ff",
     "plots/plot_critic_loss.csv":
-        "d824da59195afc999c849a32e39dff7010582f4062ef646c91c1ae9a38723ca0",
+        "61fccca7ad525addf23442b6b0a73ce4bad3084c6bf4a1c111d71e9883eef65a",
     "plots/plot_next_state_model_loss.csv":
         "2069a0298807fbda7472d8dd809469cd8f039d24cc8afedd7fb9315d48b1c8f3",
     "plots/plot_reward.csv":
@@ -66,7 +66,7 @@ OUTPUT_SHA256 = {
     "train/episode_modes.csv":
         "799f395a9eeaa1be62b91f63dcf71a22ebf0b10987613f17da1fbb59024e16ec",
     "train/golden.agent":
-        "8bf57a9eede84b96049ed8cf12571304b22498736f319c929fb79525035863bf",
+        "22f2f4fbbabd850c22d8b7024d0e16fa148f5b6e5f829da79da4f98bb9a9105c",
     "train/losses.csv":
         "b47a8f7ab9ad3c549376ba1307ac38d91298124e61b821394ab64a6380316111",
     "train/reward.csv":

@@ -26,13 +26,13 @@ from queuerl.netsim import figure_topology
 
 SEED = 0  # episodes start normal, blocked at node 4, blocked at node 7
 REWARDS_SHA256 = "3fde5d1af0a34c13085cc5870cf0cb8fc4e88352879600415cce81521bce0e5e"
-LOSSES_SHA256 = "d11decb7de9cae998a7f47e681117fd94dc02b634c0d53c2acd744a0c97967c0"
-CHECKPOINT_SHA256 = "28ea95907a3cbf5d10f4b9d0d6fb8f85613fd973807d7c6bdcd44c2845ad78de"
+LOSSES_SHA256 = "3da9a5d2155deec663ec39fa6a011034b2a1ba7cbf624451acf2d30b7498f28a"
+CHECKPOINT_SHA256 = "8e2039e5024c0834969f3014f7514a4d63bebba1513a4d47491b0592efca78f4"
 EVALUATOR_SHA256 = {
     "policy_skip0": "a5db213529fecf3e7ffd5a6cc8eb6d0867a32eafe453651ed0b39cc7f46b273e",
     "policy_skip10": "aad1e521bc35d33d929e9eeff675b984b31045649818bd206808a3648a26018f",
     "noise": "c277d68053bd09f759cec9c50c8ae841826cfa132bac2f3c608e89574bafeb95",
-    "disruption": "2e2e01e7ad38fdf0c21b3a3b1cb1d9430076852fb7b91639e62056a4df6afe46",
+    "disruption": "24108ca4f183ced02ba4a685c60ee1e637e81602d52bebc56109a67d70e95c1f",
 }
 
 

@@ -418,8 +418,13 @@ def test_duplicate_edge_type_raises():
     (3, {0: {1: 1}, 1: {2: 0}, -1: {1: 2}}, {1}, {0}, {1: 1.0, 2: 1.0},
      "node -1 outside [0, 3)"),
     (2, {0: {1: 1}, 1: {2: 0}}, {1}, {0}, {1: 1.0}, "node 2 outside [0, 2)"),
+    # jobs routed to node 3 circle between nodes 3 and 5 for ever
+    (6, {0: {1: 1}, 1: {2: 2, 3: 3}, 2: {4: 0}, 3: {5: 4}, 5: {3: 5}}, {1}, {0},
+     {e: 4.0 for e in range(1, 6)},
+     "no directed path from node 3 (target of edge type 3) to any exit edge"),
 ], ids=["absent_entry_edge", "entry_and_exit", "dead_end_target", "mixed_successors",
-        "no_nodes", "source_outside_the_network", "target_outside_the_network"])
+        "no_nodes", "source_outside_the_network", "target_outside_the_network",
+        "cycle_without_exit"])
 def test_malformed_edge_roles_raise(num_nodes, edge_list, entry, exits, rates, message):
     cfg = TopologyConfig(num_nodes=num_nodes, edge_list=edge_list, entry_edges=entry,
                          exit_edges=exits, arrival_rate=0.5, service_rates=rates)

@@ -1,9 +1,10 @@
-"""The agent log1p-compresses states in three places only.
+"""The agent log1p-compresses states in two places only.
 
-DdpgAgent.select_action compresses the state it acts on, DdpgAgent.train
-each state the environment returns (the replay buffer stores the result),
-and DdpgAgent.plan the next states its predictor forecasts. Every other
-reader takes the stored rows as they are, so compressing one again would
+DdpgAgent.select_action compresses the state it acts on, and
+DdpgAgent.train each state the environment returns (the replay buffer
+stores the result). Those are the only places a raw environment state
+enters the agent. Every other reader, plan's next-state predictor among
+them, works on compressed rows as they are, so compressing one again would
 be a second, silent compression.
 """
 
@@ -12,8 +13,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "queuerl").glob("*.py"))
-ALLOWED = {("agent.py", "DdpgAgent.select_action"), ("agent.py", "DdpgAgent.train"),
-           ("agent.py", "DdpgAgent.plan")}
+ALLOWED = {("agent.py", "DdpgAgent.select_action"), ("agent.py", "DdpgAgent.train")}
 
 SCOPES = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 

@@ -126,9 +126,10 @@ def test_param_field_kinds_follow_annotations():
 
 
 def test_sampled_integer_fields_are_rounded():
-    space = SearchSpace({"seed": RangeSpec(0.0, 100.0), "batch_size": RangeSpec(2.0, 9.0)})
+    space = SearchSpace({"num_timesteps": RangeSpec(1.0, 100.0),
+                         "batch_size": RangeSpec(2.0, 9.0)})
     params = sample_params(space, tiny_base(), random.Random(0))
-    assert isinstance(params.seed, int) and isinstance(params.batch_size, int)
+    assert isinstance(params.num_timesteps, int) and isinstance(params.batch_size, int)
 
 
 # the CLI's exit-code cases cover a bad choice and a bad upper end
