@@ -10,8 +10,9 @@ states at its input boundary; the next-state predictor is trained in that
 compressed space, and plan feeds its clipped predictions to the critic.
 
 The networks compute in float32 (model.DTYPE). train compresses each state
-once, and the replay buffer holds the float32 rows (phi(s), a, r, phi(s'))
-the networks read; states, rewards and simulator routing stay float64.
+once, and the replay buffer holds each transition as one float32 row
+[phi(s), a, r, phi(s')] that begins with the critic's and predictors' input
+x = [phi(s), a]; states, rewards and simulator routing stay float64.
 """
 
 from __future__ import annotations
@@ -207,12 +208,13 @@ class DdpgAgent:
     # -- updates ----------------------------------------------------------------
 
     def update_critic_network(self, batch: Batch) -> float:
-        """One critic regression step towards r + discount * Q'(s') on phi rows."""
-        phi_s, a, r, phi_s2 = batch
+        """One critic regression step towards r + discount * Q'(s') on a
+        batch (x, r, phi(s')) as ReplayBuffer.columns splits it, where x is
+        the critic's input [phi(s), a]."""
+        x, r, phi_s2 = batch
         a2 = self.target_actor.forward(phi_s2)
         q2 = self.target_critic.forward(np.concatenate([phi_s2, a2], axis=1))[:, 0]
         y = r + float(self.params.discount) * q2
-        x = np.concatenate([phi_s, a], axis=1)
         return _regress(self.critic, self.critic_opt, x, y[:, None])
 
     def update_actor_network(self, phi_s: np.ndarray,
@@ -252,17 +254,14 @@ class DdpgAgent:
         """One fitting round of both predictors over the whole buffer."""
         if self.buffer.size == 0:
             raise EmptyBuffer("fit_model needs at least one experience")
-        phi_s, a, r, y_next = self.buffer.stored()
-        x = np.concatenate([phi_s, a], axis=1)
-        y_reward = r[:, None]
-
-        n = len(r)
+        stored = self.buffer.stored()
+        n = len(stored)
         bs = min(self.params.batch_size, n)
         ns_loss = reward_loss = 0.0
         for _ in range(self.params.num_epochs):
-            # one gather per epoch; each minibatch is then a contiguous slice
-            perm = self.rng.permutation(n)
-            x_ep, y_next_ep, y_reward_ep = x[perm], y_next[perm], y_reward[perm]
+            # one gather of the rows per epoch; each minibatch is then a slice
+            x_ep, r_ep, y_next_ep = self.buffer.columns(stored[self.rng.permutation(n)])
+            y_reward_ep = r_ep[:, None]
             ns_batch, r_batch = [], []
             for start in range(0, n, bs):
                 rows = slice(start, start + bs)
@@ -301,7 +300,7 @@ class DdpgAgent:
             x = np.concatenate([phi_s, actions], axis=1)
             rewards = self.reward_model.forward(x)[:, 0]
             phi_next = np.clip(self.next_state_model.forward(x), 0.0, _PHI_CLIP)
-            closs = self.update_critic_network((phi_s, actions, rewards, phi_next))
+            closs = self.update_critic_network((x, rewards, phi_next))
             aloss = self.update_actor_network(phi_s, actions=policy_actions)
             losses.append((closs, aloss))
         return losses
@@ -347,7 +346,7 @@ class DdpgAgent:
                 if self.buffer.size >= p.batch_size:
                     batch = self.buffer.sample(p.batch_size, self.rng)
                     critic_loss = self.update_critic_network(batch)
-                    actor_loss = self.update_actor_network(batch[0])
+                    actor_loss = self.update_actor_network(batch[0][:, : self.state_dim])
                     trace.critic_losses.append(critic_loss)
                     trace.actor_losses.append(actor_loss)
                     self.update_counter += 1

@@ -22,9 +22,8 @@ from .errors import ConfigError, QueueRlError
 from .evaluation import (
     NoiseConfig,
     check_burn_in_length,
+    check_smoothing,
     check_steps,
-    check_threshold,
-    check_window,
     convergence_train,
     detect_burn_in,
     evaluate_disruption,
@@ -117,8 +116,7 @@ def _run_evaluate(cfg: argparse.Namespace, env_config, params) -> int:
         raise ConfigError("--evaluator is required with --function evaluate")
 
     if cfg.evaluator == "startup":
-        check_window(cfg.window_size, cfg.consecutive_points)  # before training
-        check_threshold(cfg.threshold)
+        check_smoothing(cfg.window_size, cfg.threshold, cfg.consecutive_points)  # before training
         check_burn_in_length(params.num_timesteps, cfg.window_size, cfg.consecutive_points)
         agent = make_agent(env_config, params)
         trace = train_with_blockage_exploration(agent, env_config)

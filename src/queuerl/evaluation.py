@@ -47,15 +47,11 @@ def _trailing_ma(series: list[float], window: int) -> list[float]:
     return out
 
 
-def check_window(window_size: int, consecutive_points: int) -> None:
+def check_smoothing(window_size: int, threshold: float, consecutive_points: int) -> None:
     """The smoothing rule of detect_burn_in and convergence_train: both
-    widths must be at least 1."""
+    widths must be at least 1, then the threshold finite and >= 0."""
     if window_size < 1 or consecutive_points < 1:
         raise ConfigError("window_size and consecutive_points must be >= 1")
-
-
-def check_threshold(threshold: float) -> None:
-    """The threshold rule of detect_burn_in and convergence_train: finite, >= 0."""
     if not (math.isfinite(threshold) and threshold >= 0):
         raise ConfigError(f"threshold must be finite and >= 0, got {threshold}")
 
@@ -79,8 +75,7 @@ def detect_burn_in(
     original curve (the position of the first difference in the run, i.e.
     at least window_size - 1).
     """
-    check_window(window_size, consecutive_points)
-    check_threshold(threshold)
+    check_smoothing(window_size, threshold, consecutive_points)
     check_burn_in_length(len(rewards), window_size, consecutive_points)
     smoothed = _trailing_ma(rewards, window_size)[window_size - 1 :]
     derivative = [b - a for a, b in zip(smoothed, smoothed[1:])]
@@ -196,8 +191,7 @@ def convergence_train(
     series. The series (smoothed by a trailing moving average of width
     window_size) stops training at the first local maximum or plateau.
     """
-    check_window(window_size, consecutive_points)
-    check_threshold(threshold)
+    check_smoothing(window_size, threshold, consecutive_points)
     env = rollout_env(env_config, agent_params, agent_params.seed)
     agent = make_agent(env_config, agent_params)
 

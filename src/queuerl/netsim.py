@@ -8,7 +8,7 @@ weights per node, and a job leaving an edge samples its successor from them.
 
 set_routing installs each node's cumulative routing probabilities, the rows
 that simulate scans, from RoutingLayout.cumulative_rows; transition_map
-reads RoutingLayout.probabilities, and the reports one row of it from
+reads RoutingLayout.transition_map, and the reports one row of it from
 RoutingLayout.row_probabilities. All take each node's divisor from
 _row_totals, the one place the routing rule is written, in plain Python:
 set_routing takes about 3.9 us on the figure topology's 10 rows and
@@ -259,7 +259,7 @@ class RoutingLayout:
     ascending. next_edges[row] holds the positions of the row's edges to
     those successors, and target_row[i] the row of serviced edge i's target
     node (validate_config gives every such node an outgoing edge).
-    row_probabilities, probabilities and cumulative_rows take each row's
+    row_probabilities, transition_map and cumulative_rows take each row's
     divisor from _row_totals, the one place the routing rule is written.
     """
 
@@ -285,11 +285,6 @@ class RoutingLayout:
         self._uniform_rows = [list(accumulate([1.0 / len(p)] * (len(p) - 1))) + [math.inf]
                               if p else [] for p in self.next_edges]
 
-    def probabilities(self, weights: np.ndarray) -> list[list[float]]:
-        """Each row's row_probabilities, in row order."""
-        w = weights.tolist() + self._exit_weights
-        return [self._probability_row(w, row) for row in range(len(self.nodes))]
-
     def row_probabilities(self, weights: np.ndarray, row: int) -> list[float]:
         """One row's routing probabilities, one per successor, from weights
         (serviced edges,); 1.0 / the out-degree each where the row routes
@@ -306,7 +301,7 @@ class RoutingLayout:
     def cumulative_rows(self, weights: np.ndarray) -> list[list[float]]:
         """Each row's cumulative routing probabilities, in row order, from
         weights (serviced edges,), with math.inf in place of the last entry:
-        the partial sums of probabilities' rows, left to right, with the
+        the partial sums of each row's probabilities, left to right, with the
         division under math.inf skipped. Uniform rows are tables shared
         between calls and must not be written."""
         w = weights.tolist() + self._exit_weights
@@ -326,11 +321,11 @@ class RoutingLayout:
         return rows
 
     def transition_map(self, weights: np.ndarray) -> dict[int, dict[int, float]]:
-        """node -> {successor: probability} from weights (serviced edges,)."""
-        return {
-            node: dict(zip(succs, row))
-            for node, succs, row in zip(self.nodes, self.successors, self.probabilities(weights))
-        }
+        """node -> {successor: probability} from weights (serviced edges,),
+        each row's row_probabilities, built in row order."""
+        w = weights.tolist() + self._exit_weights
+        return {node: dict(zip(succs, self._probability_row(w, row)))
+                for row, (node, succs) in enumerate(zip(self.nodes, self.successors))}
 
 
 class QueueNetwork:
@@ -439,7 +434,7 @@ class QueueNetwork:
     @property
     def transition_map(self) -> dict[int, dict[int, float]]:
         """node -> {successor: probability} under the installed routing, as
-        a fresh dict on each read; RoutingLayout.probabilities computes it
+        a fresh dict on each read; RoutingLayout.transition_map computes it
         from the installed copy of the weights."""
         return self.routing_layout.transition_map(self._weights)
 

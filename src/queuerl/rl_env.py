@@ -47,8 +47,6 @@ class RlEnv:
             raise ConfigError("events_per_step must be >= 1")
         self.config = config
         self.events_per_step = events_per_step
-        self.reward_skip = reward_skip
-        self.interarrival_noise = interarrival_noise
         self.net = QueueNetwork(config, seed, interarrival_noise, reward_skip)
         self.serviced_edges = self.net.serviced_edge_types
 
@@ -61,8 +59,9 @@ class RlEnv:
         return len(self.serviced_edges)
 
     def reset(self, seed: int) -> np.ndarray:
-        """Rebuild the network from its config; returns the all-zero state."""
-        self.net = QueueNetwork(self.config, seed, self.interarrival_noise, self.reward_skip)
+        """Rebuild the network from its config, noise hook and reward skip;
+        returns the all-zero state."""
+        self.net = QueueNetwork(self.config, seed, self.net.interarrival_noise, self.net.skip)
         return self.get_state()
 
     def get_state(self) -> np.ndarray:

@@ -54,15 +54,21 @@ def random_transition(rng, ds=4, da=4):
 
 
 def stack(transitions):
-    """Raw transitions as the float32 rows (phi(s), a, r, phi(s2)) that the
-    replay buffer stores and the agent's updates take."""
+    """Raw transitions as the float32 batch (x = [phi(s), a], r, phi(s2))
+    that ReplayBuffer.columns splits stored rows into and the critic
+    update takes."""
     s, a, r, s2 = zip(*transitions)
-    return (DdpgAgent._phi(np.stack(s)), np.stack(a).astype(np.float32),
-            np.array(r, dtype=np.float32), DdpgAgent._phi(np.stack(s2)))
+    x = np.concatenate([DdpgAgent._phi(np.stack(s)), np.stack(a).astype(np.float32)], axis=1)
+    return x, np.array(r, dtype=np.float32), DdpgAgent._phi(np.stack(s2))
 
 
 def random_batch(rng, n):
     return stack([random_transition(rng) for _ in range(n)])
+
+
+def batch_states(batch, state_dim=4):
+    """The phi(s) rows of a batch: the first state_dim columns of its x."""
+    return batch[0][:, :state_dim]
 
 
 def network_params_snapshot(agent):
@@ -146,7 +152,8 @@ def test_explore_action_clamps_to_unit_interval():
     assert np.all((weights >= 0.0) & (weights <= 1.0))
     at_bounds = np.mean((weights == 0.0) | (weights == 1.0))
     assert at_bounds > 0.8  # sigma 10 noise saturates the clamp
-    assert agent.buffer.stored()[1].tobytes() == weights.astype(np.float32).tobytes()
+    x = agent.buffer.columns(agent.buffer.stored())[0]
+    assert x[:, agent.state_dim :].tobytes() == weights.astype(np.float32).tobytes()
 
 
 # -- critic update ---------------------------------------------------------------
@@ -156,8 +163,8 @@ def test_critic_loss_hand_computed_with_zero_discount():
     agent = make_agent(discount=0.0)
     rng = np.random.default_rng(1)
     batch = random_batch(rng, 2)
-    phi_s, a, r, _ = batch
-    q = agent.critic.forward(np.concatenate([phi_s, a], axis=1))[:, 0]
+    x, r, _ = batch
+    q = agent.critic.forward(x)[:, 0]
     expected = float(np.mean((q - r) ** 2))  # in float32, as the update
     assert agent.update_critic_network(batch) == pytest.approx(expected, rel=1e-12)
 
@@ -203,7 +210,7 @@ def test_actor_update_increases_actions_under_sum_critic():
     agent = make_agent(learning_rate=1e-2)
     agent.critic = linear_probe_critic(4, 4)
     rng = np.random.default_rng(4)
-    phi_s = random_batch(rng, 4)[0]
+    phi_s = batch_states(random_batch(rng, 4))
     before = agent.actor.forward(phi_s).mean()
     agent.update_actor_network(phi_s)
     after = agent.actor.forward(phi_s).mean()
@@ -213,7 +220,7 @@ def test_actor_update_increases_actions_under_sum_critic():
 def test_actor_loss_is_negative_q_for_single_sample():
     agent = make_agent()
     rng = np.random.default_rng(5)
-    phi = random_batch(rng, 1)[0]
+    phi = batch_states(random_batch(rng, 1))
     a = agent.actor.forward(phi)
     q = float(agent.critic.forward(np.concatenate([phi, a], axis=1))[0, 0])
     assert agent.update_actor_network(phi) == pytest.approx(-q, rel=1e-12)
@@ -226,7 +233,7 @@ def test_actor_update_leaves_critic_untouched():
     agent.update_critic_network(batch)  # leaves gradients in the critic
     before, grads = agent.critic.params.copy(), agent.critic.grads.copy()
     assert grads.any()
-    agent.update_actor_network(batch[0])
+    agent.update_actor_network(batch_states(batch))
     assert np.array_equal(before, agent.critic.params)
     assert np.array_equal(grads, agent.critic.grads)
 
@@ -246,7 +253,7 @@ def test_soft_update_full_copy_with_tau_one():
     agent = make_agent(tau=1.0)
     rng = np.random.default_rng(8)
     agent.update_critic_network(random_batch(rng, 4))
-    agent.update_actor_network(random_batch(rng, 4)[0])
+    agent.update_actor_network(batch_states(random_batch(rng, 4)))
     agent.soft_update_targets()
     assert np.array_equal(agent.critic.params, agent.target_critic.params)
     assert np.array_equal(agent.actor.params, agent.target_actor.params)
@@ -296,7 +303,7 @@ def test_saturated_actor_update_stays_finite():
     agent = make_agent()
     agent.actor.weights[-1][...] = 0.0
     agent.actor.biases[-1][...] = [1e4, -1e4, 1e4, -1e4]
-    phi_s = random_batch(np.random.default_rng(19), 4)[0]
+    phi_s = batch_states(random_batch(np.random.default_rng(19), 4))
     actions = agent.actor.forward(phi_s)
     assert np.all((actions > 0.0) & (actions < 1.0))
     assert math.isfinite(agent.update_actor_network(phi_s, actions=actions))
@@ -306,8 +313,7 @@ def test_saturated_actor_update_stays_finite():
 def reference_fit_model(agent):
     """fit_model with a fancy-index gather per minibatch and np.mean losses,
     on the stored float32 rows."""
-    phi_s, a, r, y_next = agent.buffer.stored()
-    x = np.concatenate([phi_s, a], axis=1)
+    x, r, y_next = agent.buffer.columns(agent.buffer.stored())
     y_reward = r[:, None]
     n = len(r)
     bs = min(agent.params.batch_size, n)
@@ -326,6 +332,29 @@ def reference_fit_model(agent):
             agent.reward_model.backward((2.0 / err_r.size) * err_r)
             agent.reward_opt.step()
     return sum(ns_batch) / len(ns_batch), sum(r_batch) / len(r_batch)
+
+
+@pytest.mark.parametrize("state_dim", [11, 40])
+def test_updates_on_column_views_match_contiguous_copies(state_dim, monkeypatch):
+    # the buffer hands the networks strided column views of its rows; on
+    # matmuls of a full buffer's size (256 rows, inputs up to 80 wide) the
+    # results must not depend on the row stride
+    agent = DdpgAgent(state_dim, state_dim, AgentParams(seed=3, buffer_capacity=256))
+    rng = np.random.default_rng(20)
+    for _ in range(256):
+        agent.buffer.push(*random_transition(rng, state_dim, state_dim))
+    copied = copy.deepcopy(agent)
+    columns = copied.buffer.columns
+    monkeypatch.setattr(copied.buffer, "columns",
+                        lambda rows: tuple(map(np.ascontiguousarray, columns(rows))))
+    views = agent.buffer.columns(agent.buffer.stored())
+    assert not any(part.flags.c_contiguous for part in views)
+    got = [agent.update_critic_network(views), agent.fit_model()]
+    want = [copied.update_critic_network(copied.buffer.columns(copied.buffer.stored())),
+            copied.fit_model()]
+    assert got == want
+    ours, theirs = network_params_snapshot(agent), network_params_snapshot(copied)
+    assert all(ours[name].tobytes() == theirs[name].tobytes() for name in ours)
 
 
 @pytest.mark.parametrize("num_epochs", [1, 3])
@@ -399,7 +428,7 @@ def reference_plan(agent):
         x = np.concatenate([phi_s, actions], axis=1)
         rewards = agent.reward_model.forward(x)[:, 0]
         phi_next = np.clip(agent.next_state_model.forward(x), 0.0, agent_module._PHI_CLIP)
-        closs = agent.update_critic_network((phi_s, actions, rewards, phi_next))
+        closs = agent.update_critic_network((x, rewards, phi_next))
         losses.append((closs, agent.update_actor_network(phi_s)))
     return losses
 
@@ -416,8 +445,7 @@ def test_plan_matches_reference_loop(epsilon):
     # back differs; the fourth column lies above the clip
     clip = agent_module._PHI_CLIP
     agent.next_state_model.biases[-1][:] += [0.5, 0.5, 0.5, 2 * clip]
-    phi_s, actions = agent.buffer.stored()[:2]
-    pred = agent.next_state_model.forward(np.concatenate([phi_s, actions], axis=1))
+    pred = agent.next_state_model.forward(agent.buffer.columns(agent.buffer.stored())[0])
     inside, above = pred[:, :3], pred[:, 3]
     assert (inside > 0).all() and (inside < clip).all() and (above > clip).all()
     assert not np.array_equal(np.log1p(np.expm1(inside)), inside)
@@ -433,7 +461,7 @@ def test_plan_matches_reference_loop(epsilon):
 def test_actor_update_rejects_actions_not_from_the_last_forward():
     agent = make_agent()
     batch = random_batch(np.random.default_rng(18), 4)
-    phi_s = batch[0]
+    phi_s = batch_states(batch)
     actions = agent.actor.forward(phi_s)
     before = network_params_snapshot(agent)
     with pytest.raises(RuntimeError, match="last forward"):
@@ -452,14 +480,15 @@ def test_plan_with_fitted_models_moves_like_real_updates():
                        batch_size=1, num_samples=4)
     s = np.array([1.0, 2.0, 3.0, 4.0])
     batch = stack([(s, agent.select_action(s), -2.0, s * 1.5)] * 4)
-    agent.buffer.push(*(rows[0] for rows in batch))
+    x, r, phi_s2 = batch
+    agent.buffer.push(x[0, :4], x[0, 4:], r[0], phi_s2[0])
     for _ in range(20):
         agent.fit_model()
 
     real = copy.deepcopy(agent)
     dreamed = copy.deepcopy(agent)
     real.update_critic_network(batch)
-    real.update_actor_network(batch[0])
+    real.update_actor_network(batch_states(batch))
     dreamed.plan()
 
     def delta(after, before, net):
@@ -589,8 +618,9 @@ def test_buffer_rows_are_phi_of_the_environment_states():
     trace = agent.train(env)
     assert len(trace.step_losses) == 9
     stored = agent.buffer.stored()
-    assert [rows.dtype for rows in stored] == [np.float32] * 4
-    phi_s, a, r, phi_s2 = stored
+    assert stored.dtype == np.float32
+    x, r, phi_s2 = agent.buffer.columns(stored)
+    phi_s, a = x[:, : agent.state_dim], x[:, agent.state_dim :]
     s = np.stack([state for states in env.episodes for state in states[:-1]])
     s2 = np.stack([state for states in env.episodes for state in states[1:]])
     assert phi_s.tobytes() == DdpgAgent._phi(s).tobytes()
@@ -641,7 +671,7 @@ def test_losses_stay_finite_under_fuzzing():
     for i in range(1000):
         batch = agent.buffer.sample(8, agent.rng)
         closs = agent.update_critic_network(batch)
-        aloss = agent.update_actor_network(batch[0])
+        aloss = agent.update_actor_network(batch_states(batch))
         assert np.isfinite(closs) and np.isfinite(aloss)
         if i % 10 == 0:
             agent.soft_update_targets()
@@ -702,7 +732,7 @@ def test_checkpoint_roundtrip(tmp_path):
         agent.buffer.push(*random_transition(rng))
     batch = agent.buffer.sample(4, agent.rng)
     agent.update_critic_network(batch)
-    agent.update_actor_network(batch[0])
+    agent.update_actor_network(batch_states(batch))
     agent.soft_update_targets()
 
     path = tmp_path / "agent.agent"

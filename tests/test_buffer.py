@@ -17,10 +17,10 @@ def test_fifo_eviction_exhaustive_small_instances():
             for tag in range(total):
                 push_tagged(buf, tag)
             assert buf.size == capacity
-            s, a, r, s2 = buf.stored()
+            x, r, s2 = buf.columns(buf.stored())
             assert sorted(r) == list(range(extra, total))
-            assert np.array_equal(s[:, 0], r) and np.array_equal(s2[:, 0], r + 1.0)
-            assert np.all(a == 0.5)
+            assert np.array_equal(x[:, 0], r) and np.array_equal(s2[:, 0], r + 1.0)
+            assert np.all(x[:, 1] == 0.5)
 
 
 def test_sample_exact_size_and_uniqueness():
@@ -28,23 +28,24 @@ def test_sample_exact_size_and_uniqueness():
     for tag in range(10):
         push_tagged(buf, tag)
     rng = np.random.default_rng(0)
-    s, a, r, s2 = buf.sample(6, rng)
-    assert s.shape == s2.shape == a.shape == (6, 1) and r.shape == (6,)
+    x, r, s2 = buf.sample(6, rng)
+    assert x.shape == (6, 2) and s2.shape == (6, 1) and r.shape == (6,)
     assert len(set(r)) == 6  # without replacement
-    assert np.array_equal(s[:, 0], r) and np.array_equal(s2[:, 0], r + 1.0)
+    assert np.array_equal(x[:, 0], r) and np.array_equal(s2[:, 0], r + 1.0)
 
 
 def test_sampled_rows_are_the_rngs_indices_in_storage_order():
     buf = ReplayBuffer(5, 1, 1)
     for tag in range(8):  # wraps: storage order is 5, 6, 7, 3, 4
         push_tagged(buf, tag)
-    assert list(buf.stored()[2]) == [5.0, 6.0, 7.0, 3.0, 4.0]
-    _, _, r, _ = buf.sample(3, np.random.default_rng(1))
+    x, r, _ = buf.columns(buf.stored())
+    assert list(r) == [5.0, 6.0, 7.0, 3.0, 4.0]
+    _, sampled, _ = buf.sample(3, np.random.default_rng(1))
     idx = np.random.default_rng(1).choice(5, size=3, replace=False)
-    assert np.array_equal(r, buf.stored()[2][idx])
+    assert np.array_equal(sampled, r[idx])
     states = buf.sample_states(4, np.random.default_rng(2))
     idx = np.random.default_rng(2).integers(0, 5, size=4)
-    assert np.array_equal(states, buf.stored()[0][idx])
+    assert np.array_equal(states, x[idx, :1])
 
 
 def test_sample_undersized_raises():
@@ -80,3 +81,26 @@ def test_experience_dimension_check():
 def test_capacity_validation():
     with pytest.raises(ValueError):
         ReplayBuffer(0, 1, 1)
+
+
+def test_pushed_row_is_the_float32_transition():
+    buf = ReplayBuffer(4, 3, 2)
+    state, action, next_state = [0.1, 2.0, 1e-9], [0.3, 0.7], [4.5, 1 / 3, 0.0]
+    buf.push(np.array(state), np.array(action), -1 / 7, np.array(next_state))
+    (row,) = buf.stored()
+    assert row.tobytes() == np.array([*state, *action, -1 / 7, *next_state],
+                                     dtype=np.float32).tobytes()
+
+
+def test_columns_are_views_of_the_given_rows():
+    buf = ReplayBuffer(8, 2, 3)
+    for tag in range(6):
+        buf.push(np.full(2, tag), np.full(3, 0.5), float(tag), np.full(2, tag + 1.0))
+    rows = buf.stored()
+    x, r, s2 = buf.columns(rows)
+    assert x.shape == (6, 5) and r.shape == (6,) and s2.shape == (6, 2)
+    assert all(np.shares_memory(part, rows) for part in (x, r, s2))
+    # sample gathers once and splits that gather
+    x, r, s2 = buf.sample(4, np.random.default_rng(0))
+    assert x.base is r.base is s2.base and x.base.shape == (4, 8)
+    assert not np.shares_memory(x.base, rows)

@@ -322,7 +322,7 @@ def _hex_map(tmap):
 
 
 def test_routing_normalisation_matches_scalar_loop():
-    # the cumulative rows, the probabilities and the transition maps give
+    # the cumulative rows and the transition maps give
     # the reference loop's floats bit for bit, and its errors; set_routing
     # installs the same rows, and an error leaves the installed routing in
     # place
@@ -343,8 +343,7 @@ def _check_routing_normalisation(cfg):
             try:
                 ref.set_routing(weights)
             except ConfigError as exc:
-                for build in (layout.cumulative_rows, layout.probabilities, layout.transition_map,
-                              net.set_routing):
+                for build in (layout.cumulative_rows, layout.transition_map, net.set_routing):
                     with pytest.raises(ConfigError, match=re.escape(str(exc))):
                         build(w)
                 assert net._cumulative is installed
