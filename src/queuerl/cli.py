@@ -4,6 +4,9 @@
             --param_file user_config/eval_hyperparams.yml \
             --data_file output_csv --image_file output_plots \
             --plot_curves True --save_file True
+
+Each command imports its own report writers when it runs, before anything
+trains, and tune imports the tuner; importing this module loads neither.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from datetime import datetime
 from pathlib import Path
 from typing import Optional
 
-from . import reporting
 from .agent import DdpgAgent, load_agent, make_agent, save_agent
 from .config import parse_hyperparams, parse_network_config
 from .errors import ConfigError, QueueRlError
@@ -31,7 +33,6 @@ from .evaluation import (
     robustness_evaluate,
 )
 from .exploration import StateTracker, train_with_blockage_exploration
-from .tuning import random_search
 
 EVALUATORS = ("startup", "convergence", "noise", "disruption", "robustness")
 
@@ -86,6 +87,8 @@ def _get_agent(cfg: argparse.Namespace, env_config, params) -> DdpgAgent:
 
 
 def _run_train(cfg: argparse.Namespace, env_config, params) -> int:
+    from . import reporting
+
     if cfg.node is not None:
         env_config.check_routed(cfg.node)  # before training
     agent = make_agent(env_config, params)
@@ -106,6 +109,9 @@ def _run_train(cfg: argparse.Namespace, env_config, params) -> int:
 def _run_tune(cfg: argparse.Namespace, env_config, params, space) -> int:
     if space is None:
         raise ConfigError("tune needs at least one range or choice entry in the param file")
+    from . import reporting
+    from .tuning import random_search
+
     results = random_search(space, env_config, params, seed=params.seed)
     reporting.write_tuning(results, cfg.data_file)
     return 0
@@ -114,6 +120,7 @@ def _run_tune(cfg: argparse.Namespace, env_config, params, space) -> int:
 def _run_evaluate(cfg: argparse.Namespace, env_config, params) -> int:
     if cfg.evaluator is None:
         raise ConfigError("--evaluator is required with --function evaluate")
+    from . import reporting
 
     if cfg.evaluator == "startup":
         check_smoothing(cfg.window_size, cfg.threshold, cfg.consecutive_points)  # before training

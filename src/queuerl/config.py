@@ -4,19 +4,24 @@ Network files carry num_nodes, an edge table, entry/exit edge sets, the
 arrival rate, and per-edge-type service rates. Hyperparameter files hold
 scalar AgentParams overrides; a field given as {low, high, scale} or
 {choices: [...]} contributes to a tuner SearchSpace instead.
+
+PyYAML is imported at the first file read or written, and the tuner's
+search-space types when parse_hyperparams first runs, not with this module:
+a process that only rolls out a policy loads neither.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import fields
-
-import yaml
+from typing import TYPE_CHECKING
 
 from .agent import INT_PARAM_FIELDS, AgentParams
 from .errors import ConfigError, ParseError
 from .netsim import TopologyConfig, validate_config
-from .tuning import ChoiceSpec, RangeSpec, SearchSpace
+
+if TYPE_CHECKING:
+    from .tuning import SearchSpace
 
 # accepted aliases for AgentParams fields
 _ALIASES = {
@@ -25,9 +30,17 @@ _ALIASES = {
     "num_time_steps": "num_timesteps",
 }
 _INT_KEYS = INT_PARAM_FIELDS | {"trials"}
-# libyaml's parser where PyYAML was built with it: the same documents, read
-# about six times faster (3.6 against 0.6 ms for the figure topology file)
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+@functools.cache
+def _yaml_loader() -> type:
+    """The safe loader that _load_yaml builds on, chosen at the first read,
+    which imports PyYAML: libyaml's parser where PyYAML was built with it,
+    the same documents read about six times faster (3.6 against 0.6 ms for
+    the figure topology file)."""
+    import yaml
+
+    return getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _construct_unique_map(loader, node):
@@ -48,7 +61,9 @@ def _construct_unique_map(loader, node):
         except TypeError:  # unhashable: construct_yaml_map raises its own error
             continue
         if repeated:
-            raise yaml.constructor.ConstructorError(
+            from yaml.constructor import ConstructorError
+
+            raise ConstructorError(
                 "while constructing a mapping", node.start_mark,
                 f"found duplicate key {key!r}", key_node.start_mark)
         seen.add(key)
@@ -93,9 +108,11 @@ def _load_yaml(path: str):
     or cannot be read, bytes that are not YAML in a Unicode encoding (PyYAML
     reads the stream as bytes and detects which), or a key written twice in
     one mapping, raise ParseError."""
+    import yaml
+
     try:
         with open(path, "rb") as fh:
-            return yaml.load(fh, Loader=_unique_key_loader(_YAML_LOADER))
+            return yaml.load(fh, Loader=_unique_key_loader(_yaml_loader()))
     except FileNotFoundError as exc:
         raise ParseError(f"file not found: {path}") from exc
     except OSError as exc:
@@ -166,6 +183,8 @@ def network_config_to_dict(config: TopologyConfig) -> dict:
 
 
 def write_network_config(config: TopologyConfig, path: str) -> None:
+    import yaml
+
     with open(path, "w") as fh:
         yaml.safe_dump(network_config_to_dict(config), fh, sort_keys=False)
 
@@ -179,6 +198,8 @@ def parse_hyperparams(path: str) -> tuple[AgentParams, SearchSpace | None]:
     'trials' and 'objective' keys build a SearchSpace, which is None when no
     range or choice is given (trials and objective are checked either way).
     Missing fields keep their defaults."""
+    from .tuning import ChoiceSpec, RangeSpec, SearchSpace
+
     doc = _load_yaml(path)
     if doc is None:
         doc = {}

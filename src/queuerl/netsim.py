@@ -440,7 +440,9 @@ class QueueNetwork:
 
     def simulate(self, num_events: int) -> None:
         """Process num_events calendar events in time order, as the module
-        docstring describes."""
+        docstring describes. The clock must stay finite: a call that ends
+        with it at inf, the sum of times too long for a float, raises
+        ConfigError, and the network should then be discarded."""
         if num_events < 1:
             raise ValueError("num_events must be >= 1")
         keys, codes = self._keys, self._codes
@@ -516,6 +518,10 @@ class QueueNetwork:
         finally:
             self.clock = clock
             self.events += processed
+        if not math.isfinite(clock):
+            raise ConfigError(
+                f"the simulation clock overflowed to {clock} after {self.events} events: "
+                "interarrival gaps and service times must add up to a finite time")
 
     def _schedule(self, time: float, code: int) -> None:
         """Put an event on the calendar behind every entry at or before its

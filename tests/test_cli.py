@@ -172,7 +172,7 @@ def test_network_config_round_trip(tmp_path):
 
 @pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
 def test_c_and_python_yaml_loaders_read_alike(tmp_path, monkeypatch):
-    assert config_module._YAML_LOADER is yaml.CSafeLoader
+    assert config_module._yaml_loader() is yaml.CSafeLoader
     cases = []
     for i, cfg in enumerate((figure_topology(), mm1_topology(0.5, 1.0),
                              feed_forward_topology(40))):
@@ -193,7 +193,7 @@ def test_c_and_python_yaml_loaders_read_alike(tmp_path, monkeypatch):
               (parse_network_config, malformed), (parse_hyperparams, malformed)]
 
     def read(parse, path, loader):
-        monkeypatch.setattr(config_module, "_YAML_LOADER", loader)
+        monkeypatch.setattr(config_module, "_yaml_loader", lambda: loader)
         try:
             return parse(str(path))
         except QueueRlError as exc:
@@ -693,6 +693,22 @@ def test_malformed_numeric_input_exit_codes(tmp_path, capsys, monkeypatch, netwo
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("network, cli_args", [
+    ({"arrival_rate": 3e-307}, TRAIN),
+    ({}, EVALUATE + ("noise", "--noise_mean", "1e308")),
+], ids=["tiny_arrival_rate_sum", "huge_noise_mean"])
+def test_clock_overflow_exit_codes(tmp_path, capsys, network, cli_args):
+    # each draw is finite, so the inputs pass every check before training;
+    # the run stops where their sum leaves float range, and says so
+    net = write_chain_config(tmp_path / "net.yml", **network)
+    par = write_params(tmp_path / "params.yml", num_episodes=1)
+    assert run_cli(*cli_args, "--config_file", str(net), "--param_file", str(par),
+                   "--data_file", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (ConfigError): the simulation clock overflowed to inf")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("cli_args, message", [
     (("--data_file", "taken"), "--data_file taken"),
     (("--data_file", "taken/sub"), "--data_file taken/sub"),
@@ -908,3 +924,55 @@ def test_importing_the_cli_loads_no_process_pool():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": path}, timeout=60)
     assert out.stdout.strip() == "[]"
+
+
+def fresh_python(*args, check=True) -> subprocess.CompletedProcess:
+    """Run python with args in a new interpreter that imports this checkout's
+    queuerl, so nothing a test module imported is loaded there."""
+    src = Path(config_module.__file__).parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          check=check, env={**os.environ, "PYTHONPATH": path}, timeout=60)
+
+
+def test_importing_the_package_loads_no_command_dependencies():
+    # PyYAML, the report writers and the tuner load where a command uses them,
+    # so a process that only rolls out a policy starts without them
+    out = fresh_python("-c", "import sys, queuerl, queuerl.cli, queuerl.config, "
+                       "queuerl.evaluation; print(sorted({'yaml', 'csv', 'queuerl.reporting', "
+                       "'queuerl.tuning'} & set(sys.modules)))")
+    assert out.stdout.strip() == "[]"
+
+
+def test_train_and_tune_run_in_a_fresh_interpreter(tmp_path):
+    # as in a user's process, and unlike this module's, nothing that the
+    # commands import for themselves is loaded before they run
+    net = write_chain_config(tmp_path / "net.yml")
+    par = write_params(tmp_path / "params.yml", num_episodes=1, num_timesteps=3)
+    data, plots = tmp_path / "csv", tmp_path / "plots"
+    fresh_python("-m", "queuerl.cli", "--function", "train", "--config_file", str(net),
+                 "--param_file", str(par), "--data_file", str(data), "--image_file", str(plots),
+                 "--plot_curves", "True", "--save_file", "True", "--run_name", "fresh")
+    assert len(read_csv(data / "reward.csv")) - 1 == 3
+    assert (data / "fresh.agent").is_file() and (plots / "plot_reward.csv").is_file()
+    par = write_params(tmp_path / "tune.yml", num_episodes=1, num_timesteps=3,
+                       tau={"low": 0.01, "high": 0.2}, trials=1)
+    fresh_python("-m", "queuerl.cli", "--function", "tune", "--config_file", str(net),
+                 "--param_file", str(par), "--data_file", str(tmp_path / "tune"))
+    assert len(read_csv(tmp_path / "tune" / "tuning_results.csv")) - 1 == 1
+
+
+@pytest.mark.parametrize("text", [
+    yaml.safe_dump({**chain_doc(), Again("num_nodes"): 4}),
+    "num_nodes: [1, 2\nedges: {source: 0\n",
+], ids=["key_twice", "malformed"])
+def test_unreadable_network_file_exits_3_in_a_fresh_interpreter(tmp_path, text):
+    net = tmp_path / "net.yml"
+    net.write_text(text)
+    par = write_params(tmp_path / "params.yml")
+    out = fresh_python("-m", "queuerl.cli", "--function", "train", "--config_file", str(net),
+                       "--param_file", str(par), "--data_file", str(tmp_path / "out"),
+                       check=False)
+    assert out.returncode == 3
+    assert out.stderr.startswith("error (ParseError)") and out.stderr.count("error (") == 1
+    assert "Traceback" not in out.stderr

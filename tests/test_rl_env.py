@@ -304,6 +304,20 @@ def test_reset_with_new_seed_changes_trajectory():
     assert not np.array_equal(state_a, state_b)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_clock_overflow_raises_before_a_non_finite_state(seed):
+    # every single draw at this rate is finite, so validate_config passes it,
+    # but a few hundred of them add up beyond float range
+    env = RlEnv(figure_topology(arrival_rate=3e-307), seed=seed, events_per_step=100)
+    action = np.random.default_rng(seed).uniform(0, 1, env.action_dim)
+    with pytest.raises(ConfigError, match="clock"):
+        for _ in range(30):
+            state = env.get_next_state(action)
+            assert np.isfinite(state).all()
+            assert math.isfinite(env.get_reward())
+    assert env.net.clock == math.inf
+
+
 def test_memory_stays_flat_over_a_long_skipped_reward_run():
     # the simulator keeps aggregates, not a per-job log, so a long run with a
     # reward window holds a bounded number of objects once queues settle
