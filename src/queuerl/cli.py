@@ -5,7 +5,7 @@
             --data_file output_csv --image_file output_plots \
             --plot_curves True --save_file True
 
-Each command imports its own report writers when it runs, before anything
+run imports the report writers after reading the two files, before anything
 trains, and tune imports the tuner; importing this module loads neither.
 """
 
@@ -86,9 +86,7 @@ def _get_agent(cfg: argparse.Namespace, env_config, params) -> DdpgAgent:
     return agent
 
 
-def _run_train(cfg: argparse.Namespace, env_config, params) -> int:
-    from . import reporting
-
+def _run_train(cfg: argparse.Namespace, env_config, params, reporting) -> int:
     if cfg.node is not None:
         env_config.check_routed(cfg.node)  # before training
     agent = make_agent(env_config, params)
@@ -106,10 +104,9 @@ def _run_train(cfg: argparse.Namespace, env_config, params) -> int:
     return 0
 
 
-def _run_tune(cfg: argparse.Namespace, env_config, params, space) -> int:
+def _run_tune(cfg: argparse.Namespace, env_config, params, space, reporting) -> int:
     if space is None:
         raise ConfigError("tune needs at least one range or choice entry in the param file")
-    from . import reporting
     from .tuning import random_search
 
     results = random_search(space, env_config, params, seed=params.seed)
@@ -117,10 +114,9 @@ def _run_tune(cfg: argparse.Namespace, env_config, params, space) -> int:
     return 0
 
 
-def _run_evaluate(cfg: argparse.Namespace, env_config, params) -> int:
+def _run_evaluate(cfg: argparse.Namespace, env_config, params, reporting) -> int:
     if cfg.evaluator is None:
         raise ConfigError("--evaluator is required with --function evaluate")
-    from . import reporting
 
     if cfg.evaluator == "startup":
         check_smoothing(cfg.window_size, cfg.threshold, cfg.consecutive_points)  # before training
@@ -189,11 +185,13 @@ def run(cfg: argparse.Namespace) -> int:
     _check_outputs(cfg)
     env_config = parse_network_config(cfg.config_file)
     params, space = parse_hyperparams(cfg.param_file)
+    from . import reporting  # the report writers, which every command uses
+
     if cfg.function == "train":
-        return _run_train(cfg, env_config, params)
+        return _run_train(cfg, env_config, params, reporting)
     if cfg.function == "tune":
-        return _run_tune(cfg, env_config, params, space)
-    return _run_evaluate(cfg, env_config, params)
+        return _run_tune(cfg, env_config, params, space, reporting)
+    return _run_evaluate(cfg, env_config, params, reporting)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

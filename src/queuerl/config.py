@@ -5,9 +5,9 @@ arrival rate, and per-edge-type service rates. Hyperparameter files hold
 scalar AgentParams overrides; a field given as {low, high, scale} or
 {choices: [...]} contributes to a tuner SearchSpace instead.
 
-PyYAML is imported at the first file read or written, and the tuner's
-search-space types when parse_hyperparams first runs, not with this module:
-a process that only rolls out a policy loads neither.
+PyYAML is imported where a file is read or written, and the tuner's
+search-space types in parse_hyperparams, not with this module, so a process
+that imports it but reads no file, such as `queuerl --help`, loads neither.
 """
 
 from __future__ import annotations
@@ -32,12 +32,10 @@ _ALIASES = {
 _INT_KEYS = INT_PARAM_FIELDS | {"trials"}
 
 
-@functools.cache
 def _yaml_loader() -> type:
-    """The safe loader that _load_yaml builds on, chosen at the first read,
-    which imports PyYAML: libyaml's parser where PyYAML was built with it,
-    the same documents read about six times faster (3.6 against 0.6 ms for
-    the figure topology file)."""
+    """The safe loader that _load_yaml builds on: libyaml's parser where
+    PyYAML was built with it, the same documents read about six times faster
+    (3.6 against 0.6 ms for the figure topology file)."""
     import yaml
 
     return getattr(yaml, "CSafeLoader", yaml.SafeLoader)

@@ -440,8 +440,8 @@ class QueueNetwork:
 
     def simulate(self, num_events: int) -> None:
         """Process num_events calendar events in time order, as the module
-        docstring describes. The clock must stay finite: a call that ends
-        with it at inf, the sum of times too long for a float, raises
+        docstring describes. Simulated times must stay within float range:
+        a call that ends with 2 * clock * events not finite raises
         ConfigError, and the network should then be discarded."""
         if num_events < 1:
             raise ValueError("num_events must be >= 1")
@@ -518,10 +518,14 @@ class QueueNetwork:
         finally:
             self.clock = clock
             self.events += processed
-        if not math.isfinite(clock):
+        # an edge has had at most events arrivals, each delay is at most the
+        # clock, so every sum mean_delays and counted_means form is at most
+        # about clock * events: the headroom keeps state and reward finite
+        if not math.isfinite(2.0 * clock * self.events):
             raise ConfigError(
-                f"the simulation clock overflowed to {clock} after {self.events} events: "
-                "interarrival gaps and service times must add up to a finite time")
+                f"simulated time overflowed float range after {self.events} events (clock "
+                f"{clock}): interarrival gaps and service times must add up to a time whose "
+                "delay sums stay finite")
 
     def _schedule(self, time: float, code: int) -> None:
         """Put an event on the calendar behind every entry at or before its

@@ -11,6 +11,7 @@ steps and resets.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -77,7 +78,14 @@ class RlEnv:
         """The reward over the whole run so far. An edge's serviced delay is
         the mean over its exited traversals at arrival index reward_skip or
         above, so each edge's first reward_skip jobs are left out, and edges
-        with no such traversal are left out of the delay average."""
+        with no such traversal are left out of the delay average. The delay
+        average, divided by a throughput ratio down to R_FLOOR, can overflow
+        where the delays do not; that raises ConfigError."""
         net = self.net
-        return reward(sum(net.arrivals_total.values()), sum(net.exits_total.values()),
-                      net.counted_means())
+        value = reward(sum(net.arrivals_total.values()), sum(net.exits_total.values()),
+                       net.counted_means())
+        if not math.isfinite(value):
+            raise ConfigError(
+                f"the reward overflowed float range after {net.events} events (clock "
+                f"{net.clock}): interarrival gaps and service times must add up to a shorter time")
+        return value

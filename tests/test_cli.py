@@ -695,17 +695,19 @@ def test_malformed_numeric_input_exit_codes(tmp_path, capsys, monkeypatch, netwo
 
 @pytest.mark.parametrize("network, cli_args", [
     ({"arrival_rate": 3e-307}, TRAIN),
+    ({"arrival_rate": 3e-307, "service_rates": {1: 3e-307}}, TRAIN),
     ({}, EVALUATE + ("noise", "--noise_mean", "1e308")),
-], ids=["tiny_arrival_rate_sum", "huge_noise_mean"])
-def test_clock_overflow_exit_codes(tmp_path, capsys, network, cli_args):
+], ids=["tiny_arrival_rate_sum", "tiny_rates_queue_sum", "huge_noise_mean"])
+def test_time_overflow_exit_codes(tmp_path, capsys, network, cli_args):
     # each draw is finite, so the inputs pass every check before training;
-    # the run stops where their sum leaves float range, and says so
+    # the run stops where simulated time leaves float range, and says so
     net = write_chain_config(tmp_path / "net.yml", **network)
     par = write_params(tmp_path / "params.yml", num_episodes=1)
     assert run_cli(*cli_args, "--config_file", str(net), "--param_file", str(par),
                    "--data_file", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error (ConfigError): the simulation clock overflowed to inf")
+    assert err.startswith("error (ConfigError): ") and "overflowed float range" in err
+    assert "(clock " in err
     assert "Traceback" not in err
 
 

@@ -305,17 +305,24 @@ def test_reset_with_new_seed_changes_trajectory():
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_clock_overflow_raises_before_a_non_finite_state(seed):
-    # every single draw at this rate is finite, so validate_config passes it,
-    # but a few hundred of them add up beyond float range
-    env = RlEnv(figure_topology(arrival_rate=3e-307), seed=seed, events_per_step=100)
+@pytest.mark.parametrize("config, events_per_step", [
+    (figure_topology(arrival_rate=3e-307), 100),
+    # queues build up while the clock nears float max, so a state's
+    # waiting * clock term, or a delay sum, overflows before the clock does
+    (mm1_topology(3e-307, 3e-307), 100),
+    # finite delays whose average, divided by a low throughput ratio, is not
+    (figure_topology(1e-306, 1e-306), 1),
+], ids=["figure_tiny_arrival_rate", "mm1_tiny_rates", "reward_over_low_throughput"])
+def test_time_overflow_raises_before_a_non_finite_state(config, events_per_step, seed):
+    # every single draw at these rates is finite, so validate_config passes
+    # them, but a few of them add up beyond float range
+    env = RlEnv(config, seed=seed, events_per_step=events_per_step)
     action = np.random.default_rng(seed).uniform(0, 1, env.action_dim)
-    with pytest.raises(ConfigError, match="clock"):
+    with pytest.raises(ConfigError, match="overflowed float range .*clock"):
         for _ in range(30):
             state = env.get_next_state(action)
             assert np.isfinite(state).all()
             assert math.isfinite(env.get_reward())
-    assert env.net.clock == math.inf
 
 
 def test_memory_stays_flat_over_a_long_skipped_reward_run():
