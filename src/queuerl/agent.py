@@ -28,7 +28,7 @@ from typing import Callable, Optional, get_type_hints
 import numpy as np
 
 from .buffer import Batch, ReplayBuffer
-from .errors import CheckpointError, ConfigError, DimensionMismatch, EmptyBuffer, InsufficientBuffer
+from .errors import CheckpointError, ConfigError, DimensionMismatch, InsufficientBuffer
 from .model import DTYPE, Adam, Mlp, param_count
 from .netsim import RoutingLayout, TopologyConfig
 
@@ -217,29 +217,24 @@ class DdpgAgent:
         y = r + float(self.params.discount) * q2
         return _regress(self.critic, self.critic_opt, x, y[:, None])
 
-    def update_actor_network(self, phi_s: np.ndarray,
-                             actions: Optional[np.ndarray] = None) -> float:
+    def update_actor_network(self, phi_s: np.ndarray, actions: np.ndarray) -> float:
         """One ascent step on mean Q over the rows phi_s; returns the loss -mean(Q).
 
         The applied gradient also carries the anti-saturation pull
         (_ACTOR_PREACT_PULL) on the actor's output pre-activations.
-        actions, when given, must be the array the actor's last forward
-        returned, on phi_s with the current parameters; that forward is then
-        reused instead of run again.
+        actions must be the array the actor's last forward returned on phi_s
+        with its current parameters; a critic update in between changes
+        neither those parameters nor that forward's cache.
         """
-        if actions is None:
-            a = self.actor.forward(phi_s)
-        elif actions is self.actor._cache_out:
-            a = actions
-        else:
+        if actions is not self.actor._cache_out:
             raise RuntimeError("actions must be the actor's last forward output")
-        q = self.critic.forward(np.concatenate([phi_s, a], axis=1))[:, 0]
+        q = self.critic.forward(np.concatenate([phi_s, actions], axis=1))[:, 0]
         loss = float(-(q.sum() / q.size))
 
         n = len(phi_s)
         dq = np.full((n, 1), -1.0 / n, dtype=DTYPE)
         dx = self.critic.input_gradient(dq)  # the critic is only a conduit here
-        z = np.log(a / (1.0 - a))  # output pre-activations (sigmoid inverse)
+        z = np.log(actions / (1.0 - actions))  # output pre-activations (sigmoid inverse)
         self.actor.backward(dx[:, self.state_dim :],
                             dout_pre=(2.0 * _ACTOR_PREACT_PULL / z.size) * z)
         self.actor_opt.step()
@@ -253,7 +248,7 @@ class DdpgAgent:
     def fit_model(self) -> tuple[float, float]:
         """One fitting round of both predictors over the whole buffer."""
         if self.buffer.size == 0:
-            raise EmptyBuffer("fit_model needs at least one experience")
+            raise InsufficientBuffer("fit_model needs at least one experience")
         stored = self.buffer.stored()
         n = len(stored)
         bs = min(self.params.batch_size, n)
@@ -280,11 +275,6 @@ class DdpgAgent:
         Returns (critic loss, actor loss) per planning step. The predicted
         next states are compressed rows, which the critic update takes clipped
         to [0, _PHI_CLIP]. Hallucinated experiences never enter the buffer.
-
-        The actor update reuses the noise-free forward that picked the
-        actions: the critic update in between changes neither the actor's
-        parameters nor its forward cache, so a second forward on the same
-        states would return the same array.
         """
         p = self.params
         if self.buffer.size < p.batch_size:
@@ -301,7 +291,7 @@ class DdpgAgent:
             rewards = self.reward_model.forward(x)[:, 0]
             phi_next = np.clip(self.next_state_model.forward(x), 0.0, _PHI_CLIP)
             closs = self.update_critic_network((x, rewards, phi_next))
-            aloss = self.update_actor_network(phi_s, actions=policy_actions)
+            aloss = self.update_actor_network(phi_s, policy_actions)
             losses.append((closs, aloss))
         return losses
 
@@ -345,8 +335,10 @@ class DdpgAgent:
 
                 if self.buffer.size >= p.batch_size:
                     batch = self.buffer.sample(p.batch_size, self.rng)
+                    phi_s = batch[0][:, : self.state_dim]
+                    policy_actions = self.actor.forward(phi_s)
                     critic_loss = self.update_critic_network(batch)
-                    actor_loss = self.update_actor_network(batch[0][:, : self.state_dim])
+                    actor_loss = self.update_actor_network(phi_s, policy_actions)
                     trace.critic_losses.append(critic_loss)
                     trace.actor_losses.append(actor_loss)
                     self.update_counter += 1

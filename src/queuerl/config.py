@@ -30,6 +30,10 @@ _ALIASES = {
     "num_time_steps": "num_timesteps",
 }
 _INT_KEYS = INT_PARAM_FIELDS | {"trials"}
+# the keys of a network file and of each of its edges
+_NETWORK_KEYS = ("num_nodes", "edges", "entry_edges", "exit_edges", "arrival_rate",
+                 "service_rates")
+_EDGE_KEYS = ("source", "target", "edge_type")
 
 
 def _yaml_loader() -> type:
@@ -105,7 +109,8 @@ def _load_yaml(path: str):
     """The document in a YAML file. A path that is missing, names a directory
     or cannot be read, bytes that are not YAML in a Unicode encoding (PyYAML
     reads the stream as bytes and detects which), or a key written twice in
-    one mapping, raise ParseError."""
+    one mapping, raise ParseError. Its message is one line: PyYAML's problem,
+    after the line and column (counted from 1) where PyYAML marks one."""
     import yaml
 
     try:
@@ -116,15 +121,23 @@ def _load_yaml(path: str):
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except yaml.YAMLError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
+        if mark is None or problem is None:
+            problem = " ".join(str(exc).split())
+        else:
+            problem = f"line {mark.line + 1}, column {mark.column + 1}: {problem}"
+        raise ParseError(f"{path}: {problem}") from exc
 
 
 def parse_network_config(path: str) -> TopologyConfig:
-    """Load and validate a network topology file."""
+    """Load and validate a network topology file; an unknown key raises ParseError."""
     doc = _load_yaml(path)
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a mapping at the top level")
-    for key in ("num_nodes", "edges", "entry_edges", "exit_edges", "arrival_rate", "service_rates"):
+    for key in doc:
+        if key not in _NETWORK_KEYS:
+            raise ParseError(f"{path}: unknown key {key!r}")
+    for key in _NETWORK_KEYS:
         if key not in doc:
             raise ParseError(f"{path}: missing required key '{key}'")
     for key, kind, name in (("edges", list, "a list"), ("entry_edges", list, "a list"),
@@ -136,10 +149,12 @@ def parse_network_config(path: str) -> TopologyConfig:
     edge_list: dict[int, dict[int, int]] = {}
     edges = doc["edges"]
     for i, edge in enumerate(edges):
-        if not isinstance(edge, dict) or not {"source", "target", "edge_type"} <= set(edge):
+        if not isinstance(edge, dict) or not set(_EDGE_KEYS) <= set(edge):
             raise ParseError(f"{path}: edges[{i}] needs source, target and edge_type")
-        src, dst, etype = (_coerce_number(f"edges[{i}].{k}", edge[k], True)
-                           for k in ("source", "target", "edge_type"))
+        for key in edge:
+            if key not in _EDGE_KEYS:
+                raise ParseError(f"{path}: edges[{i}] has unknown key {key!r}")
+        src, dst, etype = (_coerce_number(f"edges[{i}].{k}", edge[k], True) for k in _EDGE_KEYS)
         if dst in edge_list.get(src, {}):
             raise ConfigError(f"duplicate edge {src} -> {dst}")
         edge_list.setdefault(src, {})[dst] = etype
@@ -187,10 +202,6 @@ def write_network_config(config: TopologyConfig, path: str) -> None:
         yaml.safe_dump(network_config_to_dict(config), fh, sort_keys=False)
 
 
-def _is_range(value: dict) -> bool:
-    return {"low", "high"} <= set(value)
-
-
 def parse_hyperparams(path: str) -> tuple[AgentParams, SearchSpace | None]:
     """Read scalar overrides into AgentParams; range/choice entries and the
     'trials' and 'objective' keys build a SearchSpace, which is None when no
@@ -229,7 +240,7 @@ def parse_hyperparams(path: str) -> tuple[AgentParams, SearchSpace | None]:
                 if not isinstance(value["choices"], list):
                     raise ParseError(f"{path}: '{raw_key}' choices must be a list")
                 specs[key] = ChoiceSpec([_coerce_value(key, v) for v in value["choices"]])
-            elif _is_range(value):
+            elif {"low", "high"} <= set(value):
                 specs[key] = RangeSpec(
                     low=_coerce_number(key, value["low"], False),
                     high=_coerce_number(key, value["high"], False),

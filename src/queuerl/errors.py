@@ -39,10 +39,6 @@ class NoArrivals(QueueRlError):
     exit_code = 7
 
 
-class EmptyBuffer(QueueRlError):
-    exit_code = 8
-
-
 class InsufficientBuffer(QueueRlError):
     exit_code = 8
 

@@ -18,7 +18,6 @@ from queuerl.errors import (
     CheckpointError,
     ConfigError,
     DimensionMismatch,
-    EmptyBuffer,
     InsufficientBuffer,
 )
 from queuerl.evaluation import evaluate_policy
@@ -212,7 +211,7 @@ def test_actor_update_increases_actions_under_sum_critic():
     rng = np.random.default_rng(4)
     phi_s = batch_states(random_batch(rng, 4))
     before = agent.actor.forward(phi_s).mean()
-    agent.update_actor_network(phi_s)
+    agent.update_actor_network(phi_s, actions=agent.actor.forward(phi_s))
     after = agent.actor.forward(phi_s).mean()
     assert after > before
 
@@ -223,7 +222,8 @@ def test_actor_loss_is_negative_q_for_single_sample():
     phi = batch_states(random_batch(rng, 1))
     a = agent.actor.forward(phi)
     q = float(agent.critic.forward(np.concatenate([phi, a], axis=1))[0, 0])
-    assert agent.update_actor_network(phi) == pytest.approx(-q, rel=1e-12)
+    assert agent.update_actor_network(phi, actions=agent.actor.forward(phi)) == pytest.approx(
+        -q, rel=1e-12)
 
 
 def test_actor_update_leaves_critic_untouched():
@@ -233,7 +233,8 @@ def test_actor_update_leaves_critic_untouched():
     agent.update_critic_network(batch)  # leaves gradients in the critic
     before, grads = agent.critic.params.copy(), agent.critic.grads.copy()
     assert grads.any()
-    agent.update_actor_network(batch_states(batch))
+    phi_s = batch_states(batch)
+    agent.update_actor_network(phi_s, actions=agent.actor.forward(phi_s))
     assert np.array_equal(before, agent.critic.params)
     assert np.array_equal(grads, agent.critic.grads)
 
@@ -253,7 +254,8 @@ def test_soft_update_full_copy_with_tau_one():
     agent = make_agent(tau=1.0)
     rng = np.random.default_rng(8)
     agent.update_critic_network(random_batch(rng, 4))
-    agent.update_actor_network(batch_states(random_batch(rng, 4)))
+    phi_s = batch_states(random_batch(rng, 4))
+    agent.update_actor_network(phi_s, actions=agent.actor.forward(phi_s))
     agent.soft_update_targets()
     assert np.array_equal(agent.critic.params, agent.target_critic.params)
     assert np.array_equal(agent.actor.params, agent.target_actor.params)
@@ -271,7 +273,7 @@ def test_soft_update_halfway_scalar_probe():
 
 
 def test_fit_model_empty_buffer_raises():
-    with pytest.raises(EmptyBuffer):
+    with pytest.raises(InsufficientBuffer):
         make_agent().fit_model()
 
 
@@ -429,7 +431,8 @@ def reference_plan(agent):
         rewards = agent.reward_model.forward(x)[:, 0]
         phi_next = np.clip(agent.next_state_model.forward(x), 0.0, agent_module._PHI_CLIP)
         closs = agent.update_critic_network((x, rewards, phi_next))
-        losses.append((closs, agent.update_actor_network(phi_s)))
+        aloss = agent.update_actor_network(phi_s, actions=agent.actor.forward(phi_s))
+        losses.append((closs, aloss))
     return losses
 
 
@@ -474,6 +477,26 @@ def test_actor_update_rejects_actions_not_from_the_last_forward():
         agent.update_actor_network(phi_s, actions=actions)
 
 
+def test_real_update_reads_the_same_actor_forward_before_or_after_the_critic_step():
+    # train makes the actor's forward before the critic step, as plan does
+    before = make_agent()
+    rng = np.random.default_rng(20)
+    for _ in range(8):
+        before.buffer.push(*random_transition(rng))
+    batch = before.buffer.sample(4, before.rng)
+    phi_s = batch_states(batch)
+    after = copy.deepcopy(before)
+    actions = before.actor.forward(phi_s)
+    losses_before = (before.update_critic_network(batch),
+                     before.update_actor_network(phi_s, actions=actions))
+    closs = after.update_critic_network(batch)
+    losses_after = (closs, after.update_actor_network(phi_s, actions=after.actor.forward(phi_s)))
+    assert np.array(losses_before).tobytes() == np.array(losses_after).tobytes()
+    ours, theirs = network_params_snapshot(before), network_params_snapshot(after)
+    assert len(ours) == 6
+    assert all(ours[name].tobytes() == theirs[name].tobytes() for name in ours)
+
+
 def test_plan_with_fitted_models_moves_like_real_updates():
     # single stored experience whose action is the actor's own choice
     agent = make_agent(learning_rate=1e-3, num_epochs=40, planning_steps=1, epsilon=0.0,
@@ -488,7 +511,8 @@ def test_plan_with_fitted_models_moves_like_real_updates():
     real = copy.deepcopy(agent)
     dreamed = copy.deepcopy(agent)
     real.update_critic_network(batch)
-    real.update_actor_network(batch_states(batch))
+    phi_s = batch_states(batch)
+    real.update_actor_network(phi_s, actions=real.actor.forward(phi_s))
     dreamed.plan()
 
     def delta(after, before, net):
@@ -671,7 +695,8 @@ def test_losses_stay_finite_under_fuzzing():
     for i in range(1000):
         batch = agent.buffer.sample(8, agent.rng)
         closs = agent.update_critic_network(batch)
-        aloss = agent.update_actor_network(batch_states(batch))
+        phi_s = batch_states(batch)
+        aloss = agent.update_actor_network(phi_s, actions=agent.actor.forward(phi_s))
         assert np.isfinite(closs) and np.isfinite(aloss)
         if i % 10 == 0:
             agent.soft_update_targets()
@@ -732,7 +757,8 @@ def test_checkpoint_roundtrip(tmp_path):
         agent.buffer.push(*random_transition(rng))
     batch = agent.buffer.sample(4, agent.rng)
     agent.update_critic_network(batch)
-    agent.update_actor_network(batch_states(batch))
+    phi_s = batch_states(batch)
+    agent.update_actor_network(phi_s, actions=agent.actor.forward(phi_s))
     agent.soft_update_targets()
 
     path = tmp_path / "agent.agent"

@@ -107,6 +107,12 @@ def read_csv(path: Path):
         return list(csv.reader(fh))
 
 
+def assert_one_line_error(err: str) -> None:
+    """A CLI error is one `error (Type): message` line and no traceback."""
+    assert err.startswith("error (") and len(err.splitlines()) == 1, err
+    assert "Traceback" not in err
+
+
 # -- network config parsing ---------------------------------------------------------
 
 
@@ -181,7 +187,7 @@ def test_c_and_python_yaml_loaders_read_alike(tmp_path, monkeypatch):
     params = write_params(tmp_path / "params.yml", alpha="2e-3", tau={"low": 0.01, "high": 0.2},
                           hidden_sizes=[[4], [8, 8]], trials=3)
     repeated = write_params(tmp_path / "repeated.yml", tau=0.1, **{Again("tau"): 0.5})
-    # a bare = key is the string "=", which parse_network_config ignores
+    # a bare = key is the string "=", which parse_network_config rejects
     bare_key = tmp_path / "bare_key.yml"
     bare_key.write_text((tmp_path / "net0.yml").read_text() + "=: 1\n")
     bare_twice = tmp_path / "bare_twice.yml"
@@ -204,7 +210,9 @@ def test_c_and_python_yaml_loaders_read_alike(tmp_path, monkeypatch):
         assert got == read(parse, path, yaml.SafeLoader), path.name
     assert got is ParseError
     for loader in (yaml.CSafeLoader, yaml.SafeLoader):
-        assert read(parse_network_config, bare_key, loader) == figure_topology()
+        monkeypatch.setattr(config_module, "_yaml_loader", lambda: loader)
+        with pytest.raises(ParseError, match="unknown key '='"):
+            parse_network_config(str(bare_key))
         assert read(parse_network_config, bare_twice, loader) is ParseError
 
 
@@ -460,7 +468,9 @@ def test_missing_config_file_exit_code(tmp_path, capsys):
     code = run_cli("--function", "train", "--config_file", "nope/missing.yml",
                    "--param_file", str(par), "--data_file", str(tmp_path / "out"))
     assert code == 3  # ParseError
-    assert "missing.yml" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "missing.yml" in err
+    assert_one_line_error(err)
 
 
 @pytest.mark.parametrize("flag", ["--config_file", "--param_file"])
@@ -479,6 +489,7 @@ def test_unreadable_input_file_exit_code(tmp_path, capsys, flag, content):
     assert code == 3
     assert err.startswith("error (ParseError)")
     assert "Traceback" not in err
+    assert_one_line_error(err)
 
 
 def test_unreadable_agent_file_exit_code(tmp_path, capsys):
@@ -491,6 +502,7 @@ def test_unreadable_agent_file_exit_code(tmp_path, capsys):
     assert code == 6
     assert err.startswith("error (CheckpointError)") and "nope.agent" in err
     assert "Traceback" not in err
+    assert_one_line_error(err)
 
 
 def test_checkpoint_weight_beyond_float32_range_exit_code(tmp_path, capsys):
@@ -508,6 +520,7 @@ def test_checkpoint_weight_beyond_float32_range_exit_code(tmp_path, capsys):
     assert code == 6
     assert err.startswith("error (CheckpointError)") and "beyond float32's range" in err
     assert "Traceback" not in err
+    assert_one_line_error(err)
     assert [w.message for w in caught] == []
 
 
@@ -626,6 +639,10 @@ EVALUATE = ("--function", "evaluate", "--evaluator")
                 {"source": 1, "target": 2, "edge_type": 0}]},
      {}, TRAIN, 3, "found duplicate key 'target'"),
     ({"arrival_rate": True}, {}, TRAIN, 3, "'arrival_rate' has a non-numeric value True"),
+    ({"arival_rate": 5.0}, {}, TRAIN, 3, "unknown key 'arival_rate'"),
+    ({"edges": [{"source": 0, "target": 1, "edge_type": 1, "service_rate": 9.0},
+                {"source": 1, "target": 2, "edge_type": 0}]},
+     {}, TRAIN, 3, "edges[0] has unknown key 'service_rate'"),
     ({}, {"num_episodes": True}, TRAIN, 3, "'num_episodes' has a non-numeric value True"),
     ({}, {"learning_rate": True}, TRAIN, 3, "'learning_rate' has a non-numeric value True"),
     ({}, {"hidden_sizes": [True]}, TRAIN, 3, "'hidden_sizes' has a non-numeric value True"),
@@ -675,7 +692,8 @@ EVALUATE = ("--function", "evaluate", "--evaluator")
         "gamma_and_discount", "num_time_steps_and_num_timesteps", "scalar_and_range_alias",
         "unknown_objective", "hidden_sizes_range", "objective_without_range",
         "trials_without_range", "param_key_twice", "network_key_twice",
-        "edge_key_twice", "boolean_arrival_rate", "boolean_num_episodes",
+        "edge_key_twice", "boolean_arrival_rate", "unknown_network_key", "unknown_edge_key",
+        "boolean_num_episodes",
         "boolean_learning_rate", "boolean_hidden_size", "batch_above_buffer_capacity",
         "robustness_tiny_margin", "robustness_subnormal_margin", "robustness_huge_z",
         "huge_hidden_size", "huge_num_timesteps", "huge_num_samples", "huge_choice"])
@@ -691,6 +709,7 @@ def test_malformed_numeric_input_exit_codes(tmp_path, capsys, monkeypatch, netwo
     assert err.startswith("error (")
     assert message in err
     assert "Traceback" not in err
+    assert_one_line_error(err)
 
 
 @pytest.mark.parametrize("network, cli_args", [
@@ -709,6 +728,7 @@ def test_time_overflow_exit_codes(tmp_path, capsys, network, cli_args):
     assert err.startswith("error (ConfigError): ") and "overflowed float range" in err
     assert "(clock " in err
     assert "Traceback" not in err
+    assert_one_line_error(err)
 
 
 @pytest.mark.parametrize("cli_args, message", [
@@ -731,6 +751,7 @@ def test_unusable_output_paths_exit_before_training(tmp_path, capsys, monkeypatc
     assert err.startswith("error (ConfigError)")
     assert message in err
     assert "Traceback" not in err
+    assert_one_line_error(err)
 
 
 def test_overlong_run_name_exits_before_training(tmp_path, capsys, monkeypatch):
@@ -744,6 +765,7 @@ def test_overlong_run_name_exits_before_training(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error (ConfigError): --run_name makes a 306-byte checkpoint name")
     assert "Traceback" not in err
+    assert_one_line_error(err)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["net.yml", "params.yml"]
 
 
@@ -758,6 +780,7 @@ def test_os_error_exits_without_traceback(tmp_path, capsys, monkeypatch):
                    "--data_file", str(tmp_path / "out")) == QueueRlError.exit_code
     err = capsys.readouterr().err
     assert err == "error (OSError): [Errno 28] No space left on device\n"
+    assert_one_line_error(err)
 
 
 def test_memory_error_exits_without_traceback(tmp_path, capsys, monkeypatch):
@@ -772,6 +795,7 @@ def test_memory_error_exits_without_traceback(tmp_path, capsys, monkeypatch):
                    "--data_file", str(tmp_path / "out")) == QueueRlError.exit_code
     err = capsys.readouterr().err
     assert err == "error (MemoryError): Unable to allocate 745. GiB for an array\n"
+    assert_one_line_error(err)
 
 
 def test_tune_writes_ranked_results(tmp_path):
@@ -790,20 +814,22 @@ def test_tune_writes_ranked_results(tmp_path):
     assert summary["trials"] == 2
 
 
-def test_tune_without_search_space_fails(tmp_path):
+def test_tune_without_search_space_fails(tmp_path, capsys):
     net = write_chain_config(tmp_path / "net.yml")
     par = write_params(tmp_path / "params.yml")
     code = run_cli("--function", "tune", "--config_file", str(net),
                    "--param_file", str(par), "--data_file", str(tmp_path / "out"))
     assert code == 2  # ConfigError
+    assert_one_line_error(capsys.readouterr().err)
 
 
-def test_evaluate_requires_evaluator(tmp_path):
+def test_evaluate_requires_evaluator(tmp_path, capsys):
     net = write_chain_config(tmp_path / "net.yml")
     par = write_params(tmp_path / "params.yml")
     code = run_cli("--function", "evaluate", "--config_file", str(net),
                    "--param_file", str(par), "--data_file", str(tmp_path / "out"))
     assert code == 2
+    assert_one_line_error(capsys.readouterr().err)
 
 
 def test_evaluate_startup(tmp_path):
@@ -978,3 +1004,4 @@ def test_unreadable_network_file_exits_3_in_a_fresh_interpreter(tmp_path, text):
     assert out.returncode == 3
     assert out.stderr.startswith("error (ParseError)") and out.stderr.count("error (") == 1
     assert "Traceback" not in out.stderr
+    assert_one_line_error(out.stderr)
