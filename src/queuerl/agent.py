@@ -13,6 +13,9 @@ The networks compute in float32 (model.DTYPE). train compresses each state
 once, and the replay buffer holds each transition as one float32 row
 [phi(s), a, r, phi(s')] that begins with the critic's and predictors' input
 x = [phi(s), a]; states, rewards and simulator routing stay float64.
+
+Besides self.rng, an agent owns the two streams that seed each episode's
+simulator and draw its start mode, so training in chunks is one run.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import random
 import struct
 import sys
 from dataclasses import asdict, dataclass, field
@@ -163,6 +167,9 @@ class DdpgAgent:
         self.action_dim = action_dim
         self.params = params
         self.rng = np.random.default_rng(params.seed)
+        # shares self.rng's seed, so its first draw reuses the actor's first raw output
+        self.episode_rng = np.random.default_rng(params.seed)
+        self.start_mode_rng = random.Random(params.seed ^ 0x5EED)
         sizes = _layer_sizes(state_dim, action_dim, params.hidden_sizes)
 
         self.actor = Mlp(sizes["actor"], "sigmoid", self.rng)
@@ -298,24 +305,22 @@ class DdpgAgent:
     # -- training loop -----------------------------------------------------------
 
     def train(self, env, choose_blocked_node: Optional[Callable[[], Optional[int]]] = None,
-              tracker=None, num_episodes: Optional[int] = None,
-              episode_seed: Optional[int] = None) -> TrainingTrace:
-        """Run the full Dyna-DDPG loop against an RlEnv.
+              tracker=None, num_episodes: Optional[int] = None) -> TrainingTrace:
+        """Run num_episodes (default params.num_episodes) Dyna-DDPG episodes
+        against an RlEnv, each reset with a seed drawn from self.episode_rng.
 
         choose_blocked_node, when given, is called once per episode and
         returns a node to block in the freshly reset environment before the
         first step, or None for a normal start; the episode is labelled
         blocked:<node> or normal. The tracker, when given, records the
-        (state, reward) visits of blocked episodes. num_episodes and
-        episode_seed override the params so callers can train in chunks.
+        (state, reward) visits of blocked episodes. Every stream continues
+        across calls, so training in chunks is the run one call would make.
         """
         p = self.params
         trace = TrainingTrace()
-        episode_seeds = np.random.default_rng(p.seed if episode_seed is None else episode_seed)
         for _ in range(p.num_episodes if num_episodes is None else num_episodes):
-            ep_seed = int(episode_seeds.integers(0, 2**63 - 1))
             blocked_node = choose_blocked_node() if choose_blocked_node is not None else None
-            state = env.reset(ep_seed)
+            state = env.reset(int(self.episode_rng.integers(0, 2**63 - 1)))
             phi_state = self._phi(state)
             if blocked_node is not None:
                 env.net.set_blockage(blocked_node)

@@ -206,7 +206,7 @@ def parse_hyperparams(path: str) -> tuple[AgentParams, SearchSpace | None]:
     """Read scalar overrides into AgentParams; range/choice entries and the
     'trials' and 'objective' keys build a SearchSpace, which is None when no
     range or choice is given (trials and objective are checked either way).
-    Missing fields keep their defaults."""
+    Missing fields keep their defaults; an unknown key raises ParseError."""
     from .tuning import ChoiceSpec, RangeSpec, SearchSpace
 
     doc = _load_yaml(path)
@@ -228,7 +228,7 @@ def parse_hyperparams(path: str) -> tuple[AgentParams, SearchSpace | None]:
             objective = str(value)
             continue
         if key != "trials" and key not in known:
-            raise ConfigError(f"unknown hyperparameter '{raw_key}'")
+            raise ParseError(f"{path}: unknown hyperparameter '{raw_key}'")
         if key in given:
             raise ConfigError(f"'{given[key]}' and '{raw_key}' both set '{key}'")
         given[key] = raw_key

@@ -190,6 +190,7 @@ def convergence_train(
     fresh identically-seeded env; its total reward extends the evaluation
     series. The series (smoothed by a trailing moving average of width
     window_size) stops training at the first local maximum or plateau.
+    The chunks continue one run, as one train call of that many episodes would.
     """
     check_smoothing(window_size, threshold, consecutive_points)
     env = rollout_env(env_config, agent_params, agent_params.seed)
@@ -197,12 +198,10 @@ def convergence_train(
 
     evaluations: list[tuple[int, float]] = []
     series: list[float] = []
-    episodes_done = 0
     reason = "completed"
-    while episodes_done < agent_params.num_episodes:
-        chunk = min(EVAL_INTERVAL, agent_params.num_episodes - episodes_done)
-        agent.train(env, num_episodes=chunk, episode_seed=agent_params.seed + episodes_done)
-        episodes_done += chunk
+    for start in range(0, agent_params.num_episodes, EVAL_INTERVAL):
+        episodes_done = min(start + EVAL_INTERVAL, agent_params.num_episodes)
+        agent.train(env, num_episodes=episodes_done - start)
         score = score_policy(agent, env_config)
         evaluations.append((episodes_done, score))
         series.append(score)
@@ -268,8 +267,8 @@ def evaluate_noise(
     """Matched rollouts in a standard and a noise-perturbed environment,
     both seeded with seed and stepped at agent.params.events_per_step.
 
-    mode "retrain" first trains the agent inside the noisy environment;
-    mode "evaluate" uses the agent as-is.
+    mode "retrain" first trains the agent params.num_episodes more episodes,
+    continuing its run, in the noisy environment; "evaluate" uses it as-is.
     """
     cfg.validate()
     check_steps(timesteps)
@@ -385,10 +384,8 @@ def robustness_evaluate(
     required_runs(z, 0.5, margin)  # before training, at the largest sigma in [0, 1]
     check_steps(time_steps)
     seeds = [agent_params.seed + i for i in range(num_agents)]
-    eval_seed = agent_params.seed
-    jobs = [
-        (replace(agent_params, seed=s), env_config, eval_seed, time_steps) for s in seeds
-    ]
+    jobs = [(replace(agent_params, seed=s), env_config, agent_params.seed, time_steps)
+            for s in seeds]
     if workers > 1:
         # imported here: concurrent.futures pulls in multiprocessing, which
         # every other caller of this module would pay for at import

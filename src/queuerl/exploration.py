@@ -85,16 +85,15 @@ def train_with_blockage_exploration(
     tracker: Optional[StateTracker] = None,
 ) -> TrainingTrace:
     """agent.train with each episode's blocked node, or none, drawn by
-    choose_start_mode from the w1/w2 of agent.params.
+    choose_start_mode from agent.start_mode_rng and the params' w1/w2.
 
     Blocked episodes apply the blockage right after the reset and feed
     (state, reward) visits into the tracker. With w2 = 0 every episode
-    starts normal, so this reduces to plain training.
+    starts normal, so this reduces to plain training. Calls continue one run.
     """
     p = agent.params
-    mode_rng = random.Random(p.seed ^ 0x5EED)
     return agent.train(
         rollout_env(env_config, p, p.seed),
-        choose_blocked_node=lambda: choose_start_mode(p.w1, p.w2, env_config, mode_rng),
+        choose_blocked_node=lambda: choose_start_mode(p.w1, p.w2, env_config, agent.start_mode_rng),
         tracker=tracker,
     )

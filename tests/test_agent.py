@@ -687,6 +687,24 @@ def test_train_is_reproducible():
     assert t1.actor_losses == t2.actor_losses
 
 
+def test_training_in_chunks_is_training_straight_through():
+    # the agent owns its episode-seed stream, so a second train call
+    # continues the first call's run instead of replaying its episodes
+    def agent_and_env():
+        env = RlEnv(figure_topology(), seed=0, events_per_step=20)
+        return DdpgAgent(env.state_dim, env.action_dim, small_params(num_timesteps=5)), env
+
+    whole, env = agent_and_env()
+    straight = whole.train(env, num_episodes=4)
+    chunked, env = agent_and_env()
+    chunks = [chunked.train(env, num_episodes=n) for n in (1, 3)]
+    assert straight.episode_rewards == [r for t in chunks for r in t.episode_rewards]
+    assert straight.step_losses == [s for t in chunks for s in t.step_losses]
+    nets = chunked.named_networks()
+    for name, net in whole.named_networks().items():
+        assert net.params.tobytes() == nets[name].params.tobytes(), name
+
+
 def test_losses_stay_finite_under_fuzzing():
     agent = make_agent(batch_size=8, learning_rate=1e-2)
     rng = np.random.default_rng(14)

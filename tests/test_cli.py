@@ -242,8 +242,9 @@ def test_parse_hyperparams_domain_errors(tmp_path):
     path.write_text(yaml.safe_dump({"learning_rate": -0.1}))
     with pytest.raises(ConfigError):
         parse_hyperparams(str(path))
+    # a misspelled key is a malformed file, as in the network file
     path.write_text(yaml.safe_dump({"mystery_knob": 1}))
-    with pytest.raises(ConfigError, match="mystery_knob"):
+    with pytest.raises(ParseError, match=r"p\.yml: unknown hyperparameter 'mystery_knob'"):
         parse_hyperparams(str(path))
 
 
@@ -640,6 +641,7 @@ EVALUATE = ("--function", "evaluate", "--evaluator")
      {}, TRAIN, 3, "found duplicate key 'target'"),
     ({"arrival_rate": True}, {}, TRAIN, 3, "'arrival_rate' has a non-numeric value True"),
     ({"arival_rate": 5.0}, {}, TRAIN, 3, "unknown key 'arival_rate'"),
+    ({}, {"num_epochz": 3}, TRAIN, 3, "params.yml: unknown hyperparameter 'num_epochz'"),
     ({"edges": [{"source": 0, "target": 1, "edge_type": 1, "service_rate": 9.0},
                 {"source": 1, "target": 2, "edge_type": 0}]},
      {}, TRAIN, 3, "edges[0] has unknown key 'service_rate'"),
@@ -692,7 +694,8 @@ EVALUATE = ("--function", "evaluate", "--evaluator")
         "gamma_and_discount", "num_time_steps_and_num_timesteps", "scalar_and_range_alias",
         "unknown_objective", "hidden_sizes_range", "objective_without_range",
         "trials_without_range", "param_key_twice", "network_key_twice",
-        "edge_key_twice", "boolean_arrival_rate", "unknown_network_key", "unknown_edge_key",
+        "edge_key_twice", "boolean_arrival_rate", "unknown_network_key",
+        "unknown_hyperparameter", "unknown_edge_key",
         "boolean_num_episodes",
         "boolean_learning_rate", "boolean_hidden_size", "batch_above_buffer_capacity",
         "robustness_tiny_margin", "robustness_subnormal_margin", "robustness_huge_z",

@@ -18,10 +18,12 @@ from queuerl.evaluation import (
     noisy_interarrival,
     required_runs,
     robustness_evaluate,
+    score_policy,
 )
+from queuerl.exploration import rollout_env
 from queuerl.netsim import figure_topology
 from queuerl.rl_env import RlEnv
-from topologies import mm1_topology
+from topologies import hetero_figure_topology, mm1_topology
 
 
 def tiny_params(**overrides) -> AgentParams:
@@ -194,6 +196,20 @@ def test_convergence_train_runs_and_reports():
     assert episodes[0] == 10
     assert report.stop_reason in ("local_maximum", "plateau", "completed")
     assert report.episodes_trained == episodes[-1]
+
+
+def test_convergence_scores_are_those_of_straight_runs():
+    # each chunk continues the one training run, so the score after n
+    # episodes is that of a fresh agent trained n episodes in one call;
+    # with consecutive_points 3, two evaluations never stop the run
+    cfg = hetero_figure_topology()
+    p = tiny_params(num_episodes=20, num_timesteps=2, events_per_step=100, seed=3)
+    report = convergence_train(p, cfg, consecutive_points=3)
+    assert [ep for ep, _ in report.evaluations] == [10, 20]
+    for episodes, score in report.evaluations:
+        agent = make_agent(cfg, p)
+        agent.train(rollout_env(cfg, p, p.seed), num_episodes=episodes)
+        assert score == score_policy(agent, cfg)
 
 
 # -- noise --------------------------------------------------------------------------

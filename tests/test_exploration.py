@@ -153,6 +153,23 @@ def test_w2_zero_reduces_to_plain_training():
         assert np.array_equal(net.params, nets_b[name].params), name
 
 
+def test_blockage_exploration_in_chunks_is_one_run():
+    # the start-mode and episode-seed streams live on the agent, so four
+    # one-episode calls make the run that one four-episode call makes
+    cfg = figure_topology()
+    dim = len(cfg.serviced_edges())
+    whole = DdpgAgent(dim, dim, tiny_params(w1=0.5, w2=0.5, num_episodes=4))
+    straight = train_with_blockage_exploration(whole, cfg)
+    chunked = DdpgAgent(dim, dim, tiny_params(w1=0.5, w2=0.5, num_episodes=1))
+    chunks = [train_with_blockage_exploration(chunked, cfg) for _ in range(4)]
+    assert len(set(straight.episode_modes)) > 1
+    assert straight.episode_modes == [m for t in chunks for m in t.episode_modes]
+    assert straight.episode_rewards == [r for t in chunks for r in t.episode_rewards]
+    nets = chunked.named_networks()
+    for name, net in whole.named_networks().items():
+        assert net.params.tobytes() == nets[name].params.tobytes(), name
+
+
 def test_train_blocks_the_chosen_node_and_labels_it():
     cfg = figure_topology()
     params = tiny_params(num_episodes=3)
