@@ -444,7 +444,7 @@ class QueueNetwork:
         a call that ends with 2 * clock * events not finite raises
         ConfigError, and the network should then be discarded."""
         if num_events < 1:
-            raise ValueError("num_events must be >= 1")
+            raise ConfigError("num_events must be >= 1")
         keys, codes = self._keys, self._codes
         pop_key, pop_code, insert_key, insert_code = keys.pop, codes.pop, keys.insert, codes.insert
         uniform, log = self.rng.random, math.log

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from queuerl import config as config_module
 from queuerl import reporting
-from queuerl.agent import AgentParams, DdpgAgent, load_agent, save_agent
+from queuerl.agent import AgentParams, DdpgAgent, TrainingTrace, load_agent, save_agent
 from queuerl.cli import _str2bool, main
 from queuerl.config import (
     network_config_to_dict,
@@ -27,7 +27,7 @@ from queuerl.config import (
     write_network_config,
 )
 from queuerl.errors import ConfigError, ParseError, QueueRlError, UnknownNode
-from queuerl.evaluation import NoiseConfig, evaluate_disruption, evaluate_noise
+from queuerl.evaluation import NoiseConfig, convergence_train, evaluate_disruption, evaluate_noise
 from queuerl.model import Mlp
 from queuerl.netsim import QueueNetwork, feed_forward_topology, figure_topology
 from queuerl.rl_env import RlEnv
@@ -291,6 +291,22 @@ def test_parse_hyperparams_range_builds_search_space(tmp_path):
     assert params.learning_rate == 1e-3  # scalar default kept
 
 
+def test_parse_hyperparams_lets_a_merged_key_be_overridden(tmp_path):
+    path = tmp_path / "p.yml"
+    path.write_text("learning_rate: &range {low: 0.001, high: 0.01, scale: log}\n"
+                    "tau:\n  <<: *range\n  low: 0.01\n  high: 0.2\n  scale: linear\n")
+    _, space = parse_hyperparams(str(path))
+    assert space.specs == {"learning_rate": RangeSpec(0.001, 0.01, "log"),
+                           "tau": RangeSpec(0.01, 0.2, "linear")}
+
+
+def test_parse_hyperparams_rejects_an_unhashable_key(tmp_path):
+    path = tmp_path / "p.yml"
+    path.write_text("tau: 0.1\n[tau, discount]: 0.5\n")
+    with pytest.raises(ParseError, match="line 2, column 1: found unhashable key"):
+        parse_hyperparams(str(path))
+
+
 def test_parse_hyperparams_string_scientific_notation(tmp_path):
     path = tmp_path / "p.yml"
     path.write_text("learning_rate: 1e-4\n")  # yaml 1.1 reads this as a string
@@ -418,6 +434,19 @@ def test_transition_csvs_reject_a_node_without_routing_row(tmp_path):
     for write in (reporting.write_training_csvs, reporting.write_plot_csvs):
         with pytest.raises(UnknownNode, match="node 99"):
             write(trace, tmp_path / "out", node=99)
+
+
+def test_an_empty_trace_writes_headers_and_no_transition_csv(tmp_path):
+    reporting.write_training_csvs(TrainingTrace(), tmp_path)
+    assert read_csv(tmp_path / "reward.csv") == [["episode", "timestep", "reward"]]
+    assert read_csv(tmp_path / "episode_modes.csv") == [["episode", "start_mode"]]
+    assert not (tmp_path / "transition_proba.csv").exists()
+
+
+def test_no_tuning_results_write_a_header_and_no_summary(tmp_path):
+    reporting.write_tuning([], tmp_path)
+    assert read_csv(tmp_path / "tuning_results.csv") == [["rank", "objective", "trial_index"]]
+    assert not (tmp_path / "tuning_summary.json").exists()
 
 
 def test_transition_csv_rows_are_the_installed_routing_maps(tmp_path):
@@ -851,8 +880,11 @@ def test_evaluate_startup(tmp_path):
 
 
 def test_evaluate_convergence(tmp_path):
-    net = write_chain_config(tmp_path / "net.yml")
-    par = write_params(tmp_path / "params.yml", num_episodes=20, num_timesteps=2)
+    # on the figure topology at 100 events a step the evaluations differ, so
+    # the file shows how training continues from one chunk to the next
+    net = write_fig_config(tmp_path / "net.yml")
+    par = write_params(tmp_path / "params.yml", num_episodes=30, num_timesteps=2,
+                       events_per_step=100)
     data = tmp_path / "out"
     assert run_cli("--function", "evaluate", "--evaluator", "convergence",
                    "--config_file", str(net), "--param_file", str(par),
@@ -860,8 +892,11 @@ def test_evaluate_convergence(tmp_path):
                    "--consecutive_points", "2", "--window_size", "1") == 0
     rows = read_csv(data / "convergence.csv")
     assert rows[0] == ["episode", "eval_reward"]
-    episodes = [int(r[0]) for r in rows[1:]]
-    assert episodes and episodes == sorted(episodes)
+    evaluations = [(int(episode), float(reward)) for episode, reward in rows[1:]]
+    assert len({reward for _, reward in evaluations}) == len(evaluations) == 3
+    report = convergence_train(parse_hyperparams(str(par))[0], parse_network_config(str(net)),
+                               window_size=1, threshold=0.5, consecutive_points=2)
+    assert evaluations == report.evaluations
 
 
 def test_evaluate_noise_and_checkpoint_reuse(tmp_path):

@@ -8,35 +8,18 @@ a fresh action: DdpgAgent.update_critic_network's target input
 DdpgAgent.plan's hallucinated experiences.
 """
 
-import ast
-from pathlib import Path
+from call_sites import PACKAGE, calls
 
-AGENT = Path(__file__).resolve().parent.parent / "src" / "queuerl" / "agent.py"
+AGENT = [path for path in PACKAGE if path.name == "agent.py"]
 ALLOWED = {"DdpgAgent.update_critic_network", "DdpgAgent.update_actor_network",
            "DdpgAgent.plan"}
 
-SCOPES = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
-
-def concatenate_sites(path):
+def concatenate_sites(paths):
     """Set of the dotted paths of the enclosing classes and functions (None
     at module level) of each np.concatenate(...) or concatenate(...) call in
-    the module at path."""
-    found = set()
-
-    def visit(node, scope):
-        if isinstance(node, SCOPES):
-            scope = (*scope, node.name)
-        if isinstance(node, ast.Call):
-            callee = node.func
-            name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
-            if name == "concatenate":
-                found.add(".".join(scope) or None)
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
-
-    visit(ast.parse(path.read_text(), str(path)), ())
-    return found
+    the files at paths."""
+    return {call.scope for call in calls(paths) if call.name == "concatenate"}
 
 
 def test_concatenate_sites_are_found(tmp_path):
@@ -51,8 +34,9 @@ def test_concatenate_sites_are_found(tmp_path):
         "    def method(self):\n"
         "        return numpy.concatenate((self.s, self.a), axis=1)\n"
     )
-    assert concatenate_sites(module) == {None, "outer.inner", "Agent.method"}
+    assert concatenate_sites([module]) == {None, "outer.inner", "Agent.method"}
 
 
 def test_agent_joins_states_and_actions_only_where_an_action_is_fresh():
+    assert AGENT
     assert concatenate_sites(AGENT) == ALLOWED

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -193,6 +194,23 @@ def test_zero_weights_sigmoid_gives_half():
     for b in net.biases:
         b[:] = 0.0
     assert np.all(net.forward(np.array([3.0, -1.0, 0.0, 9.9, 2.0])) == 0.5)
+
+
+@pytest.mark.parametrize("sizes, activation, message", [
+    ([4], "identity", "need at least input and output sizes"),
+    ([4, 0, 2], "identity", "layer sizes must be >= 1, got [4, 0, 2]"),
+    ([4, 2], "tanh", "unknown output activation 'tanh'"),
+], ids=["one_size", "empty_layer", "unknown_activation"])
+def test_mlp_rejects_a_bad_shape_or_activation(sizes, activation, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Mlp(sizes, activation, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("gradient", ["backward", "input_gradient"])
+def test_gradient_before_any_forward_raises(gradient):
+    net = Mlp([3, 2], "identity", np.random.default_rng(0))
+    with pytest.raises(RuntimeError, match="gradient asked for before forward"):
+        getattr(net, gradient)(np.zeros((1, 2)))
 
 
 def test_forward_shape_handling():

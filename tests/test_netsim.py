@@ -253,6 +253,13 @@ def test_mm1_topology_single_successor():
     assert net.serviced_edge_types == [1]
 
 
+@pytest.mark.parametrize("num_events", [0, -1])
+def test_simulate_rejects_a_count_below_one(num_events):
+    net = QueueNetwork(mm1_topology(0.5, 1.0), seed=0)
+    with pytest.raises(ConfigError, match="num_events must be >= 1"):
+        net.simulate(num_events)
+
+
 def test_set_routing_installs_a_fresh_map():
     net = QueueNetwork(figure_topology(), seed=0)
     uniform = net.transition_map

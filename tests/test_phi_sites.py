@@ -8,35 +8,15 @@ them, works on compressed rows as they are, so compressing one again would
 be a second, silent compression.
 """
 
-import ast
-from pathlib import Path
+from call_sites import PACKAGE, calls
 
-ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = sorted((ROOT / "src" / "queuerl").glob("*.py"))
 ALLOWED = {("agent.py", "DdpgAgent.select_action"), ("agent.py", "DdpgAgent.train")}
-
-SCOPES = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def phi_callers(paths):
     """Set of (file, dotted path of the enclosing classes and functions, or
     None at module level) of each _phi(...) or x._phi(...) call in paths."""
-    found = set()
-
-    def visit(node, path, scope):
-        if isinstance(node, SCOPES):
-            scope = (*scope, node.name)
-        if isinstance(node, ast.Call):
-            callee = node.func
-            name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
-            if name == "_phi":
-                found.add((path.name, ".".join(scope) or None))
-        for child in ast.iter_child_nodes(node):
-            visit(child, path, scope)
-
-    for path in paths:
-        visit(ast.parse(path.read_text(), str(path)), path, ())
-    return found
+    return {(call.file, call.scope) for call in calls(paths) if call.name == "_phi"}
 
 
 def test_phi_callers_are_found(tmp_path):

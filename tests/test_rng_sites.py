@@ -7,54 +7,28 @@ interarrival noise's and random_search the tuner's. Each is seeded by its
 one argument, and no code draws from the global numpy or random generator.
 """
 
-import ast
-from pathlib import Path
+from call_sites import PACKAGE, calls
 
-ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = sorted((ROOT / "src" / "queuerl").glob("*.py"))
-ALLOWED = {("agent.py", "__init__"), ("netsim.py", "__init__"),
+ALLOWED = {("agent.py", "DdpgAgent.__init__"), ("netsim.py", "QueueNetwork.__init__"),
            ("evaluation.py", "make_noise_hook"), ("tuning.py", "random_search")}
 BUILDERS = {"default_rng", "Random"}
-
-FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-
-def _dotted(node):
-    """'a.b.c' for a Name or Attribute chain, else None."""
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    return ".".join([node.id, *reversed(parts)])
+GLOBAL_GENERATORS = ("random.", "np.random.", "numpy.random.")
 
 
 def rng_calls(paths):
-    """(builders, globals): builders maps (file, innermost enclosing function
-    or None) to the positional and keyword argument counts of each
-    default_rng(...) or Random(...) call there, however it is reached;
-    globals is the set of (file, dotted callee) of every other call to a
-    random.* or np.random.* (numpy.random.*) function."""
+    """(builders, globals): builders maps (file, dotted path of the enclosing
+    classes and functions, or None at module level) to the positional and
+    keyword argument counts of each default_rng(...) or Random(...) call
+    there, however it is reached; globals is the set of (file, dotted callee)
+    of every other call to a random.* or np.random.* (numpy.random.*)
+    function."""
     builders, global_draws = {}, set()
-
-    def visit(node, path, function):
-        if isinstance(node, FUNCTIONS):
-            function = node.name
-        if isinstance(node, ast.Call):
-            callee = node.func
-            name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
-            dotted = _dotted(callee) or ""
-            if name in BUILDERS:
-                builders.setdefault((path.name, function), []).append(
-                    (len(node.args), len(node.keywords)))
-            elif dotted.startswith(("random.", "np.random.", "numpy.random.")):
-                global_draws.add((path.name, dotted))
-        for child in ast.iter_child_nodes(node):
-            visit(child, path, function)
-
-    for path in paths:
-        visit(ast.parse(path.read_text(), str(path)), path, None)
+    for call in calls(paths):
+        if call.name in BUILDERS:
+            builders.setdefault((call.file, call.scope), []).append(
+                (len(call.node.args), len(call.node.keywords)))
+        elif (call.dotted or "").startswith(GLOBAL_GENERATORS):
+            global_draws.add((call.file, call.dotted))
     return builders, global_draws
 
 
@@ -73,8 +47,8 @@ def test_rng_calls_are_found(tmp_path):
         "        return random.random() + np.random.normal() + numpy.random.rand(2)\n"
     )
     builders, global_draws = rng_calls([module])
-    assert builders == {("module.py", None): [(1, 0)], ("module.py", "inner"): [(2, 0)],
-                        ("module.py", "method"): [(0, 1)]}
+    assert builders == {("module.py", None): [(1, 0)], ("module.py", "outer.inner"): [(2, 0)],
+                        ("module.py", "Box.method"): [(0, 1)]}
     assert global_draws == {("module.py", "random.random"), ("module.py", "np.random.normal"),
                             ("module.py", "numpy.random.rand")}
 

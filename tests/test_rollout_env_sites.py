@@ -6,35 +6,15 @@ takes explicit step settings, for policies whose params do not hold them.
 Every other rollout goes through rollout_env.
 """
 
-import ast
-from pathlib import Path
+from call_sites import PACKAGE, calls
 
-ROOT = Path(__file__).resolve().parent.parent
-PACKAGE = sorted((ROOT / "src" / "queuerl").glob("*.py"))
 ALLOWED = {("evaluation.py", "evaluate_policy"), ("exploration.py", "rollout_env")}
-
-FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 def env_builders(paths):
-    """Set of (file, innermost enclosing function or None) of each
-    RlEnv(...) or x.RlEnv(...) call in paths."""
-    found = set()
-
-    def visit(node, path, function):
-        if isinstance(node, FUNCTIONS):
-            function = node.name
-        if isinstance(node, ast.Call):
-            callee = node.func
-            name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
-            if name == "RlEnv":
-                found.add((path.name, function))
-        for child in ast.iter_child_nodes(node):
-            visit(child, path, function)
-
-    for path in paths:
-        visit(ast.parse(path.read_text(), str(path)), path, None)
-    return found
+    """Set of (file, dotted path of the enclosing classes and functions, or
+    None at module level) of each RlEnv(...) or x.RlEnv(...) call in paths."""
+    return {(call.file, call.scope) for call in calls(paths) if call.name == "RlEnv"}
 
 
 def test_env_builders_are_found(tmp_path):
@@ -49,8 +29,8 @@ def test_env_builders_are_found(tmp_path):
         "    def method(self):\n"
         "        return RlEnv(cfg, seed=1)\n"
     )
-    assert env_builders([module]) == {("module.py", None), ("module.py", "inner"),
-                                      ("module.py", "method")}
+    assert env_builders([module]) == {("module.py", None), ("module.py", "outer.inner"),
+                                      ("module.py", "Box.method")}
 
 
 def test_package_builds_rl_env_only_in_the_rollout_recipes():

@@ -41,7 +41,15 @@ def test_space_validation():
         SearchSpace({"tau": ChoiceSpec([])}).validate()
     with pytest.raises(ConfigError):
         SearchSpace({"tau": ChoiceSpec([0.1])}, trials=0).validate()
+    with pytest.raises(ConfigError, match="tau: unknown spec type tuple"):
+        SearchSpace({"tau": (0.01, 0.2)}).validate()
     SearchSpace({"tau": ChoiceSpec([0.1])}, trials=3).validate()
+
+
+def test_sampled_hidden_sizes_are_a_tuple():
+    space = SearchSpace({"hidden_sizes": ChoiceSpec([[16, 16]])})
+    space.validate()
+    assert sample_params(space, tiny_base(), random.Random(0)).hidden_sizes == (16, 16)
 
 
 def test_log_range_samples_are_log_uniform():
